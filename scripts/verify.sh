@@ -1,46 +1,38 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus an instrumentation smoke test.
+# Tier-1 verification plus end-to-end smoke of every user-facing surface.
 #
-# 1. Runs the full pytest suite (the repo's tier-1 gate).
+# 1. Runs the full pytest suite (the repo's tier-1 gate) and the
+#    benchmark's own tests (perfbench/tests), which fail when a refactor
+#    drops a name the benchmark's layer timers bind.
 # 2. Runs one benchmark with observability enabled (REPRO_OBS=jsonl:...)
 #    into a throwaway cache, then greps the event stream and the cached
 #    run manifest for all five pipeline stage names, so a regression
 #    that silently drops a stage's spans fails fast.
 # 3. Renders the observability report CLI over the smoke cache (and
 #    checks the sim.engine.* counter family is surfaced).
-# 4. Block-engine gate: block vs closure bit-identity smoke across all
-#    three ISAs, plus a full pipeline run under REPRO_SIM_ENGINE=closure
-#    (the always-available fallback path).
-# 5. DSE sweeps, trajectory/golden gates, and the micro-benchmark,
-#    which must show the block engine >= 2x on >= 2 benchmarks.
-# 6. Cross-process trace gate: a --jobs 2 sweep under REPRO_OBS must
+# 4. DSE sweeps (cold, resumed, warm over the persistent trace store),
+#    frontier, per-point report, and the trajectory/golden gates.
+# 5. Cross-process trace gate: a --jobs 2 sweep under REPRO_OBS must
 #    export as ONE parent-linked Perfetto trace (every worker span's
 #    trace_id/parent_id resolves to the coordinator's root span).
-# 7. Block-profiler smoke: REPRO_PROFILE on a crc32 run must attribute
+# 6. Block-profiler smoke: REPRO_PROFILE on a crc32 run must attribute
 #    >= 1 compiled superblock with nonzero units/wall time, and
 #    `profile top --stable` must be deterministic across two runs.
-# 8. Sweep-service gate: a live `repro.serve` server must dedupe two
+# 7. Sweep-service gate: a live `repro.serve` server must dedupe two
 #    overlapping sweeps through the global cache (hit counter > 0),
 #    stream bit-identical metrics to the direct dse sweep, survive a
 #    client connection killed mid-stream (exactly-once delivery), and
 #    shut down cleanly.
-# 9. Metrics gate: the serve `metrics` op must return valid OpenMetrics
+# 8. Metrics gate: the serve `metrics` op must return valid OpenMetrics
 #    whose serve.cache.hit counter matches the job manifests exactly;
 #    `alerts check` on the committed rules must pass against the live
 #    server and an injected-breach rule set must fail non-zero;
-#    `serve dash --once` must render a frame; and simulation must be
-#    bit-identical with the metrics registry on vs off.
-# 10. Columnar trace gate: a warm sweep over the RLE trace store must be
-#     bit-identical to a cold event-stream-replay run; stored trace
-#     entries must be >= 3x smaller than the pre-columnar format's; the
-#     bench trace sections must show >= 5x warm replay speedup on >= 2
-#     benchmarks; and `repro.bench --check` must accept the fresh blob
-#     and reject a tampered one.
-# 11. Warm-pool gate: a REPRO_DSE_POOL=chunk re-run of the smoke sweep
-#     must be bit-identical to the default warm-pool store; the bench
-#     pool section must show the warm pool >= 1.3x at jobs=4 with
-#     identical results in both modes; and `serve dash` must render the
-#     per-worker utilization row.
+#    `serve dash --once` must render a frame with the per-worker pool
+#    row; and simulation must be bit-identical with the metrics registry
+#    on vs off.
+#
+# Performance is measured by perfbench/ (see perfbench/NOTES.md), not
+# here.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,6 +40,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 pytest =="
 python -m pytest -x -q
+
+echo "== benchmark self-tests (layer timers still bind) =="
+python -m pytest perfbench/tests -q
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -77,52 +72,6 @@ echo "== observability report =="
 python -m repro.obs.report --cache-dir "$tmp/cache" | tee "$tmp/report.txt"
 grep -q "sim.engine" "$tmp/report.txt" \
     || { echo "FAIL: sim.engine.* counter family missing from obs report"; exit 1; }
-
-echo "== block-engine equivalence smoke (block vs closure, all ISAs) =="
-python - <<'EOF'
-import numpy as np
-from repro.compiler import compile_arm, compile_thumb
-from repro.core.flow import fits_flow
-from repro.sim.functional import ArmSimulator
-from repro.sim.functional.fits_sim import FitsSimulator
-from repro.sim.functional.thumb_sim import ThumbSimulator
-from repro.workloads import get_workload
-
-for name in ("crc32", "qsort"):
-    wl = get_workload(name)
-    runs = {
-        "arm": lambda e: ArmSimulator(
-            compile_arm(wl.build_module("small")), engine=e).run(),
-        "thumb": lambda e: ThumbSimulator(
-            compile_thumb(wl.build_module("small")), engine=e).run(),
-        "fits": lambda e: FitsSimulator(
-            fits_flow(wl.build_module("small")).fits_image, engine=e).run(),
-    }
-    for isa, run in runs.items():
-        a, b = run("block"), run("closure")
-        assert a.exit_code == b.exit_code, (name, isa)
-        for f in ("run_starts", "run_ends", "mem_addrs", "mem_is_store"):
-            assert np.array_equal(getattr(a, f), getattr(b, f)), (name, isa, f)
-        assert a.console == b.console and bytes(a.memory) == bytes(b.memory)
-        print("  %s/%s: block == closure (%d instrs)"
-              % (name, isa, a.dynamic_instructions))
-print("block engine bit-identical to closure engine")
-EOF
-
-echo "== closure-engine fallback smoke (REPRO_SIM_ENGINE=closure) =="
-REPRO_CACHE_DIR="$tmp/cache-closure" REPRO_SIM_ENGINE=closure python - <<'EOF'
-from repro.sim.functional import selected_engine
-assert selected_engine() == "closure"
-from repro.harness.runner import collect
-collect(scale="small", names=["crc32"], verbose=True)
-EOF
-python - "$tmp/cache-closure/crc32-small.json" <<'EOF'
-import json, sys
-manifest = json.load(open(sys.argv[1]))["manifest"]
-assert manifest["sim_engine"] == "closure", manifest.get("sim_engine")
-print("closure fallback ran; manifest records sim_engine=closure")
-EOF
-
 
 echo "== DSE smoke sweep (2 benchmarks x 4 points, --jobs 2) =="
 dse_store="$tmp/dse"
@@ -166,28 +115,6 @@ print("trace store: %d hits, %d points bit-identical cold vs warm"
       % (hits, len(cold)))
 EOF
 
-echo "== dispatch-mode equivalence (fork-per-chunk vs warm pool) =="
-REPRO_DSE_POOL=chunk python -m repro.dse sweep --preset smoke \
-    --benchmarks crc32,sha --scale small --jobs 2 \
-    --store "$tmp/dse-chunk" | tee "$tmp/sweep-chunk.txt"
-grep -q "evaluated: 8" "$tmp/sweep-chunk.txt" \
-    || { echo "FAIL: chunk-mode sweep did not evaluate 8 points"; exit 1; }
-python - "$dse_store" "$tmp/dse-chunk" <<'EOF'
-import sys
-from repro.dse.store import ResultStore
-
-warm = {(b["benchmark"], b["point"]["id"]): b["metrics"]
-        for b in ResultStore(sys.argv[1]).iter_results()}
-chunk = {(b["benchmark"], b["point"]["id"]): b["metrics"]
-         for b in ResultStore(sys.argv[2]).iter_results()}
-assert warm and set(warm) == set(chunk), "modes evaluated different points"
-for key, metrics in warm.items():
-    assert metrics == chunk[key], \
-        "pool-mode metrics diverged for %s/%s" % key
-print("dispatch modes bit-identical: %d points, warm pool == fork-per-chunk"
-      % len(warm))
-EOF
-
 echo "== DSE frontier (must be non-empty) =="
 python -m repro.dse frontier --store "$dse_store" | tee "$tmp/frontier.txt"
 grep -q "FITS" "$tmp/frontier.txt" \
@@ -221,112 +148,6 @@ grep -q "recorded 0 new" "$tmp/record2.txt" \
 python -m repro.obs.regress diff --store "$hist" | tee "$tmp/diff.txt"
 grep -q "0 regressions" "$tmp/diff.txt" \
     || { echo "FAIL: diff flagged regressions on an unchanged re-run"; exit 1; }
-
-echo "== pipeline micro-benchmark (cache sweep + cold sim + trace, trajectory record) =="
-REPRO_COMMIT=verify-smoke python -m repro.bench --reps 3 --sim-reps 3 \
-    --out "$tmp/BENCH_pipeline.json" --record-trajectory --store "$hist" \
-    | tee "$tmp/bench.txt"
-grep -q "trajectory: 8 added" "$tmp/bench.txt" \
-    || { echo "FAIL: bench sections not recorded into the trajectory store"; exit 1; }
-python - "$tmp/BENCH_pipeline.json" <<'EOF'
-import json, sys
-blob = json.load(open(sys.argv[1]))
-assert blob["schema"] == "repro.bench/v4", blob.get("schema")
-assert blob.get("code_hash"), "bench blob missing the simulator code hash"
-sweeps = [s for s in blob["sections"] if s["kind"] == "sweep"]
-sims = [s for s in blob["sections"] if s["kind"] == "sim"]
-traces = [s for s in blob["sections"] if s["kind"] == "trace"]
-assert sweeps and sweeps[0]["points"] >= 8, sweeps
-assert sweeps[0]["speedup"] > 1.0, \
-    "one-pass sweep slower than per-point LRU (%.2fx)" % sweeps[0]["speedup"]
-assert len(sims) >= 2, "expected >=2 cold-sim sections"
-fast = [s for s in sims if s["speedup"] >= 2.0]
-assert len(fast) >= 2, "block engine <2x on all but %d benchmarks: %s" % (
-    len(fast), ["%s=%.2fx" % (s["benchmark"], s["speedup"]) for s in sims])
-# columnar trace gate: warm RLE replay >= 5x the event path on >= 2
-# benchmarks, and stored entries >= 3x smaller than the pre-columnar
-# per-boundary format (entry sizes measured before the format change)
-assert len(traces) >= 3, "expected a trace section per benchmark"
-v1_bytes = {"crc32": 14043, "sha": 10096, "bitcount": 11347}
-for s in traces:
-    budget = v1_bytes.get(s["benchmark"])
-    if budget is not None:
-        assert s["store_bytes"] * 3 <= budget, \
-            "trace entry for %s is %dB (> 1/3 of pre-columnar %dB)" % (
-                s["benchmark"], s["store_bytes"], budget)
-fast_replay = [s for s in traces if s["replay_speedup"] >= 5.0]
-assert len(fast_replay) >= 2, \
-    "warm RLE replay <5x on all but %d benchmarks: %s" % (
-        len(fast_replay),
-        ["%s=%.2fx" % (s["benchmark"], s["replay_speedup"]) for s in traces])
-# warm-pool gate: the persistent pool must beat fork-per-chunk dispatch
-# >= 1.3x at jobs=4, and both modes must produce identical results
-pools = [s for s in blob["sections"] if s["kind"] == "pool"]
-assert len(pools) == 1, "expected exactly one pool section"
-pool = pools[0]
-assert pool["identical"], "pool/chunk sweeps diverged in the bench section"
-assert pool["speedup"]["4"] >= 1.3, \
-    "warm pool only %.2fx vs fork-per-chunk at jobs=4" % pool["speedup"]["4"]
-print("bench: %d cache points, %.2fx sweep speedup" % (
-    sweeps[0]["points"], sweeps[0]["speedup"]))
-for s in sims:
-    print("bench: %s/%s cold sim %.2fx (block vs closure)" % (
-        s["benchmark"], s["isa"], s["speedup"]))
-for s in traces:
-    print("bench: %s warm replay %.2fx, trace entry %dB" % (
-        s["benchmark"], s["replay_speedup"], s["store_bytes"]))
-print("bench: warm pool %.2fx vs fork-per-chunk at jobs=4, identical=%s" % (
-    pool["speedup"]["4"], pool["identical"]))
-EOF
-
-echo "== bench blob staleness check (--check accepts fresh, rejects tampered) =="
-python -m repro.bench --check --out "$tmp/BENCH_pipeline.json" \
-    || { echo "FAIL: --check rejected a freshly recorded blob"; exit 1; }
-python - "$tmp/BENCH_pipeline.json" "$tmp/BENCH_stale.json" <<'EOF'
-import json, sys
-blob = json.load(open(sys.argv[1]))
-blob["code_hash"] = "0" * 16
-json.dump(blob, open(sys.argv[2], "w"))
-EOF
-if python -m repro.bench --check --out "$tmp/BENCH_stale.json" \
-    > /dev/null 2> "$tmp/check-stale.txt"; then
-    echo "FAIL: --check accepted a blob with a stale code hash"; exit 1
-fi
-grep -q "code hash" "$tmp/check-stale.txt" \
-    || { echo "FAIL: --check failure message does not name the code hash"; exit 1; }
-echo "bench --check: fresh blob accepted, tampered blob rejected"
-
-echo "== columnar replay gate (warm RLE store sweep == cold event run) =="
-python - <<'EOF'
-import os
-from repro.compiler import compile_arm
-from repro.sim.functional import ArmSimulator, cached_run
-from repro.sim.pipeline.timing import TimingConfig, simulate_timing_multi
-from repro.workloads import get_workload
-
-specs = [(size, TimingConfig(icache_assoc=assoc))
-         for size in (1024, 4096, 16384) for assoc in (1, 2, 4)]
-for name in ("crc32", "sha"):
-    wl = get_workload(name)
-    image = compile_arm(wl.build_module("small"))
-    # prime the persistent store, then take a warm (store-hit) result
-    cached_run("arm", image, ArmSimulator(image).run, benchmark=name)
-    warm = cached_run("arm", image, ArmSimulator(image).run, benchmark=name)
-    assert warm.exit_code == wl.reference("small"), name
-    rle = simulate_timing_multi(warm, specs)
-    # cold reference: fresh simulation, event-stream replay path
-    cold = ArmSimulator(image).run()
-    os.environ["REPRO_TRACE_REPLAY"] = "event"
-    try:
-        event = simulate_timing_multi(cold, specs)
-    finally:
-        del os.environ["REPRO_TRACE_REPLAY"]
-    assert [r.__dict__ for r in rle] == [r.__dict__ for r in event], \
-        "%s: warm RLE sweep diverged from cold event-stream run" % name
-    print("  %s: %d points bit-identical (warm RLE vs cold event)"
-          % (name, len(specs)))
-print("columnar replay bit-identical to the event-stream reference")
-EOF
 
 echo "== Chrome trace-event export =="
 python -m repro.obs.regress export-trace --jsonl "$tmp/obs.jsonl" \
@@ -381,7 +202,7 @@ from repro.workloads import get_workload
 
 image = compile_arm(get_workload("crc32").build_module("small"))
 with profile.run_context(benchmark="crc32", scale="small"):
-    ArmSimulator(image, engine="block").run()
+    ArmSimulator(image).run()
 EOF
 done
 python -m repro.obs.profile top --profile "$tmp/prof1.jsonl" \
@@ -526,10 +347,10 @@ from repro.sim.functional import ArmSimulator
 from repro.workloads import get_workload
 
 image = compile_arm(get_workload("crc32").build_module("small"))
-off = ArmSimulator(image, engine="block").run()
+off = ArmSimulator(image).run()
 obs.enable(sink=None)          # metrics registry live, aggregate-only
 try:
-    on = ArmSimulator(image, engine="block").run()
+    on = ArmSimulator(image).run()
 finally:
     obs.disable()
     obs.reset()

@@ -11,9 +11,9 @@ synthesis flow) dominates the cost and is independent of the cache
 axes, so it is memoized per ``(benchmark, scale, isa)``: a worker
 evaluating many cache geometries for one benchmark compiles and
 simulates each ISA once.  The memo keeps a small LRU of benchmark
-groups (``REPRO_DSE_FUNC_CACHE``, default 2) to bound memory while
-letting a persistent pool worker interleave chunks from concurrent
-jobs without thrashing.  Across processes and sessions the persistent
+groups (:data:`FUNC_CACHE_GROUPS`) to bound memory while letting a
+persistent pool worker interleave chunks from concurrent jobs without
+thrashing.  Across processes and sessions the persistent
 trace store (:mod:`repro.sim.functional.store`) removes the functional
 simulation entirely on a warm cache.
 
@@ -31,14 +31,12 @@ with the default :class:`TimingConfig` and
 FITS16/FITS8 numbers reproduce bit-identically through the scheduler.
 """
 
-import os
 import time
 from collections import OrderedDict
 
 from repro import obs
 from repro.compiler import compile_arm, compile_thumb
 from repro.core.flow import fits_flow
-from repro.sim.functional import selected_engine
 from repro.dse.space import DesignPoint
 from repro.dse.store import RESULT_SCHEMA
 from repro.power import CachePowerModel
@@ -49,25 +47,16 @@ from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.pipeline import TimingBatch, TimingConfig
 from repro.workloads import get_workload
 
-#: (benchmark, scale, isa) → (image, ExecutionResult).  Persistent pool
-#: workers interleave chunks from different benchmarks (fair-share
-#: across concurrent serve jobs), so instead of the old single-benchmark
-#: policy the memo keeps the ``REPRO_DSE_FUNC_CACHE`` most recently used
-#: (benchmark, scale) groups — see :func:`_functional`.
+#: How many (benchmark, scale) groups the functional memo keeps.
+#: Persistent pool workers interleave chunks from different benchmarks
+#: (fair-share across concurrent serve jobs), so the memo holds the most
+#: recently used groups rather than a single benchmark.
+FUNC_CACHE_GROUPS = 2
+
+#: (benchmark, scale, isa) → (image, ExecutionResult) — see
+#: :func:`_functional`.
 _FUNC_CACHE = {}
 _FUNC_GROUPS = OrderedDict()  # (benchmark, scale) → True, LRU order
-
-
-def _func_cache_groups():
-    try:
-        return max(1, int(os.environ.get("REPRO_DSE_FUNC_CACHE", "2")))
-    except ValueError:
-        return 2
-
-
-def clear_cache():
-    _FUNC_CACHE.clear()
-    _FUNC_GROUPS.clear()
 
 
 def _functional(name, scale, isa):
@@ -83,7 +72,7 @@ def _functional(name, scale, isa):
     # groups once the budget is exceeded
     _FUNC_GROUPS[group] = True
     _FUNC_GROUPS.move_to_end(group)
-    while len(_FUNC_GROUPS) > _func_cache_groups():
+    while len(_FUNC_GROUPS) > FUNC_CACHE_GROUPS:
         victim, _ = _FUNC_GROUPS.popitem(last=False)
         for old in [k for k in _FUNC_CACHE if (k[0], k[1]) == victim]:
             del _FUNC_CACHE[old]
@@ -219,7 +208,6 @@ def _finish(benchmark, point, scale, compute):
             "scale": scale,
             "point": point.point_id,
             "label": point.label,
-            "sim_engine": selected_engine(),
             "wall_seconds": wall,
             "stages": obs.stage_timings(window["spans"]),
             "counters": window["counters"],

@@ -1,11 +1,11 @@
 """Persistent warm worker pool for DSE sweeps and the sweep service.
 
-``repro.dse.scheduler.run_tasks`` historically forked one child process
-**per chunk**: every chunk paid interpreter fork + module import +
-``TimingPrecomp`` recomputation + lzma decode of the same trace planes.
-This module keeps a process-wide pool of long-lived workers instead.
-Workers stay alive across ``run_tasks`` calls — and across serve jobs —
-so their functional-sim memo (`repro.dse.evaluate._FUNC_CACHE`), timing
+``repro.dse.scheduler.run_tasks`` dispatches every multi-process batch
+to a process-wide pool of long-lived workers, so no task pays
+interpreter fork + module import + ``TimingPrecomp`` recomputation +
+lzma decode of trace planes its worker already did.  Workers stay alive
+across ``run_tasks`` calls — and across serve jobs — so their
+functional-sim memo (`repro.dse.evaluate._FUNC_CACHE`), timing
 precomps, and decoded trace planes (the plane cache in
 ``sim/functional/store.py``, fed zero-copy over shared memory by the
 coordinator's :class:`~repro.sim.functional.planes.PlaneBus`) are warm
@@ -27,7 +27,7 @@ Shape of the machinery:
 * per-task obs export: each task ships the caller's ``obs.export_spec``
   snapshot plus its ``REPRO_*`` environment; workers re-apply either
   only when it changes, so worker spans parent under the coordinator's
-  active span exactly as the fork-per-chunk path did;
+  active span;
 * failure semantics match ``run_tasks``'s contract bit-for-bit: a task
   that raises ``SystemExit(n)`` or whose worker dies reports ``"exit
   code n"``, a hung task is killed after ``timeout`` seconds and
@@ -36,12 +36,11 @@ Shape of the machinery:
   and the worker is respawned.
 
 The pool is created lazily on first use (`get_pool`), grows to the
-largest ``jobs`` ever requested, and is torn down atexit.  Set
-``REPRO_DSE_POOL=chunk`` to fall back to the legacy fork-per-chunk
-scheduler (see ``scheduler.run_tasks``).
+largest ``jobs`` ever requested, and is torn down atexit.
 """
 
 import atexit
+import multiprocessing
 import os
 import threading
 import time
@@ -52,12 +51,11 @@ from multiprocessing import connection as mp_connection
 from repro.obs import core as obs
 
 
-def pool_mode():
-    """``"warm"`` (persistent pool, default) or ``"chunk"`` (legacy)."""
-    env = (os.environ.get("REPRO_DSE_POOL") or "warm").strip().lower()
-    if env in ("chunk", "fork", "0", "off", "none"):
-        return "chunk"
-    return "warm"
+def _context():
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # platforms without fork
+        return multiprocessing.get_context("spawn")
 
 
 def _repro_env():
@@ -247,9 +245,9 @@ class WorkerPool:
             label="task", progress=None, poll=None):
         """Run ``worker(payload)`` for every payload on the warm pool.
 
-        Same contract as the legacy chunked path in
-        ``scheduler.run_tasks`` — returns TaskResults in completion
-        order, with identical error strings and retry accounting.
+        The multi-process half of ``scheduler.run_tasks`` — returns
+        TaskResults in completion order, with the retry accounting and
+        error strings that function documents.
         """
         from repro.dse.scheduler import TaskResult
 
@@ -445,8 +443,6 @@ def get_pool():
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL.closed:
-            from repro.dse.scheduler import _context
-
             _POOL = WorkerPool(_context())
             atexit.register(_POOL.close)
         return _POOL

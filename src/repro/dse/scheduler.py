@@ -2,19 +2,18 @@
 
 Two layers:
 
-* :func:`run_tasks` — a generic ``multiprocessing`` task runner.  By
-  default tasks run on the persistent warm worker pool
-  (:mod:`repro.dse.pool`): long-lived child processes that keep their
-  functional-sim memo, timing precomps, and decoded trace planes warm
-  across chunks and across jobs, with centrally-assigned (work-
-  stealing) dispatch and fair-share interleaving between concurrent
-  callers.  ``REPRO_DSE_POOL=chunk`` falls back to the legacy fork-per-
-  chunk model (one child per task) — both modes enforce the same
-  per-task timeout (``terminate`` + bounded requeue), bounded retry
-  count, and crash isolation, and are required to produce bit-identical
-  stores.  Task results must flow through the filesystem (the result
-  store's atomic writes), never through pipes — which is exactly what
-  makes sweeps resumable and crash-safe.
+* :func:`run_tasks` — a generic task runner.  With ``jobs > 1`` tasks
+  run on the persistent warm worker pool (:mod:`repro.dse.pool`):
+  long-lived child processes that keep their functional-sim memo,
+  timing precomps, and decoded trace planes warm across chunks and
+  across jobs, with centrally-assigned (work-stealing) dispatch and
+  fair-share interleaving between concurrent callers, a per-task
+  timeout (``terminate`` + bounded requeue), bounded retry count, and
+  crash isolation.  ``jobs <= 1`` runs the tasks in the calling
+  process — the serial reference the pool is tested against.  Task
+  results must flow through the filesystem (the result store's atomic
+  writes), never through pipes — which is exactly what makes sweeps
+  resumable and crash-safe.
 
 * :func:`sweep` — the DSE orchestration: diff the design space against
   the store's completed keys (``resume``), group the pending
@@ -34,9 +33,9 @@ study with the identical isolation/retry semantics.
 """
 
 import math
-import multiprocessing
 import os
 import sys
+import threading
 import time
 import traceback
 
@@ -46,43 +45,13 @@ from repro.dse import pool as pool_mod
 from repro.dse import progress as progress_mod
 from repro.dse.evaluate import evaluate_points
 from repro.dse.store import ResultStore
-from repro.dse.pool import pool_mode  # re-exported: scheduler is the façade
 
-
-def _context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork
-        return multiprocessing.get_context("spawn")
-
-
-def _child_main(worker, payload, obs_spec=None):
-    """Child-process entry: run the task, exit 1 on any failure.
-
-    ``obs_spec`` (from :func:`repro.obs.core.export_spec`) reproduces
-    the parent's observability configuration in the worker — without
-    it, a parent that enabled obs programmatically (or a spawn-context
-    child whose import-time environment lost ``REPRO_OBS``) would run
-    its points dark and produce manifests without opcode sampling.
-    """
-    try:
-        if obs_spec is not None:
-            obs.apply_spec(obs_spec)
-        try:
-            worker(payload)
-        finally:
-            # final per-process metrics snapshot (histograms + counter
-            # deltas) for the coordinator to merge; advisory, so a full
-            # disk never turns a finished task into a failure
-            try:
-                obs_metrics.flush()
-            except Exception:
-                pass
-    except SystemExit:
-        raise
-    except BaseException:
-        traceback.print_exc(file=sys.stderr)
-        sys.exit(1)
+#: Serializes in-process tasks across threads.  A task's obs window (the
+#: cache/power consistency check in ``dse.evaluate``) reads process-wide
+#: counters, so two serial batches on different threads — concurrent
+#: ``repro.serve`` jobs at ``--jobs 1`` — must not interleave.  Pool
+#: workers already run one task at a time.
+_INPROCESS_LOCK = threading.RLock()
 
 
 class TaskResult:
@@ -105,8 +74,8 @@ def run_tasks(worker, payloads, jobs=1, timeout=None, retries=1,
     Args:
         worker: picklable module-level function; must persist its own
             results (e.g. via :class:`~repro.dse.store.ResultStore`).
-        jobs: max concurrent child processes; ``jobs <= 1`` runs
-            in-process (no fork), which is what tests use.
+        jobs: max concurrent worker processes; ``jobs <= 1`` runs
+            in-process, one task at a time across all threads.
         timeout: per-attempt wall-clock limit in seconds (None = no limit).
         retries: how many *re*-tries a failed/timed-out task gets.
         progress: optional callback ``progress(task_result)`` invoked in
@@ -120,84 +89,35 @@ def run_tasks(worker, payloads, jobs=1, timeout=None, retries=1,
     failure is recorded on its :class:`TaskResult` and (after the retry
     budget) the sweep moves on.
     """
-    results = []
-
-    def finish(result):
-        results.append(result)
-        obs.counter("dse.tasks.%s" % ("completed" if result.ok else "failed"))
-        obs_metrics.observe("dse.task.seconds", result.seconds)
-        if progress is not None:
-            progress(result)
-
-    if jobs is None or jobs <= 1:
-        for payload in payloads:
-            t0 = time.perf_counter()
-            attempts = 0
-            ok, error = False, None
-            while attempts <= retries and not ok:
-                attempts += 1
-                try:
-                    worker(payload)
-                    ok, error = True, None
-                except BaseException as exc:  # isolate, record, move on
-                    error = "%s: %s" % (type(exc).__name__, exc)
-                    if attempts <= retries:
-                        obs.counter("dse.tasks.retried")
-            finish(TaskResult(payload, attempts, ok, error,
-                              time.perf_counter() - t0))
-            if poll is not None:
-                poll()
-        return results
-
-    if pool_mode() == "warm":
+    if jobs is not None and jobs > 1:
         return pool_mod.get_pool().run(
             worker, payloads, jobs, timeout=timeout, retries=retries,
             label=label, progress=progress, poll=poll)
 
-    ctx = _context()
-    obs_spec = obs.export_spec()
-    queue = [(payload, 1) for payload in payloads]
-    queue.reverse()  # pop() then serves payloads in order
-    running = {}  # proc -> (payload, attempt, t_start)
-
-    def reap(proc, failed_reason=None):
-        payload, attempt, t_start = running.pop(proc)
-        seconds = time.perf_counter() - t_start
-        if failed_reason is None and proc.exitcode == 0:
-            finish(TaskResult(payload, attempt, True, None, seconds))
-            return
-        error = failed_reason or ("exit code %s" % proc.exitcode)
-        if attempt <= retries:
-            obs.counter("dse.tasks.retried")
-            queue.append((payload, attempt + 1))
-        else:
-            finish(TaskResult(payload, attempt, False, error, seconds))
-
-    try:
-        while queue or running:
-            while queue and len(running) < jobs:
-                payload, attempt = queue.pop()
-                proc = ctx.Process(target=_child_main,
-                                   args=(worker, payload, obs_spec))
-                proc.start()
-                running[proc] = (payload, attempt, time.perf_counter())
-            time.sleep(0.02)
-            if poll is not None:
-                poll()
-            now = time.perf_counter()
-            for proc in list(running):
-                payload, attempt, t_start = running[proc]
-                if not proc.is_alive():
-                    proc.join()
-                    reap(proc)
-                elif timeout is not None and now - t_start > timeout:
-                    proc.terminate()
-                    proc.join()
-                    reap(proc, failed_reason="timeout after %.1fs" % timeout)
-    finally:
-        for proc in running:
-            proc.terminate()
-            proc.join()
+    results = []
+    for payload in payloads:
+        t0 = time.perf_counter()
+        attempts = 0
+        ok, error = False, None
+        while attempts <= retries and not ok:
+            attempts += 1
+            try:
+                with _INPROCESS_LOCK:
+                    worker(payload)
+                ok, error = True, None
+            except BaseException as exc:  # isolate, record, move on
+                error = "%s: %s" % (type(exc).__name__, exc)
+                if attempts <= retries:
+                    obs.counter("dse.tasks.retried")
+        result = TaskResult(payload, attempts, ok, error,
+                            time.perf_counter() - t0)
+        results.append(result)
+        obs.counter("dse.tasks.%s" % ("completed" if ok else "failed"))
+        obs_metrics.observe("dse.task.seconds", result.seconds)
+        if progress is not None:
+            progress(result)
+        if poll is not None:
+            poll()
     return results
 
 
@@ -349,17 +269,16 @@ def _chunk_tasks(pending, store_root, scale, jobs):
 
 
 def _export_planes(payloads, scale):
-    """Publish trace planes over shared memory for warm-pool payloads.
+    """Publish trace planes over shared memory for the sweep's payloads.
 
     Decodes each relevant trace-store entry once in the coordinator and
     attaches the descriptors to every payload of that benchmark.
     Returns the live :class:`PlaneBus` (caller must ``close()`` it
-    after the tasks finish) or None when not applicable — chunk mode
-    keeps the payloads byte-for-byte identical to the legacy path.
+    after the tasks finish) or None when there is nothing to share.
     """
     from repro.sim.functional import planes, store as trace_store_mod
 
-    if pool_mode() != "warm" or not planes.available():
+    if not planes.available():
         return None
     trace_store = trace_store_mod.get_store()
     if trace_store is None:

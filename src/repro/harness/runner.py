@@ -27,7 +27,7 @@ import time
 
 from repro import obs
 from repro.compiler import compile_arm, compile_thumb
-from repro.sim.functional import ArmSimulator, cached_run, selected_engine
+from repro.sim.functional import ArmSimulator, cached_run
 from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.pipeline import TimingBatch
 from repro.sim.cache import CacheGeometry
@@ -196,7 +196,6 @@ def run_benchmark(name, scale="full", verbose=False, record_trajectory=False):
         "cache_version": CACHE_VERSION,
         "benchmark": name,
         "scale": scale,
-        "sim_engine": selected_engine(),
         "wall_seconds": wall,
         "stages": obs.stage_timings(window["spans"]),
         "spans": window["spans"],

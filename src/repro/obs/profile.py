@@ -56,9 +56,6 @@ energy into the ``profile.energy.fetch_joules`` metrics histogram (and
 a ``profile.energy.fetch_words`` counter) when obs is enabled, so live
 dashboards and OpenMetrics exposition see per-run energy without
 reparsing profile JSONL.
-
-Only the ``block`` engine is profiled: the closure engine has no block
-structure to attribute to (runs under it simply produce no records).
 """
 
 import argparse
@@ -555,9 +552,8 @@ def _load_groups(path, args):
                          "%s=jsonl:<path> first" % (path, exc, PROFILE_ENV))
     if not recs:
         raise SystemExit(
-            "error: no block-profile records in %s (profiling requires the "
-            "block engine: unset REPRO_SIM_ENGINE or set it to 'block', and "
-            "run with %s=jsonl:<path>)" % (path, PROFILE_ENV))
+            "error: no block-profile records in %s (run with "
+            "%s=jsonl:<path>)" % (path, PROFILE_ENV))
     return aggregate(recs, benchmark=args.benchmark, isa=args.isa)
 
 

@@ -348,10 +348,7 @@ def _metric_vector(record):
 
 
 def _is_timing(name):
-    # "bench." metrics are wall-clock measurements from repro.bench —
-    # drift-checked like stage timings, never determinism-checked
-    return (name in TIMING_METRICS or name.startswith("stage.")
-            or name.startswith("bench."))
+    return name in TIMING_METRICS or name.startswith("stage.")
 
 
 def detect(records, window=20, threshold=3.5, min_history=5,

@@ -30,9 +30,8 @@ Up to ``max_running`` compute batches run **concurrently**: each batch
 registers its own task group on the persistent warm worker pool
 (:mod:`repro.dse.pool`), whose dispatcher interleaves the groups
 fair-share — a long sweep no longer head-of-line-blocks a smoke job,
-and single-flight keys are shared across the in-flight batches.  Under
-``REPRO_DSE_POOL=chunk`` the legacy fork-per-chunk scheduler is used
-instead (batches then time-slice the machine through the OS).
+and single-flight keys are shared across the in-flight batches.  At
+``--jobs 1`` batches run in the server process, one task at a time.
 
 Observability: the server root span, per-job ``serve.job`` spans and
 per-point ``serve.point`` spans parent-link into the hierarchical trace
@@ -120,9 +119,8 @@ def _default_compute(server, scale, items, publish):
             publish(key, None, error)
 
     with obs.span("serve.compute", points=len(items), scale=scale):
-        # warm pool mode: decode each relevant trace entry once and hand
-        # the planes to the workers over shared memory (no-op in chunk
-        # fallback mode, keeping payloads identical to the legacy path)
+        # decode each relevant trace entry once and hand the planes to
+        # the workers over shared memory
         plane_bus = _export_planes(payloads, scale)
         try:
             run_tasks(_sweep_worker, payloads, jobs=server.worker_jobs,

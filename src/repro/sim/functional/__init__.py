@@ -9,7 +9,6 @@ configuration.
 """
 
 from repro.sim.functional.trace import ExecutionResult
-from repro.sim.functional.engine import ENGINE_ENV, ENGINES, selected_engine
 from repro.sim.functional.arm_sim import ArmSimulator, SimulationError
 from repro.sim.functional.store import (
     TraceStore,
@@ -21,9 +20,6 @@ from repro.sim.functional.store import (
 
 __all__ = [
     "ExecutionResult",
-    "ENGINE_ENV",
-    "ENGINES",
-    "selected_engine",
     "ArmSimulator",
     "SimulationError",
     "TraceStore",

@@ -2,10 +2,9 @@
 
 Each static instruction is compiled once into a small Python closure
 that mutates the machine state and returns the next instruction index;
-execution is then driven by :mod:`repro.sim.functional.engine` — either
-the classic closure-chaining loop (``REPRO_SIM_ENGINE=closure``) or the
-default block engine, which additionally ``exec()``-compiles straight-
-line stretches into single generated functions using the per-
+execution is then driven by :mod:`repro.sim.functional.engine`, which
+interprets cold code through the closures and ``exec()``-compiles hot
+straight-line stretches into single generated functions using the per-
 instruction source templates in :func:`_emit` (the closures stay as the
 always-available fallback).
 """
@@ -47,14 +46,11 @@ class ArmSimulator:
         image: :class:`repro.compiler.link.Image`.
         max_instructions: dynamic instruction budget (guards against
             runaway workloads).
-        engine: execution engine override (``"block"``/``"closure"``);
-            None defers to ``REPRO_SIM_ENGINE``.
     """
 
-    def __init__(self, image, max_instructions=200_000_000, engine=None):
+    def __init__(self, image, max_instructions=200_000_000):
         self.image = image
         self.max_instructions = max_instructions
-        self.engine = engine
 
     def run(self):
         """Simulate from ``_start`` until the exit SWI; returns
@@ -68,7 +64,7 @@ class ArmSimulator:
 
     def _run(self):
         program = build_program(self.image)
-        return engine.execute(program, self.max_instructions, self.engine)
+        return engine.execute(program, self.max_instructions)
 
 
 def build_program(image):
@@ -439,8 +435,8 @@ def _compile_memhalf(ins, idx, regs, mem, mm, unpack_from, pack_into):
 # block-engine source templates
 #
 # Each template mirrors the matching closure above statement for
-# statement; the block engine property tests (tests/test_engine.py)
-# hold the two representations bit-identical.  An instruction kind
+# statement; the engine property tests (tests/test_engine.py) hold
+# compiled runs bit-identical to interpret-only runs.  An instruction kind
 # without a template returns None and executes through its closure.
 
 

@@ -2,92 +2,72 @@
 
 The three functional simulators (:mod:`~repro.sim.functional.arm_sim`,
 :mod:`~repro.sim.functional.thumb_sim`,
-:mod:`~repro.sim.functional.fits_sim`) all pre-decode their image into
-per-instruction Python closures and then chain those closures from a
-dispatch loop.  That loop pays, per executed instruction, one list
-index, one closure call, and one fall-through comparison — which is the
-dominant cost of a cold trace once the cache side of the simulate stage
-is one-pass (PR 4).
+:mod:`~repro.sim.functional.fits_sim`) pre-decode their image into
+per-instruction Python closures plus per-instruction codegen templates
+and hand both to :func:`execute`.  Execution discovers *superblocks*
+lazily from the executed control flow: the first time control reaches
+index ``i`` the run starting there is interpreted through the closures
+(one call per instruction, a run boundary recorded on every taken
+control transfer); once an entry is hot the stretch from ``i`` is
+``exec()``-compiled into a single generated Python function.  The scan
+runs **through** conditional branches — a conditional branch becomes an
+inline guarded early return (the taken path records its run boundary
+and exits; the fall-through path simply keeps executing inside the same
+function) — and only stops at an unconditional transfer, an instruction
+with no codegen template, or the block-size cap.  Subsequent visits
+dispatch through a ``{entry index: block fn}`` table.  Inside a block
+there are no per-instruction calls or comparisons: each instruction's
+semantics are emitted inline from a source template, and memory-access
+trace records are *batched* — buffered in local temporaries and
+appended to the trace once per block exit instead of once per access.
+Run boundaries (and the executed-instruction budget tally) are
+maintained by the generated code itself through a shared state list,
+recording exactly the boundaries the interpreter would.
 
-This module factors the shared run-loop/trace plumbing out of the three
-simulators and adds a faster execution strategy on top of the same
-closures:
+Instructions without a template fall back to the always-available
+per-instruction closure: the block ends there and the closure becomes
+the block's terminator (pending trace records are flushed first so the
+access order is preserved).  A lazily-entered index that lands mid-atom
+(FITS) or on a continuation halfword (Thumb) simply dispatches the
+existing closure/None and fails exactly like the interpreter.
 
-``closure`` engine
-    The classic loop, verbatim: call ``handlers[idx]()``, compare the
-    returned index against the sequential successor, record a run
-    boundary on every taken control transfer.
-
-``block`` engine
-    Discover *superblocks* lazily from the executed control flow: the
-    first time control reaches index ``i``, scan forward from ``i``
-    and ``exec()``-compile the whole stretch into a single generated
-    Python function.  The scan runs **through** conditional branches —
-    a conditional branch becomes an inline guarded early return (the
-    taken path records its run boundary and exits; the fall-through
-    path simply keeps executing inside the same function) — and only
-    stops at an unconditional transfer, an instruction with no codegen
-    template, or the block-size cap.  Subsequent visits dispatch
-    through a ``{entry index: block fn}`` table.  Inside a block there
-    are no per-instruction calls or comparisons: each instruction's
-    semantics are emitted inline from a source template, and memory-
-    access trace records are *batched* — buffered in local temporaries
-    and appended to the trace arrays once per block exit instead of
-    once per access.  Run boundaries (and the executed-instruction
-    budget tally) are maintained by the generated code itself through a
-    shared two-cell state, recording exactly the boundaries the closure
-    loop would.
-
-    Instructions without a template fall back to the always-available
-    per-instruction closure: the block ends there and the closure
-    becomes the block's terminator (pending trace records are flushed
-    first so the access order is preserved).  A lazily-entered index
-    that lands mid-atom (FITS) or on a continuation halfword (Thumb)
-    simply dispatches the existing closure/None and fails exactly like
-    the closure engine.
-
-Both engines produce bit-identical
+Compiled and interpreted execution produce bit-identical
 :class:`~repro.sim.functional.trace.ExecutionResult` objects: same run
 boundaries, same memory-access records in the same order, same console
-bytes, final memory, exit code, and dynamic instruction count — this is
-property-tested across ISAs, workloads, and scales in
-``tests/test_engine.py``.
+bytes, final memory, exit code, and dynamic instruction count.  The test
+oracle is this engine with :data:`COMPILE_THRESHOLD` raised to
+``sys.maxsize`` — every run interpreted — compared across ISAs,
+workloads, scales and budgets in ``tests/test_engine.py`` and, on
+generated programs, in ``tests/test_differential_fuzz.py``.
 
-Engine selection: ``REPRO_SIM_ENGINE=block`` (the default) or
-``closure``; simulators also accept an explicit ``engine=`` argument
-which takes precedence (used by ``repro.bench`` to measure one against
-the other).
+Instruction-budget enforcement: the budget is checked at every *run
+boundary* (taken control transfer or program exit), never mid-run.  The
+overshoot is therefore bounded by the length of the current straight-
+line run — identical whether the run was compiled or interpreted, so a
+too-small ``max_instructions`` raises :class:`SimulationError` at
+exactly the same executed-instruction count either way.
 
-Instruction-budget enforcement (both engines): the budget is checked at
-every *run boundary* (taken control transfer or program exit), never
-mid-run.  The overshoot is therefore bounded by the length of the
-current straight-line run — identical between the engines, so a too-
-small ``max_instructions`` raises :class:`SimulationError` at exactly
-the same executed-instruction count under either engine.
-
-Observability (when enabled): the block engine publishes
+Observability (when enabled): every run publishes
 ``sim.engine.blocks_compiled`` / ``sim.engine.units_compiled`` /
-``sim.engine.fallback_instrs`` counters and a
-``sim.engine.avg_block_len`` gauge per run, and both engines count
-``sim.engine.runs.<engine>``.
+``sim.engine.fallback_instrs`` counters, a ``sim.engine.avg_block_len``
+gauge, and counts ``sim.engine.runs.block``.
 
 Profiling (``REPRO_PROFILE``, see :mod:`repro.obs.profile`): when
-active, the block engine's dispatch loop additionally attributes
-executed units and wall time to each superblock entry, times every
-``exec()`` compilation, and records throttle/fallback decisions — one
-profile record per run.  The hooks live on the per-dispatch path (a
-block executes many units per call), never per instruction, and leave
-the executed semantics untouched: profiler-on runs are bit-identical.
+active, the dispatch loop additionally attributes executed units and
+wall time to each superblock entry, times every ``exec()`` compilation,
+and records throttle/fallback decisions — one profile record per run.
+The hooks live on the per-dispatch path (a block executes many units
+per call), never per instruction, and leave the executed semantics
+untouched: profiler-on runs are bit-identical.
 """
 
-import os
 import re
 import struct
 import time
 
 from repro.isa.arm.model import ShiftType
 from repro.obs import core as obs
-from repro.sim.functional.trace import PACK, TraceBuilder
+from repro.sim.functional.trace import PACK
 
 #: repro.obs.profile, bound on first use.  Importing it eagerly would pull
 #: it into sys.modules whenever ``repro`` loads, making every
@@ -104,9 +84,6 @@ def _profile_mod():
 
 
 M32 = 0xFFFFFFFF
-
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-ENGINES = ("block", "closure")
 
 #: Blocks longer than this are split; a split point behaves exactly like
 #: a sequential fall-through, so the cap only bounds codegen size.
@@ -143,20 +120,6 @@ CHAIN_MIN_UNITS = 48
 
 class SimulationError(Exception):
     """Raised on bad control flow, memory faults, or instruction limits."""
-
-
-def selected_engine(env=None):
-    """The engine named by ``REPRO_SIM_ENGINE`` (default ``block``)."""
-    env = os.environ if env is None else env
-    value = (env.get(ENGINE_ENV) or "").strip().lower()
-    if value in ("", "default"):
-        return "block"
-    if value not in ENGINES:
-        raise ValueError(
-            "unrecognized %s=%r (expected one of %s)"
-            % (ENGINE_ENV, value, "/".join(ENGINES))
-        )
-    return value
 
 
 def dyn_shift(value, stype, amount):
@@ -314,31 +277,19 @@ class Program:
         self.index_of = index_of if index_of is not None else image.index_of_addr
 
 
-def execute(program, max_instructions, engine=None):
-    """Run ``program`` to completion; returns :class:`ExecutionResult`.
-
-    ``engine`` overrides ``REPRO_SIM_ENGINE`` when given.
-    """
-    name = engine if engine is not None else selected_engine()
-    if (getattr(program.trace, "packed", False)
-            and len(program.handlers) >= PACK):
+def execute(program, max_instructions):
+    """Run ``program`` to completion; returns :class:`ExecutionResult`."""
+    if len(program.handlers) >= PACK:
         raise SimulationError(
             "image too large for packed trace boundaries (%d >= %d static "
             "indices)" % (len(program.handlers), PACK))
-    runner = None
-    if name == "closure":
-        _run_closure(program, max_instructions)
-    elif name == "block":
-        runner = _BlockRunner(program, prof=_profile_mod().recorder())
-        runner.run(max_instructions)
-    else:
-        raise ValueError("unknown engine %r (expected one of %s)"
-                         % (name, "/".join(ENGINES)))
+    runner = _BlockRunner(program, prof=_profile_mod().recorder())
+    runner.run(max_instructions)
     if obs.enabled:
-        obs.counter("sim.engine.runs.%s" % name)
+        obs.counter("sim.engine.runs.block")
     result = program.trace.build_result(
         program.image, program.exit_code[0], program.mem)
-    if runner is not None and runner.prof is not None:
+    if runner.prof is not None:
         runner.prof.finish(
             isa=program.isa,
             image_name=getattr(program.image, "name", "?"),
@@ -387,52 +338,6 @@ def _fault_error(program, idx, exc):
 
 
 # ----------------------------------------------------------------------
-# closure engine — the classic per-instruction dispatch loops
-
-
-def _run_closure(program, limit):
-    """The pre-block execution strategy, preserved verbatim (modulo the
-    builder's boundary-record method, which both record layouts
-    implement)."""
-    trace = program.trace
-    handlers = program.handlers
-    boundary = trace.add_boundary
-    seq = program.seq_next
-    idx = 0
-    run_start = 0
-    executed = 0
-    try:
-        if seq is None:
-            while idx >= 0:
-                nxt = handlers[idx]()
-                if nxt == idx + 1:
-                    idx = nxt
-                    continue
-                boundary(run_start, idx)
-                executed += idx - run_start + 1
-                if executed > limit:
-                    raise _budget_error(program, limit)
-                idx = nxt
-                run_start = nxt
-        else:
-            while idx >= 0:
-                nxt = handlers[idx]()
-                straight = seq[idx]
-                if nxt == straight:
-                    idx = nxt
-                    continue
-                # the run ends at the *last* halfword of the atom
-                boundary(run_start, straight - 1)
-                executed += straight - run_start
-                if executed > limit:
-                    raise _budget_error(program, limit)
-                idx = nxt
-                run_start = nxt
-    except (struct.error, IndexError) as exc:
-        raise _fault_error(program, idx, exc) from exc
-
-
-# ----------------------------------------------------------------------
 # block engine — lazy superblock discovery + exec() codegen
 
 
@@ -440,44 +345,34 @@ def _run_closure(program, limit):
 #: is called once per compiled block and returns the zero-argument
 #: block function, which closes over these fast local cells.  ``_st``
 #: is the shared run-accounting state ``[run_start, executed]``; the
-#: generated exits append run boundaries (packed builders: one
-#: ``start*PACK + end`` record via ``_ra``; legacy layout: two records
-#: via ``_sa``/``_ea``) and bump the executed tally, so the dispatch
-#: loop only checks the budget.  ``_fr`` is the trace builder's
-#: ``flush_repeat``: a block whose hot backedge is batched counts
-#: iterations in a local (``_bn``) and flushes them as one run-length
-#: record on exit.  Only the active layout's names are bound non-None.
-_FACTORY_PARAMS = ("H", "regs", "mem", "flags", "_xm", "_xa", "_xs", "_ra",
-                   "_sa", "_ea", "_fr", "_st", "index_of", "unpack_from",
-                   "pack_into", "console", "exit_code")
+#: generated exits append one packed ``start*PACK + end`` run-boundary
+#: record via ``_ra`` and bump the executed tally, so the dispatch loop
+#: only checks the budget.  ``_xm`` extends the packed memory-access
+#: stream.  ``_fr`` is the trace builder's ``flush_repeat``: a block
+#: whose hot backedge is batched counts iterations in a local (``_bn``)
+#: and flushes them as one run-length record on exit.
+_FACTORY_PARAMS = ("H", "regs", "mem", "flags", "_xm", "_ra", "_fr", "_st",
+                   "index_of", "unpack_from", "pack_into", "console",
+                   "exit_code")
 
 
-def _flush_lines(pending, packed):
+def _flush_lines(pending):
     """Statements appending the batched trace records — one extend of
-    packed ``addr*2 | is_store`` words (or one extend per legacy
-    array).  ``pending`` is every access temp assigned since block
-    entry — each dynamic execution reaches exactly one exit, so the
-    full prefix is appended exactly once."""
+    packed ``addr*2 | is_store`` words.  ``pending`` is every access
+    temp assigned since block entry — each dynamic execution reaches
+    exactly one exit, so the full prefix is appended exactly once."""
     if not pending:
         return []
-    if packed:
-        return ["_xm((%s,))" % ", ".join(
-            "%s*2+1" % temp if store else "%s*2" % temp
-            for temp, store in pending)]
-    return [
-        "_xa((%s,))" % ", ".join(temp for temp, _store in pending),
-        "_xs((%s,))" % ", ".join(str(store) for _temp, store in pending),
-    ]
+    return ["_xm((%s,))" % ", ".join(
+        "%s*2+1" % temp if store else "%s*2" % temp
+        for temp, store in pending)]
 
 
-def _boundary_stmts(count_end, target_expr, packed):
+def _boundary_stmts(count_end, target_expr):
     """Record one run boundary ending at ``count_end`` (mirrors the
-    closure loop's bookkeeping statement for statement)."""
-    if packed:
-        head = ["_ra(_st[0]*%d + %d)" % (PACK, count_end)]
-    else:
-        head = ["_sa(_st[0])", "_ea(%d)" % count_end]
-    return head + [
+    interpreter's bookkeeping statement for statement)."""
+    return [
+        "_ra(_st[0]*%d + %d)" % (PACK, count_end),
         "_st[1] += %d - _st[0]" % (count_end + 1),
         "_st[0] = %s" % target_expr,
     ]
@@ -597,11 +492,6 @@ class _BlockRunner:
         self.blocks_compiled = 0
         self.units_compiled = 0
         self.fallback_instrs = 0
-        # run-length batching of self-backedge boundaries and the packed
-        # record layout (the trace builder may opt out of either, e.g.
-        # the bench's event-stream baseline)
-        self._batch_ok = getattr(program.trace, "batch_boundaries", True)
-        self._packed = bool(getattr(program.trace, "packed", False))
         self._batch_site = None  # (start, count_end) of the batched site
 
     def _seq(self, idx):
@@ -611,15 +501,9 @@ class _BlockRunner:
     def _dyn_exit(self, body, count_end):
         """Exit through a runtime-computed ``_nxt`` (boundary iff taken)."""
         body.append(_FLUSH)
-        if self._packed:
-            body.append(
-                "if _nxt != %d: _ra(_st[0]*%d + %d); _st[1] += %d - _st[0]; "
-                "_st[0] = _nxt" % (count_end + 1, PACK, count_end,
-                                   count_end + 1))
-        else:
-            body.append(
-                "if _nxt != %d: _sa(_st[0]); _ea(%d); _st[1] += %d - _st[0]; "
-                "_st[0] = _nxt" % (count_end + 1, count_end, count_end + 1))
+        body.append(
+            "if _nxt != %d: _ra(_st[0]*%d + %d); _st[1] += %d - _st[0]; "
+            "_st[0] = _nxt" % (count_end + 1, PACK, count_end, count_end + 1))
         body.append("return _nxt")
 
     def _backedge_stmts(self, start, pending, count_end):
@@ -631,9 +515,9 @@ class _BlockRunner:
         path); flushing the access prefix per iteration is safe because
         every iteration re-executes the same straight-line prefix.
 
-        The first backedge site of a block is *batched* (unless the
-        trace builder opts out): iterations bump a local counter
-        (``_bn``) instead of appending two trace records each, and the
+        The first backedge site of a block is *batched*: iterations bump
+        a local counter (``_bn``) instead of appending a trace record
+        each, and the
         accumulated count is flushed as one run-length record wherever
         a :data:`_FLUSH` marker expands — before every other boundary
         and on every exit, so the boundary stream order is exact.  The
@@ -641,24 +525,19 @@ class _BlockRunner:
         is unchanged.  Later backedge sites (rare: several conditional
         branches back to the same entry) emit directly, flushing the
         batched site first to preserve order."""
-        stmts = _flush_lines(pending, self._packed)
-        if self._batch_site is None and self._batch_ok:
+        stmts = _flush_lines(pending)
+        if self._batch_site is None:
             self._batch_site = (start, count_end)
             stmts.append("_st[1] += %d - _st[0]" % (count_end + 1))
-            if self._packed:
-                stmts.append("if _st[0] != %d: _ra(_st[0]*%d + %d); "
-                             "_st[0] = %d" % (start, PACK, count_end, start))
-            else:
-                stmts.append(
-                    "if _st[0] != %d: _sa(_st[0]); _ea(%d); _st[0] = %d"
-                    % (start, count_end, start))
+            stmts.append("if _st[0] != %d: _ra(_st[0]*%d + %d); "
+                         "_st[0] = %d" % (start, PACK, count_end, start))
             stmts.append("else: _bn += 1")
             stmts.append("if _st[1] > _st[2]: %s; %s; return %d"
                          % (_FLUSH, _SYNC, start))
             stmts.append("continue")
             return stmts
         stmts.append(_FLUSH)
-        stmts += _boundary_stmts(count_end, "%d" % start, self._packed)
+        stmts += _boundary_stmts(count_end, "%d" % start)
         stmts.append("if _st[1] > _st[2]: %s; return %d" % (_SYNC, start))
         stmts.append("continue")
         return stmts
@@ -681,7 +560,7 @@ class _BlockRunner:
                 # Only after a minimum scan length: chaining too eagerly
                 # would split short hot loops at interior entries and
                 # forfeit the in-block backedge.
-                body.extend(_flush_lines(pending, self._packed))
+                body.extend(_flush_lines(pending))
                 body.append(_FLUSH)
                 body.append(_SYNC)
                 body.append("return %d" % idx)
@@ -695,7 +574,7 @@ class _BlockRunner:
                 # the pre-compiled closure terminate the block.  No
                 # sync *after* the call — the locals are stale then,
                 # and nothing downstream reads them.
-                body.extend(_flush_lines(pending, self._packed))
+                body.extend(_flush_lines(pending))
                 body.append(_SYNC)
                 body.append("_nxt = H[%d]()" % idx)
                 self._dyn_exit(body, count_end)
@@ -721,14 +600,14 @@ class _BlockRunner:
                         body.append(" " + line)
                 else:
                     stmts = list(template.taken_lines)
-                    stmts += _flush_lines(pending, self._packed)
+                    stmts += _flush_lines(pending)
                     stmts.append(_FLUSH)
-                    stmts += _boundary_stmts(count_end, "%d" % target, self._packed)
+                    stmts += _boundary_stmts(count_end, "%d" % target)
                     stmts.append(_SYNC)
                     stmts.append("return %d" % target)
                     body.append("if %s: %s" % (template.cond, "; ".join(stmts)))
                 if units >= MAX_BLOCK_LEN:
-                    body.extend(_flush_lines(pending, self._packed))
+                    body.extend(_flush_lines(pending))
                     body.append(_FLUSH)
                     body.append(_SYNC)
                     body.append("return %d" % (count_end + 1))
@@ -741,7 +620,7 @@ class _BlockRunner:
                 except ValueError:
                     target = None
                 if target is None:
-                    body.extend(_flush_lines(pending, self._packed))
+                    body.extend(_flush_lines(pending))
                     body.append("_nxt = %s" % template.nxt)
                     body.append(_SYNC)
                     self._dyn_exit(body, count_end)
@@ -753,21 +632,21 @@ class _BlockRunner:
                     # static jump to the next index — never a boundary,
                     # the superblock simply continues through it
                     if units >= MAX_BLOCK_LEN:
-                        body.extend(_flush_lines(pending, self._packed))
+                        body.extend(_flush_lines(pending))
                         body.append(_FLUSH)
                         body.append(_SYNC)
                         body.append("return %d" % target)
                         break
                     idx = target
                     continue
-                body.extend(_flush_lines(pending, self._packed))
+                body.extend(_flush_lines(pending))
                 body.append(_FLUSH)
-                body.extend(_boundary_stmts(count_end, "%d" % target, self._packed))
+                body.extend(_boundary_stmts(count_end, "%d" % target))
                 body.append(_SYNC)
                 body.append("return %d" % target)
                 break
             if units >= MAX_BLOCK_LEN:
-                body.extend(_flush_lines(pending, self._packed))
+                body.extend(_flush_lines(pending))
                 body.append(_FLUSH)
                 body.append(_SYNC)
                 body.append("return %d" % (count_end + 1))
@@ -800,16 +679,9 @@ class _BlockRunner:
         code = compile(src, "<repro.sim.block:%s:%d>" % (program.isa, start), "exec")
         exec(code, EXEC_GLOBALS, namespace)
         trace = program.trace
-        if self._packed:
-            xm, ra = trace.mem.extend, trace.bounds.append
-            xa = xs = sa = ea = None
-        else:
-            xm = ra = None
-            xa, xs = trace.mem_addrs.extend, trace.mem_is_store.extend
-            sa, ea = trace.run_starts.append, trace.run_ends.append
         return namespace["_factory"](
             program.handlers, program.regs, program.mem, program.flags,
-            xm, xa, xs, ra, sa, ea,
+            trace.mem.extend, trace.bounds.append,
             trace.flush_repeat, self.state,
             program.index_of, struct.unpack_from, struct.pack_into,
             trace.console, program.exit_code,
@@ -838,9 +710,9 @@ class _BlockRunner:
                             or (self.units_compiled - COMPILE_FREE_UNITS)
                             * COMPILE_AMORT > state[1]):
                         # cold entry: interpret one run through the
-                        # closures (identical bookkeeping to the
-                        # closure engine) instead of paying codegen for
-                        # code that may never repeat.
+                        # closures (the same bookkeeping the generated
+                        # code does) instead of paying codegen for code
+                        # that may never repeat.
                         hot[idx] = n
                         if prof is not None:
                             entry, units0, t0 = idx, state[1], clock()
@@ -883,7 +755,7 @@ class _BlockRunner:
                 # state[1] only moves at run boundaries, and a block
                 # returns immediately after any boundary that crosses
                 # the budget — so this raises at exactly the boundary
-                # where the closure loop would.
+                # where the interpreter would.
                 if state[1] > limit:
                     raise _budget_error(program, limit)
         except (struct.error, IndexError) as exc:

@@ -35,12 +35,10 @@ M32 = 0xFFFFFFFF
 class FitsSimulator:
     """Executes a FITS image to completion (exit SWI)."""
 
-    def __init__(self, image, max_instructions=400_000_000, verify_decode=True,
-                 engine=None):
+    def __init__(self, image, max_instructions=400_000_000, verify_decode=True):
         self.image = image
         self.max_instructions = max_instructions
         self.verify_decode = verify_decode
-        self.engine = engine
 
     def run(self):
         if not obs.enabled:
@@ -60,7 +58,7 @@ class FitsSimulator:
                         "decoder disagreement: %r decodes to %r" % (rec, back)
                     )
         program = build_program(image)
-        return engine.execute(program, self.max_instructions, self.engine)
+        return engine.execute(program, self.max_instructions)
 
 
 def build_program(image):
@@ -685,7 +683,7 @@ def _emit_fits(image, atom, idx):
     """Block-engine template for the atom starting at ``idx``, or None.
 
     ``atom`` is None for mid-atom halfword indices — the fallback closure
-    (an ``_unreachable`` handler) then reproduces the closure engine's
+    (an ``_unreachable`` handler) then reproduces the interpreter's
     bad-control-flow error exactly.
     """
     if atom is None:

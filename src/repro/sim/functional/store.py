@@ -33,6 +33,7 @@ import lzma
 import os
 import sys
 import time
+import zipfile
 from collections import OrderedDict
 
 import numpy as np
@@ -138,20 +139,14 @@ def image_fingerprint(image):
 #: In-process LRU of decoded trace planes, keyed by (store root, entry
 #: digest).  A warm ``load()`` returns the same ExecutionResult object
 #: without touching lzma again — and because TimingPrecomp memos live on
-#: the result object, repeat timing evaluations stay warm too.  Size is
-#: ``REPRO_TRACE_PLANE_CACHE`` entries (0 disables).
+#: the result object, repeat timing evaluations stay warm too.  Holds at
+#: most :data:`PLANE_CACHE_ENTRIES` results.
 _PLANE_CACHE = OrderedDict()
-
-
-def _plane_cache_max():
-    try:
-        return max(0, int(os.environ.get("REPRO_TRACE_PLANE_CACHE", "8")))
-    except ValueError:
-        return 8
+PLANE_CACHE_ENTRIES = 8
 
 
 def clear_plane_cache():
-    """Drop every cached decoded plane (tests, bench cold-state resets)."""
+    """Drop every cached decoded plane (tests)."""
     _PLANE_CACHE.clear()
 
 
@@ -163,12 +158,9 @@ def _plane_cache_get(cache_key):
 
 
 def _plane_cache_put(cache_key, result):
-    limit = _plane_cache_max()
-    if limit <= 0:
-        return
     _PLANE_CACHE[cache_key] = result
     _PLANE_CACHE.move_to_end(cache_key)
-    while len(_PLANE_CACHE) > limit:
+    while len(_PLANE_CACHE) > PLANE_CACHE_ENTRIES:
         _PLANE_CACHE.popitem(last=False)
         obs.counter("trace_store.plane_cache.evict")
 
@@ -283,7 +275,10 @@ class TraceStore:
                 result = result_from_members(
                     image, manifest["exit_code"], member,
                     bool(manifest["flags"][0]))
-            except (OSError, KeyError, ValueError, lzma.LZMAError):
+            except (OSError, EOFError, KeyError, ValueError,
+                    lzma.LZMAError, zipfile.BadZipFile):
+                # a torn or corrupt entry is a miss: the caller
+                # re-simulates and rewrites it
                 return None
         obs.counter("trace_store.plane_cache.miss")
         _plane_cache_put(cache_key, result)

@@ -37,10 +37,9 @@ M32 = 0xFFFFFFFF
 class ThumbSimulator:
     """Executes a linked :class:`~repro.compiler.thumb_backend.ThumbImage`."""
 
-    def __init__(self, image, max_instructions=200_000_000, engine=None):
+    def __init__(self, image, max_instructions=200_000_000):
         self.image = image
         self.max_instructions = max_instructions
-        self.engine = engine
 
     def run(self):
         if not obs.enabled:
@@ -52,7 +51,7 @@ class ThumbSimulator:
 
     def _run(self):
         program = build_program(self.image)
-        return engine.execute(program, self.max_instructions, self.engine)
+        return engine.execute(program, self.max_instructions)
 
 
 def build_program(image):

@@ -12,9 +12,9 @@ folded in weighted by iteration counts (see
 
 The flat per-boundary view (``run_starts``/``run_ends``, one entry per
 dynamic run) is still available as a lazily-materialized property —
-``np.repeat`` over the segments — so every event-stream consumer keeps
-working, and the two views are round-trip equivalent by construction
-(property-tested in ``tests/test_trace_rle.py``).
+``np.repeat`` over the segments — for per-access consumers such as the
+reference :func:`~repro.sim.pipeline.timing.simulate_timing`; the
+encoder's round trip is property-tested in ``tests/test_trace_rle.py``.
 """
 
 from array import array
@@ -34,67 +34,36 @@ PACK = 1 << PACK_SHIFT
 PACK_MASK = PACK - 1
 
 
-def rle_encode(run_starts, run_ends, rep_index=(), rep_extra=()):
-    """Run-length encode a per-boundary stream into the columnar form.
+def rle_encode_packed(bounds, rep_index=(), rep_extra=()):
+    """Run-length encode a packed per-boundary stream into the columnar
+    form.
 
     Args:
-        run_starts / run_ends: per-boundary static index arrays.
+        bounds: per-boundary ``start*PACK + end`` words.
         rep_index / rep_extra: optional batched-repeat records from the
             block engine: the boundary at ``rep_index[i]`` stands for
             ``1 + rep_extra[i]`` consecutive identical boundaries.
 
     Returns:
         ``(block_starts, block_ends, seg_ids, seg_counts)`` — the
-        superblock table (sorted by ``(start, end)``) and the segment
-        stream; the exact per-boundary stream is recovered as
+        superblock table (sorted by ``(start, end)``: the packed word
+        *is* that sort key) and the segment stream; the exact
+        per-boundary stream is recovered as
         ``np.repeat(block_starts[seg_ids], seg_counts)`` (same for
         ends).
-    """
-    rs = np.asarray(run_starts, dtype=np.int64)
-    re = np.asarray(run_ends, dtype=np.int64)
-    if len(rs) == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy(), z.copy()
-    # maximal segments of consecutive identical (start, end) boundaries
-    change = np.empty(len(rs), dtype=bool)
-    change[0] = True
-    np.logical_or(rs[1:] != rs[:-1], re[1:] != re[:-1], out=change[1:])
-    first = np.flatnonzero(change)
-    seg_counts = np.diff(np.append(first, len(rs)))
-    seg_starts = rs[first]
-    seg_ends = re[first]
-    if len(rep_index):
-        # fold the engine's batched backedge repeats into their segments
-        idx = np.asarray(rep_index, dtype=np.int64)
-        extra = np.asarray(rep_extra, dtype=np.int64)
-        seg_of = np.searchsorted(first, idx, side="right") - 1
-        np.add.at(seg_counts, seg_of, extra)
-    # the superblock table: distinct (start, end) pairs, sorted
-    span = int(seg_ends.max()) + 1 if len(seg_ends) else 1
-    keys = seg_starts * span + seg_ends
-    uniq, seg_ids = np.unique(keys, return_inverse=True)
-    block_starts = (uniq // span).astype(np.int64)
-    block_ends = (uniq % span).astype(np.int64)
-    return block_starts, block_ends, seg_ids.astype(np.int64), seg_counts
-
-
-def rle_encode_packed(bounds, rep_index=(), rep_extra=()):
-    """:func:`rle_encode` over the packed ``start*PACK + end`` stream.
-
-    Identical output (the packed key *is* the ``(start, end)`` sort
-    key), but segmentation and the table build need a single array
-    compare instead of two.
     """
     b = np.asarray(bounds, dtype=np.int64)
     if len(b) == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, z.copy(), z.copy(), z.copy()
+    # maximal segments of consecutive identical boundaries
     change = np.empty(len(b), dtype=bool)
     change[0] = True
     np.not_equal(b[1:], b[:-1], out=change[1:])
     first = np.flatnonzero(change)
     seg_counts = np.diff(np.append(first, len(b)))
     if len(rep_index):
+        # fold the engine's batched backedge repeats into their segments
         idx = np.asarray(rep_index, dtype=np.int64)
         extra = np.asarray(rep_extra, dtype=np.int64)
         seg_of = np.searchsorted(first, idx, side="right") - 1
@@ -118,140 +87,83 @@ class ExecutionResult:
         seg_ids / seg_counts: the run-length execution stream — segment
             ``i`` executed superblock ``seg_ids[i]`` exactly
             ``seg_counts[i]`` consecutive times.
-        run_starts / run_ends: flat per-boundary view (one entry per
-            dynamic run), materialized lazily from the segments.
-        mem_addrs: numpy uint32 array of data addresses in access order.
-        mem_is_store: numpy uint8 array parallel to ``mem_addrs``.
+        mem_packed: the data accesses in order, one int64 per record,
+            ``addr*2 | is_store``.
         console: bytes written via the putc SWI.
         memory: final memory image (for checksum validation).
 
-    Either representation may be supplied at construction; the other is
-    derived on demand and the two are exactly equivalent.
+    Derived lazily from those: the flat per-boundary view
+    ``run_starts``/``run_ends`` (one entry per dynamic run) and the
+    split access view ``mem_addrs`` (uint32) / ``mem_is_store``
+    (uint8).
     """
 
-    def __init__(self, image, exit_code, run_starts=None, run_ends=None,
-                 mem_addrs=(), mem_is_store=(), console=b"", memory=None,
-                 block_starts=None, block_ends=None, seg_ids=None,
-                 seg_counts=None, mem_packed=None):
+    def __init__(self, image, exit_code, block_starts, block_ends, seg_ids,
+                 seg_counts, mem_packed, console=b"", memory=None):
         self.image = image
         self.exit_code = exit_code
-        if mem_packed is not None:
-            self._mem_packed = np.asarray(mem_packed, dtype=np.int64)
-            self._mem_addrs = None
-            self._mem_is_store = None
-        else:
-            self._mem_packed = None
-            self._mem_addrs = np.asarray(mem_addrs, dtype=np.uint32)
-            self._mem_is_store = np.asarray(mem_is_store, dtype=np.uint8)
+        self.block_starts = np.asarray(block_starts, dtype=np.int64)
+        self.block_ends = np.asarray(block_ends, dtype=np.int64)
+        self.seg_ids = np.asarray(seg_ids, dtype=np.int64)
+        self.seg_counts = np.asarray(seg_counts, dtype=np.int64)
+        self.mem_packed = np.asarray(mem_packed, dtype=np.int64)
         self.console = console
         self.memory = memory
+        self._run_starts = None
+        self._run_ends = None
+        self._mem_addrs = None
+        self._mem_is_store = None
         self._exec_counts = None
-        if block_starts is not None:
-            self._block_starts = np.asarray(block_starts, dtype=np.int64)
-            self._block_ends = np.asarray(block_ends, dtype=np.int64)
-            self._seg_ids = np.asarray(seg_ids, dtype=np.int64)
-            self._seg_counts = np.asarray(seg_counts, dtype=np.int64)
-            self._run_starts = None
-            self._run_ends = None
-        else:
-            self._run_starts = np.asarray(run_starts, dtype=np.int64)
-            self._run_ends = np.asarray(run_ends, dtype=np.int64)
-            self._block_starts = None
 
-    # --- memory-access stream (packed or split view) -------------------
+    # --- lazily derived flat views -------------------------------------
 
     @property
     def mem_addrs(self):
         if self._mem_addrs is None:
-            self._mem_addrs = (self._mem_packed >> 1).astype(np.uint32)
+            self._mem_addrs = (self.mem_packed >> 1).astype(np.uint32)
         return self._mem_addrs
 
     @property
     def mem_is_store(self):
         if self._mem_is_store is None:
-            self._mem_is_store = (self._mem_packed & 1).astype(np.uint8)
+            self._mem_is_store = (self.mem_packed & 1).astype(np.uint8)
         return self._mem_is_store
 
     @property
-    def mem_packed(self):
-        """The accesses as one int64 per record, ``addr*2 | is_store`` —
-        the engine's native emission form and the store's disk form."""
-        if self._mem_packed is None:
-            self._mem_packed = (
-                (self._mem_addrs.astype(np.int64) << 1)
-                | self._mem_is_store.astype(np.int64))
-        return self._mem_packed
-
-    @property
     def num_mem_accesses(self):
-        if self._mem_packed is not None:
-            return len(self._mem_packed)
-        return len(self._mem_addrs)
-
-    # --- the two equivalent trace views --------------------------------
-
-    def _ensure_rle(self):
-        if self._block_starts is None:
-            (self._block_starts, self._block_ends,
-             self._seg_ids, self._seg_counts) = rle_encode(
-                self._run_starts, self._run_ends)
-
-    @property
-    def block_starts(self):
-        self._ensure_rle()
-        return self._block_starts
-
-    @property
-    def block_ends(self):
-        self._ensure_rle()
-        return self._block_ends
-
-    @property
-    def seg_ids(self):
-        self._ensure_rle()
-        return self._seg_ids
-
-    @property
-    def seg_counts(self):
-        self._ensure_rle()
-        return self._seg_counts
+        return len(self.mem_packed)
 
     @property
     def run_starts(self):
         if self._run_starts is None:
             self._run_starts = np.repeat(
-                self._block_starts[self._seg_ids], self._seg_counts)
+                self.block_starts[self.seg_ids], self.seg_counts)
         return self._run_starts
 
     @property
     def run_ends(self):
         if self._run_ends is None:
             self._run_ends = np.repeat(
-                self._block_ends[self._seg_ids], self._seg_counts)
+                self.block_ends[self.seg_ids], self.seg_counts)
         return self._run_ends
 
     def block_totals(self):
         """Total iteration count per superblock (numpy int64)."""
-        self._ensure_rle()
-        totals = np.zeros(len(self._block_starts), dtype=np.int64)
-        np.add.at(totals, self._seg_ids, self._seg_counts)
+        totals = np.zeros(len(self.block_starts), dtype=np.int64)
+        np.add.at(totals, self.seg_ids, self.seg_counts)
         return totals
 
     # --- derived counts ------------------------------------------------
 
     @property
     def num_runs(self):
-        if self._run_starts is not None:
-            return len(self._run_starts)
-        return int(self._seg_counts.sum())
+        return int(self.seg_counts.sum())
 
     @property
     def dynamic_instructions(self):
         """Total executed instruction count."""
-        if self._block_starts is not None:
-            lens = self._block_ends - self._block_starts + 1
-            return int(np.dot(lens[self._seg_ids], self._seg_counts))
-        return int(np.sum(self._run_ends - self._run_starts + 1))
+        lens = self.block_ends - self.block_starts + 1
+        return int(np.dot(lens[self.seg_ids], self.seg_counts))
 
     @property
     def num_static(self):
@@ -263,12 +175,11 @@ class ExecutionResult:
     def exec_counts(self):
         """Per-static-instruction execution counts (numpy int64)."""
         if self._exec_counts is None:
-            self._ensure_rle()
             totals = self.block_totals()
             n = self.num_static
             delta = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(delta, self._block_starts, totals)
-            np.add.at(delta, self._block_ends + 1, -totals)
+            np.add.at(delta, self.block_starts, totals)
+            np.add.at(delta, self.block_ends + 1, -totals)
             self._exec_counts = np.cumsum(delta[:-1])
         return self._exec_counts
 
@@ -279,9 +190,8 @@ class ExecutionResult:
         transferred control (or was the exit SWI); the count of runs
         ending at ``i`` is how many times it was taken.
         """
-        self._ensure_rle()
         counts = np.zeros(self.num_static, dtype=np.int64)
-        np.add.at(counts, self._block_ends, self.block_totals())
+        np.add.at(counts, self.block_ends, self.block_totals())
         return counts
 
     def read_word(self, addr):
@@ -308,13 +218,7 @@ class TraceBuilder:
     ``add_mem`` takes one already-packed ``addr*2 + is_store`` word —
     the per-instruction closure handlers bind it once and pay a single
     C-level append per access; here it *is* ``mem.append``.
-    ``batch_boundaries``/``packed`` tell the block engine's codegen
-    what this builder wants; the benchmark-only subclasses below opt
-    out to reproduce the legacy per-boundary emission cost.
     """
-
-    batch_boundaries = True
-    packed = True
 
     def __init__(self):
         self.bounds = array("q")
@@ -325,7 +229,7 @@ class TraceBuilder:
         self.console = bytearray()
 
     def add_boundary(self, start, end):
-        """Record one run boundary (interpreted/closure path)."""
+        """Record one run boundary (interpreted path)."""
         self.bounds.append(start * PACK + end)
 
     def flush_repeat(self, start, end, count):
@@ -344,102 +248,8 @@ class TraceBuilder:
         return ExecutionResult(
             image=image,
             exit_code=exit_code,
-            mem_packed=self.mem,
-            console=bytes(self.console),
-            memory=memory,
             block_starts=bs, block_ends=be, seg_ids=sid, seg_counts=sc,
-        )
-
-
-class _Sink:
-    """No-op stand-in for a trace array (measurement builders only)."""
-
-    __slots__ = ()
-
-    def append(self, _value):
-        pass
-
-    def extend(self, _values):
-        pass
-
-    def __len__(self):
-        return 0
-
-
-class NullTraceBuilder(TraceBuilder):
-    """Discards every trace record — used by ``repro.bench`` to isolate
-    the cost of trace emission from the cost of execution itself."""
-
-    def __init__(self):
-        TraceBuilder.__init__(self)
-        self.bounds = _Sink()
-        self.mem = _Sink()
-        self.add_mem = self.mem.append
-
-    def add_boundary(self, start, end):
-        pass
-
-    def flush_repeat(self, start, end, count):
-        pass
-
-    def build_result(self, image, exit_code, memory):
-        return ExecutionResult(image=image, exit_code=exit_code,
-                               console=bytes(self.console), memory=memory,
-                               run_starts=(), run_ends=())
-
-
-class EventTraceBuilder(TraceBuilder):
-    """The pre-columnar emission strategy, preserved as the reference
-    baseline: two array records per run boundary (batching disabled),
-    split address/is-store arrays, and an event-primary result — the
-    exact per-boundary cost and representation that ``repro.bench``'s
-    trace section reports as the old pipeline, and that the property
-    tests and ``scripts/verify.sh`` compare the columnar path against.
-    """
-
-    batch_boundaries = False
-    packed = False
-
-    def __init__(self):
-        self.run_starts = array("q")
-        self.run_ends = array("q")
-        self.rep_index = array("q")
-        self.rep_extra = array("q")
-        self.mem_addrs = array("L")
-        self.mem_is_store = array("b")
-        self.console = bytearray()
-
-    def add_boundary(self, start, end):
-        self.run_starts.append(start)
-        self.run_ends.append(end)
-
-    def add_mem(self, packed_word):
-        self.mem_addrs.append(packed_word >> 1)
-        self.mem_is_store.append(packed_word & 1)
-
-    def flush_repeat(self, start, end, count):
-        self.run_starts.append(start)
-        self.run_ends.append(end)
-        if count > 1:
-            self.rep_index.append(len(self.run_starts) - 1)
-            self.rep_extra.append(count - 1)
-
-    def build_result(self, image, exit_code, memory):
-        if len(self.rep_index):
-            bs, be, sid, sc = rle_encode(self.run_starts, self.run_ends,
-                                         self.rep_index, self.rep_extra)
-            return ExecutionResult(
-                image=image, exit_code=exit_code,
-                mem_addrs=self.mem_addrs, mem_is_store=self.mem_is_store,
-                console=bytes(self.console), memory=memory,
-                block_starts=bs, block_ends=be, seg_ids=sid, seg_counts=sc)
-        return ExecutionResult(
-            image=image,
-            exit_code=exit_code,
-            run_starts=np.asarray(self.run_starts, dtype=np.int64),
-            run_ends=np.asarray(self.run_ends, dtype=np.int64),
-            mem_addrs=self.mem_addrs,
-            mem_is_store=self.mem_is_store,
+            mem_packed=self.mem,
             console=bytes(self.console),
             memory=memory,
         )

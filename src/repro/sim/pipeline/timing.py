@@ -19,38 +19,12 @@ The same walk produces what the power model needs: fetch-word request
 counts and Hamming toggles on the instruction bus (real encodings).
 """
 
-import os
-
 import numpy as np
 
 from repro.obs import core as obs
 from repro.sim.cache.model import CacheGeometry, SetAssociativeCache, publish_stats
-from repro.sim.cache.stack import (
-    expand_line_spans,
-    profile_lines,
-    profile_spans_rle,
-)
+from repro.sim.cache.stack import expand_line_spans, profile_spans_rle
 from repro.sim.pipeline.meta import arm_meta, fits_meta, thumb_meta, FLAGS
-
-
-def replay_mode(env=None):
-    """Which trace view the replay passes consume.
-
-    ``rle`` (the default) folds per-superblock precomputation weighted
-    by iteration counts — the columnar fast path.  ``event`` expands the
-    flat per-boundary stream and walks it — the pre-columnar reference,
-    kept as the exactness fallback and for the verify gate's
-    bit-identity comparison.  Controlled by ``REPRO_TRACE_REPLAY``.
-    """
-    env = os.environ if env is None else env
-    mode = (env.get("REPRO_TRACE_REPLAY") or "rle").strip().lower()
-    if mode in ("", "default"):
-        mode = "rle"
-    if mode not in ("rle", "event"):
-        raise ValueError(
-            "REPRO_TRACE_REPLAY must be 'rle' or 'event', got %r" % mode
-        )
-    return mode
 
 
 class TimingConfig:
@@ -266,7 +240,6 @@ class TimingPrecomp:
     def __init__(self, result, config, meta):
         self.result = result
         self.meta = meta
-        self.mode = replay_mode()
         fetch = getattr(result.image, "_fetch_geometry", None)
         if fetch is None:
             fetch = _FetchGeometry(result.image)
@@ -276,27 +249,14 @@ class TimingPrecomp:
                 pass
         self.fetch = fetch
 
-        if self.mode == "rle":
-            # the superblock table already is the distinct-run set, and
-            # per-row totals come straight off the segment stream — no
-            # expansion, no np.unique over the dynamic trace
-            u_start = result.block_starts
-            u_end = result.block_ends
-            counts = result.block_totals()
-            inverse = None
-            self.num_unique = len(u_start)
-            self.num_runs = result.num_runs
-        else:
-            starts = result.run_starts
-            ends = result.run_ends
-            n_static = len(meta)
-            keys = starts * n_static + ends
-            uniq, inverse, counts = np.unique(keys, return_inverse=True,
-                                              return_counts=True)
-            u_start = (uniq // n_static).astype(np.int64)
-            u_end = (uniq % n_static).astype(np.int64)
-            self.num_unique = len(uniq)
-            self.num_runs = int(len(starts))
+        # the superblock table already is the distinct-run set, and
+        # per-row totals come straight off the segment stream — no
+        # expansion, no np.unique over the dynamic trace
+        u_start = result.block_starts
+        u_end = result.block_ends
+        counts = result.block_totals()
+        self.num_unique = len(u_start)
+        self.num_runs = result.num_runs
 
         # --- per-unique-run quantities ---------------------------------
         # the scoreboard walk is a pure function of (instruction stream,
@@ -349,33 +309,24 @@ class TimingPrecomp:
 
         # --- boundary toggles (between the last word of run k and the
         # first word of run k+1) ----------------------------------------
+        # every boundary is either a self-repeat (within a segment: last
+        # word of block b -> first word of block b, count-1 times) or a
+        # segment join — both vectorize over segments
         max_boundary = 0
-        if self.mode == "rle":
-            # every boundary is either a self-repeat (within a segment:
-            # last word of block b -> first word of block b, count-1
-            # times) or a segment join — both vectorize over segments
-            sid = result.seg_ids
-            cnt = result.seg_counts
-            if len(sid):
-                self_x = _popcount_u32(fetch.words[u_we] ^ fetch.words[u_ws])
-                fetch_toggles += int(np.dot(self_x[sid], cnt - 1))
-                rep = cnt > 1
-                if rep.any():
-                    max_boundary = int(self_x[sid[rep]].max())
-                if len(sid) > 1:
-                    inter = _popcount_u32(
-                        fetch.words[u_we[sid[:-1]]] ^ fetch.words[u_ws[sid[1:]]]
-                    )
-                    fetch_toggles += int(inter.sum())
-                    max_boundary = max(max_boundary, int(inter.max()))
-        else:
-            ws_seq = u_ws[inverse]
-            we_seq = u_we[inverse]
-            if len(ws_seq) > 1:
-                xors = fetch.words[we_seq[:-1]] ^ fetch.words[ws_seq[1:]]
-                boundary = _popcount_u32(xors)
-                fetch_toggles += int(boundary.sum())
-                max_boundary = int(boundary.max())
+        sid = result.seg_ids
+        cnt = result.seg_counts
+        if len(sid):
+            self_x = _popcount_u32(fetch.words[u_we] ^ fetch.words[u_ws])
+            fetch_toggles += int(np.dot(self_x[sid], cnt - 1))
+            rep = cnt > 1
+            if rep.any():
+                max_boundary = int(self_x[sid[rep]].max())
+            if len(sid) > 1:
+                inter = _popcount_u32(
+                    fetch.words[u_we[sid[:-1]]] ^ fetch.words[u_ws[sid[1:]]]
+                )
+                fetch_toggles += int(inter.sum())
+                max_boundary = max(max_boundary, int(inter.max()))
         self.fetch_toggles = fetch_toggles
         self.max_fetch_toggles = max(fetch.max_word_toggles, max_boundary)
 
@@ -606,14 +557,10 @@ class TimingBatch:
             with obs.span("stage.simulate", phase="stack",
                           image=getattr(self.result.image, "name", "?"),
                           block=block_bytes, geometries=len(geometries)):
-                if pre.mode == "rle":
-                    sl, el = pre.line_spans_for(block_bytes)
-                    profile = profile_spans_rle(
-                        sl, el, self.result.seg_ids,
-                        self.result.seg_counts, geometries)
-                else:
-                    profile = profile_lines(pre.lines_for(block_bytes),
-                                            geometries)
+                sl, el = pre.line_spans_for(block_bytes)
+                profile = profile_spans_rle(
+                    sl, el, self.result.seg_ids, self.result.seg_counts,
+                    geometries)
             self._profiles[block_bytes] = profile
         return profile
 

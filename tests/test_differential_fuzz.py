@@ -7,17 +7,32 @@ binary — and all must agree on the exit checksum.  This is the strongest
 single test in the repository: any divergence in instruction selection,
 register allocation, encoding, linking, translation or simulation for
 any ISA shows up as a checksum mismatch with a shrunken reproducer.
+
+Every ARM program additionally goes through each fast path against its
+reference: the block engine forced to compile every entry against the
+engine forced to interpret every run, the one-pass multi-geometry timing
+replay against per-point LRU simulation at hypothesis-drawn cache
+geometries, and a trace-store save/load round trip.
 """
 
+import tempfile
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st, HealthCheck
 
 from repro.ir import Cond, FunctionBuilder, Global, IRInterpreter, Module, Op, Width
 from repro.workloads.runtime import runtime_module
 from repro.compiler import compile_arm, compile_thumb
-from repro.sim.functional import ArmSimulator
+from repro.sim.functional import ArmSimulator, TraceStore
 from repro.sim.functional.thumb_sim import ThumbSimulator
+from repro.sim.pipeline.timing import (
+    TimingConfig,
+    simulate_timing,
+    simulate_timing_multi,
+)
 from repro.core.flow import fits_flow
+from tests.oracles import compiled, interpreted
 
 OPS = [Op.ADD, Op.SUB, Op.RSB, Op.AND, Op.ORR, Op.EOR, Op.MUL]
 SHIFTS = [Op.LSL, Op.LSR, Op.ASR]
@@ -108,14 +123,61 @@ def fresh_modules(spec, count):
     return [build_program(spec) for _ in range(count)]
 
 
+#: I-cache geometries as (block bytes, associativity, set count) — the
+#: size is their product, so every drawn geometry is valid.
+geometry_strategy = st.lists(
+    st.tuples(st.sampled_from([16, 32, 64]),
+              st.sampled_from([1, 2, 4, 8, 32]),
+              st.sampled_from([1, 2, 8, 32, 64])),
+    min_size=1, max_size=4)
+
+
+EXECUTION_FIELDS = ("exit_code", "dynamic_instructions", "block_starts",
+                    "block_ends", "seg_ids", "seg_counts", "mem_packed",
+                    "console")
+
+
+def assert_same_execution(a, b, label):
+    for field in EXECUTION_FIELDS:
+        x, y = getattr(a, field), getattr(b, field)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), "%s: %s differs" % (label, field)
+        else:
+            assert x == y, "%s: %s differs" % (label, field)
+    assert bytes(a.memory) == bytes(b.memory), "%s: memory differs" % label
+
+
+def check_fast_paths(image, result, geometries):
+    run = ArmSimulator(image).run
+    oracle = interpreted(run)
+    assert_same_execution(compiled(run), oracle, "compile-every-entry")
+    assert_same_execution(result, oracle, "default engine")
+
+    specs = [(block * assoc * sets,
+              TimingConfig(icache_block=block, icache_assoc=assoc))
+             for block, assoc, sets in geometries]
+    multi = simulate_timing_multi(result, specs)
+    for (size, config), report in zip(specs, multi):
+        assert report.__dict__ == simulate_timing(result, size, config).__dict__
+
+    with tempfile.TemporaryDirectory() as root:
+        store = TraceStore(root)
+        store.save(image, result, kind="arm")
+        loaded = store.load(image)
+        assert loaded is not None, "trace store: saved entry did not load"
+        assert_same_execution(loaded, result, "trace store")
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(program_strategy)
-def test_arm_matches_interpreter(spec):
+@given(program_strategy, geometry_strategy)
+def test_arm_matches_interpreter(spec, geometries):
     m1, m2 = fresh_modules(spec, 2)
     golden = IRInterpreter(m1, max_steps=5_000_000).call("main")
-    result = ArmSimulator(compile_arm(m2)).run()
+    image = compile_arm(m2)
+    result = ArmSimulator(image).run()
     assert result.exit_code == golden
+    check_fast_paths(image, result, geometries)
 
 
 @settings(max_examples=25, deadline=None,

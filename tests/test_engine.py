@@ -1,11 +1,13 @@
 """Block-compiled engine property tests.
 
-The contract under test (DESIGN.md §8): the ``block`` and ``closure``
-engines produce **bit-identical** :class:`ExecutionResult`s — same exit
-code, run boundaries, memory-access trace, console bytes, final memory,
-and dynamic instruction count — on every (workload, ISA, scale)
-combination, including branch-heavy adversarial control flow, forced
-closure fallback, and instruction-budget exhaustion.
+The contract under test (DESIGN.md §8): a default engine run produces an
+:class:`ExecutionResult` **bit-identical** to the interpret-only oracle
+(the same engine with every run interpreted through the per-instruction
+closures, see ``tests/oracles.py``) — same exit code, run boundaries,
+memory-access trace, console bytes, final memory, and dynamic
+instruction count — on every (workload, ISA, scale) combination,
+including branch-heavy adversarial control flow, forced closure
+fallback, and instruction-budget exhaustion.
 """
 
 from array import array
@@ -17,7 +19,7 @@ from repro import obs
 from repro.compiler import compile_arm, compile_thumb
 from repro.core.flow import fits_flow
 from repro.ir import Cond, FunctionBuilder, Global, Module
-from repro.sim.functional import ArmSimulator, SimulationError, selected_engine
+from repro.sim.functional import ArmSimulator, SimulationError
 from repro.sim.functional import engine as engine_mod
 from repro.sim.functional.arm_sim import build_program
 from repro.sim.functional.fits_sim import FitsSimulator
@@ -25,10 +27,11 @@ from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.functional.trace import TraceBuilder
 from repro.workloads import get_workload
 from repro.workloads.runtime import runtime_module
+from tests.oracles import interpreted
 
 SAMPLE = ["crc32", "sha", "qsort", "gsm", "rijndael"]
 
-#: full-scale combos cheap enough for tier-1 (sub-second per engine)
+#: full-scale combos cheap enough for tier-1 (sub-second per run)
 FULL_WHERE_CHEAP = [("crc32", "arm"), ("crc32", "thumb"), ("sha", "arm")]
 
 FIELDS = ("exit_code", "run_starts", "run_ends", "mem_addrs",
@@ -55,10 +58,16 @@ def _images(name, scale):
     }
 
 
-def _run(image, isa, engine, **kwargs):
+def _run(image, isa, **kwargs):
     sim = {"arm": ArmSimulator, "thumb": ThumbSimulator,
            "fits": FitsSimulator}[isa]
-    return sim(image, engine=engine, **kwargs).run()
+    return sim(image, **kwargs).run()
+
+
+def _run_both(image, isa, **kwargs):
+    """``(default run, interpret-only oracle run)``."""
+    return (_run(image, isa, **kwargs),
+            interpreted(lambda: _run(image, isa, **kwargs)))
 
 
 @pytest.fixture(scope="module", params=SAMPLE)
@@ -69,9 +78,8 @@ def small_images(request):
 @pytest.mark.parametrize("isa", ["arm", "thumb", "fits"])
 def test_engines_bit_identical_small(small_images, isa):
     name, images = small_images
-    block = _run(images[isa], isa, "block")
-    closure = _run(images[isa], isa, "closure")
-    assert_identical(block, closure, "%s/%s/small" % (name, isa))
+    block, oracle = _run_both(images[isa], isa)
+    assert_identical(block, oracle, "%s/%s/small" % (name, isa))
 
 
 @pytest.mark.parametrize("name,isa", FULL_WHERE_CHEAP)
@@ -79,10 +87,9 @@ def test_engines_bit_identical_full(name, isa):
     wl = get_workload(name)
     compiler = compile_arm if isa == "arm" else compile_thumb
     image = compiler(wl.build_module("full"))
-    block = _run(image, isa, "block")
-    closure = _run(image, isa, "closure")
+    block, oracle = _run_both(image, isa)
     assert block.exit_code == wl.reference("full")
-    assert_identical(block, closure, "%s/%s/full" % (name, isa))
+    assert_identical(block, oracle, "%s/%s/full" % (name, isa))
 
 
 # ----------------------------------------------------------------------
@@ -128,26 +135,21 @@ def test_engines_bit_identical_branch_heavy(isa):
         "thumb": compile_thumb(branchy_module()),
         "fits": fits_flow(branchy_module()).fits_image,
     }
-    block = _run(images[isa], isa, "block")
-    closure = _run(images[isa], isa, "closure")
+    block, oracle = _run_both(images[isa], isa)
     assert block.dynamic_instructions > 1000  # actually exercised loops
-    assert_identical(block, closure, "branchy/%s" % isa)
+    assert_identical(block, oracle, "branchy/%s" % isa)
 
 
 # ----------------------------------------------------------------------
-# instruction-budget enforcement: both engines check at run boundaries
-# with identical accounting, so raise/complete must agree at every
-# budget — including exactly at and just below the true dynamic count.
+# instruction-budget enforcement: compiled and interpreted runs check at
+# run boundaries with identical accounting, so raise/complete must agree
+# at every budget — including exactly at and just below the true dynamic
+# count.
 
 
-def _budget_outcome(image, isa, engine, limit):
+def _budget_outcome(image, isa, limit):
     try:
-        if isa == "fits":
-            res = FitsSimulator(image, max_instructions=limit,
-                                engine=engine).run()
-        else:
-            sim = ArmSimulator if isa == "arm" else ThumbSimulator
-            res = sim(image, max_instructions=limit, engine=engine).run()
+        res = _run(image, isa, max_instructions=limit)
         return ("done", res.dynamic_instructions)
     except SimulationError as exc:
         assert "budget" in str(exc)
@@ -157,14 +159,14 @@ def _budget_outcome(image, isa, engine, limit):
 @pytest.mark.parametrize("isa", ["arm", "thumb", "fits"])
 def test_budget_raises_identically(isa):
     images = _images("crc32", "small")
-    dyn = _run(images[isa], isa, "closure").dynamic_instructions
+    dyn = _run(images[isa], isa).dynamic_instructions
     for limit in (1, 7, 100, 1000, dyn - 1, dyn, dyn + 1):
-        block = _budget_outcome(images[isa], isa, "block", limit)
-        closure = _budget_outcome(images[isa], isa, "closure", limit)
-        assert block == closure, "limit=%d diverged: %r vs %r" % (
-            limit, block, closure)
-    assert _budget_outcome(images[isa], isa, "block", dyn)[0] == "done"
-    assert _budget_outcome(images[isa], isa, "block", dyn - 1)[0] == "raised"
+        block = _budget_outcome(images[isa], isa, limit)
+        oracle = interpreted(lambda: _budget_outcome(images[isa], isa, limit))
+        assert block == oracle, "limit=%d diverged: %r vs %r" % (
+            limit, block, oracle)
+    assert _budget_outcome(images[isa], isa, dyn)[0] == "done"
+    assert _budget_outcome(images[isa], isa, dyn - 1)[0] == "raised"
 
 
 # ----------------------------------------------------------------------
@@ -174,12 +176,12 @@ def test_budget_raises_identically(isa):
 
 def test_forced_fallback_bit_identical():
     image = compile_arm(get_workload("crc32").build_module("small"))
-    closure = ArmSimulator(image, engine="closure").run()
+    oracle = interpreted(ArmSimulator(image).run)
 
     program = build_program(image)
     program.emit = lambda idx: None  # no templates: closure fallback only
-    block = engine_mod.execute(program, 200_000_000, engine="block")
-    assert_identical(block, closure, "crc32/arm/forced-fallback")
+    block = engine_mod.execute(program, 200_000_000)
+    assert_identical(block, oracle, "crc32/arm/forced-fallback")
 
 
 def test_fallback_counter_reported():
@@ -189,7 +191,7 @@ def test_fallback_counter_reported():
         image = compile_arm(get_workload("crc32").build_module("small"))
         program = build_program(image)
         program.emit = lambda idx: None
-        engine_mod.execute(program, 200_000_000, engine="block")
+        engine_mod.execute(program, 200_000_000)
         counters = obs.since(marker)["counters"]
         assert counters.get("sim.engine.fallback_instrs", 0) > 0
         assert counters.get("sim.engine.blocks_compiled", 0) > 0
@@ -203,7 +205,7 @@ def test_block_engine_counters():
     try:
         marker = obs.mark()
         image = compile_arm(get_workload("crc32").build_module("small"))
-        ArmSimulator(image, engine="block").run()
+        ArmSimulator(image).run()
         counters = obs.since(marker)["counters"]
         assert counters.get("sim.engine.blocks_compiled", 0) > 0
         assert counters.get("sim.engine.units_compiled", 0) > 0
@@ -213,28 +215,6 @@ def test_block_engine_counters():
         assert any(k.startswith("sim.engine.avg_block_len") for k in gauges)
     finally:
         obs.disable()
-
-
-# ----------------------------------------------------------------------
-# engine selection knob
-
-
-def test_selected_engine_env():
-    assert selected_engine({}) == "block"
-    assert selected_engine({"REPRO_SIM_ENGINE": ""}) == "block"
-    assert selected_engine({"REPRO_SIM_ENGINE": "default"}) == "block"
-    assert selected_engine({"REPRO_SIM_ENGINE": "closure"}) == "closure"
-    assert selected_engine({"REPRO_SIM_ENGINE": "Block"}) == "block"
-    with pytest.raises(ValueError):
-        selected_engine({"REPRO_SIM_ENGINE": "jit"})
-
-
-def test_explicit_engine_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "nonsense")
-    image = compile_arm(get_workload("crc32").build_module("small"))
-    # explicit engine= must not consult the (invalid) environment
-    res = ArmSimulator(image, engine="closure").run()
-    assert res.exit_code == get_workload("crc32").reference("small")
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ def crc_image():
 
 
 def _run_block(image):
-    return ArmSimulator(image, engine="block").run()
+    return ArmSimulator(image).run()
 
 
 # ----------------------------------------------------------------------
@@ -87,12 +87,6 @@ def test_profiler_off_produces_no_records(crc_image):
     assert not prof.enabled()
     _run_block(crc_image)
     assert prof.records() == []
-
-
-def test_closure_engine_produces_no_records(crc_image):
-    prof.enable()
-    ArmSimulator(crc_image, engine="closure").run()
-    assert prof.records() == []  # nothing to attribute to
 
 
 def test_profiler_run_is_bit_identical(crc_image):

@@ -3,10 +3,10 @@
 The pool promises: workers persist across ``run`` calls (the warmth the
 whole design exists for), concurrent groups interleave fair-share
 rather than head-of-line blocking, chunking is weighted by last-known
-per-point cost, plane descriptors round-trip an ExecutionResult through
-shared memory bit-for-bit (with silent fallback once the bus is gone),
-and a sweep dispatched through the pool is bit-identical to the legacy
-fork-per-chunk path.
+per-point cost, and plane descriptors round-trip an ExecutionResult
+through shared memory bit-for-bit (with silent fallback once the bus is
+gone).  That a pool-dispatched sweep is bit-identical to the in-process
+serial path is ``tests/test_dse.py::test_parallel_sweep_matches_serial``.
 """
 
 import json
@@ -19,13 +19,13 @@ import pytest
 
 from repro.compiler import compile_arm
 from repro.dse import scheduler
-from repro.dse.pool import WorkerPool, pool_mode
-from repro.dse.scheduler import _chunk_tasks, _context, sweep
+from repro.dse.pool import WorkerPool, _context
+from repro.dse.scheduler import _chunk_tasks
 from repro.dse.space import preset
-from repro.dse.store import ResultStore
 from repro.obs import core as obs
 from repro.sim.functional import ArmSimulator, TraceStore, image_fingerprint
 from repro.sim.functional import planes
+from repro.sim.functional import store as store_mod
 from repro.sim.functional.store import clear_plane_cache
 from repro.workloads import get_workload
 
@@ -41,20 +41,6 @@ def _pid_task(payload):
 
 def _sleep_task(payload):
     time.sleep(payload["s"])
-
-
-# ----------------------------------------------------------------------
-# mode knob
-
-
-def test_pool_mode_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_DSE_POOL", raising=False)
-    assert pool_mode() == "warm"
-    for legacy in ("chunk", "fork", "0", "off", "none", " CHUNK "):
-        monkeypatch.setenv("REPRO_DSE_POOL", legacy)
-        assert pool_mode() == "chunk"
-    monkeypatch.setenv("REPRO_DSE_POOL", "warm")
-    assert pool_mode() == "warm"
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +192,6 @@ def test_plane_bus_roundtrip_and_fallback(tmp_path):
 def test_export_for_matches_benchmark_and_scale(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
     from repro.sim.functional import cached_run
-    from repro.sim.functional import store as store_mod
 
     image = compile_arm(get_workload("crc32").build_module("small"))
     cached_run("arm", image, ArmSimulator(image).run,
@@ -228,7 +213,7 @@ def test_export_for_matches_benchmark_and_scale(tmp_path, monkeypatch):
 
 
 def test_plane_cache_hit_miss_evict_counters(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_PLANE_CACHE", "1")
+    monkeypatch.setattr(store_mod, "PLANE_CACHE_ENTRIES", 1)
     store = TraceStore(str(tmp_path / "ts"))
     images = {}
     for name in ("crc32", "sha"):
@@ -253,22 +238,3 @@ def test_plane_cache_hit_miss_evict_counters(tmp_path, monkeypatch):
     assert counters.get("trace_store.plane_cache.miss") == 3
     assert counters.get("trace_store.plane_cache.hit") == 1
     assert counters.get("trace_store.plane_cache.evict", 0) >= 2
-
-
-# ----------------------------------------------------------------------
-# end-to-end: pool-dispatched sweep == fork-per-chunk sweep
-
-
-def test_pool_and_chunk_sweeps_bit_identical(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
-    space = preset("smoke")
-    metrics = {}
-    for mode in ("chunk", "warm"):
-        monkeypatch.setenv("REPRO_DSE_POOL", mode)
-        store = ResultStore(str(tmp_path / ("dse-" + mode)))
-        summary = sweep(space, ["crc32"], scale="small", jobs=2, store=store)
-        assert summary["evaluated"] == len(space)
-        assert not summary["failed"]
-        metrics[mode] = {(r["benchmark"], r["point"]["id"]): r["metrics"]
-                         for r in store.iter_results()}
-    assert metrics["warm"] and metrics["warm"] == metrics["chunk"]

@@ -12,9 +12,9 @@ the mid-sweep-crash resume semantics.
 
 import os
 import sys
+import threading
 import time
 
-import pytest
 
 from repro.dse import scheduler
 from repro.dse.scheduler import run_tasks, sweep
@@ -86,11 +86,9 @@ def test_timed_out_task_is_requeued_and_can_succeed(tmp_path):
     assert results[0].ok and results[0].attempts == 2
 
 
-@pytest.mark.parametrize("mode", ["warm", "chunk"])
-def test_worker_crash_requeues_only_that_task(tmp_path, monkeypatch, mode):
+def test_worker_crash_requeues_only_that_task(tmp_path):
     """A hard worker death re-queues the task it was running — and only
-    that task: siblings run exactly once, in both dispatch modes."""
-    monkeypatch.setenv("REPRO_DSE_POOL", mode)
+    that task: siblings run exactly once."""
     payloads = [
         {"crash": True, "marker": str(tmp_path / "crashed"),
          "done": str(tmp_path / "d0")},
@@ -134,6 +132,53 @@ def test_serial_mode_retry_exhaustion():
     assert len(calls) == 3
     assert not results[0].ok
     assert "RuntimeError: persistent" in results[0].error
+
+
+def test_concurrent_in_process_batches_fail_no_points(tmp_path, monkeypatch):
+    """In-process compute batches on their own threads — what a
+    ``repro.serve`` server at ``--jobs 1`` runs for concurrent jobs —
+    must not fail points.  Every point's cache/power consistency check
+    reads process-wide obs counters; the power model sleeps here so that
+    another thread runs inside that window whenever it is allowed to."""
+    from repro.dse.evaluate import _functional
+    from repro.power import CachePowerModel
+
+    evaluate = CachePowerModel.evaluate
+
+    def slow_evaluate(self, timing):
+        time.sleep(0.002)
+        return evaluate(self, timing)
+
+    monkeypatch.setattr(CachePowerModel, "evaluate", slow_evaluate)
+    space = DesignSpace.grid("two-batch", isas=("arm",),
+                             sizes=(1024, 2048, 4096, 8192), assocs=(1, 2, 4))
+    _functional(BENCH, "small", "arm")  # both batches start evaluating
+    outcomes = {}
+
+    def batch(tag):
+        payload = {"store": str(tmp_path / tag), "benchmark": BENCH,
+                   "scale": "small",
+                   "points": [p.to_dict() for p in space]}
+        outcomes[tag] = run_tasks(scheduler._sweep_worker, [payload],
+                                  jobs=1, retries=0)
+
+    tags = ("a", "b", "c")
+    threads = [threading.Thread(target=batch, args=(tag,)) for tag in tags]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for tag in tags:
+        store = ResultStore(str(tmp_path / tag))
+        assert store.failures() == [], store.failures()
+        assert len(store.completed_keys()) == len(space)
+        assert [r.ok for r in outcomes[tag]] == [True]
 
 
 # ----------------------------------------------------------------------

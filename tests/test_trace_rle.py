@@ -3,11 +3,11 @@
 The contract under test: the two-level columnar trace — superblock
 table plus ``(superblock_id, iteration_count)`` stream — is exactly
 equivalent to the flat per-boundary event stream.  Round-trips through
-:func:`rle_encode` / :func:`rle_encode_packed` are lossless (including
-the block engine's batched backedge repeats and budget-truncated runs),
-block and closure engines produce identical columnar traces, and the
-stack-distance / timing replay over the RLE form is bit-identical to
-the event-stream reference across ≥20 cache geometries.
+:func:`rle_encode_packed` are lossless (including the block engine's
+batched backedge repeats and budget-truncated runs), compiled and
+interpret-only engine runs produce identical columnar traces, and the
+stack-distance / timing replay over the RLE form is bit-identical to a
+walk of the flat per-run stream across ≥20 cache geometries.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.compiler import compile_arm, compile_thumb
 from repro.ir import Cond, FunctionBuilder, Module
 from repro.sim.cache import (
     CacheGeometry,
+    SetAssociativeCache,
     expand_line_spans,
     profile_lines,
 )
@@ -25,14 +26,17 @@ from repro.sim.cache import stack as stack_mod
 from repro.sim.cache.stack import profile_spans_rle
 from repro.sim.functional import ArmSimulator
 from repro.sim.functional.thumb_sim import ThumbSimulator
-from repro.sim.functional.trace import PACK, rle_encode, rle_encode_packed
+from repro.sim.functional.trace import PACK, rle_encode_packed
 from repro.sim.pipeline.timing import (
     TimingConfig,
+    _run_cycles,
+    metadata_for,
     precompute_timing,
     simulate_timing_multi,
 )
 from repro.workloads import get_workload
 from repro.workloads.runtime import runtime_module
+from tests.oracles import interpreted
 
 # ≥20 geometries at a shared 32B block: sizes 1K..32K, direct-mapped
 # through fully-associative.
@@ -53,7 +57,8 @@ def test_geometry_pool_large_enough():
 
 
 # ----------------------------------------------------------------------
-# rle_encode round-trips: columnar -> per-boundary expansion is exact
+# rle_encode_packed round-trips: columnar -> per-boundary expansion is
+# exact
 
 
 def expand(block_starts, block_ends, seg_ids, seg_counts):
@@ -69,12 +74,16 @@ boundary_stream = st.lists(
 ).map(lambda runs: [(s, s + w) for s, w, n in runs for _ in range(n)])
 
 
+def packed(stream):
+    return np.asarray([s * PACK + e for s, e in stream], dtype=np.int64)
+
+
 @settings(max_examples=60, deadline=None)
 @given(boundary_stream)
 def test_rle_encode_roundtrip(stream):
     rs = np.asarray([s for s, _e in stream], dtype=np.int64)
     re = np.asarray([e for _s, e in stream], dtype=np.int64)
-    bs, be, sid, cnt = rle_encode(rs, re)
+    bs, be, sid, cnt = rle_encode_packed(packed(stream))
     # table rows are distinct and the stream never repeats a block id
     # consecutively (maximal segments)
     assert len(np.unique(bs * 1000 + be)) == len(bs)
@@ -88,12 +97,19 @@ def test_rle_encode_roundtrip(stream):
 @settings(max_examples=60, deadline=None)
 @given(boundary_stream)
 def test_rle_encode_packed_matches(stream):
-    rs = np.asarray([s for s, _e in stream], dtype=np.int64)
-    re = np.asarray([e for _s, e in stream], dtype=np.int64)
-    ref = rle_encode(rs, re)
-    packed = rle_encode_packed(rs * PACK + re)
-    for a, b in zip(ref, packed):
-        assert np.array_equal(a, b)
+    """The table is sorted by ``(start, end)`` and the segment stream is
+    the maximal-run split of the flat stream — built here the slow way."""
+    bs, be, sid, cnt = rle_encode_packed(packed(stream))
+    segments = []
+    for pair in stream:
+        if segments and segments[-1][0] == pair:
+            segments[-1][1] += 1
+        else:
+            segments.append([pair, 1])
+    table = sorted({pair for pair, _n in segments})
+    assert list(zip(bs.tolist(), be.tolist())) == table
+    assert sid.tolist() == [table.index(pair) for pair, _n in segments]
+    assert cnt.tolist() == [n for _pair, n in segments]
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,32 +117,27 @@ def test_rle_encode_packed_matches(stream):
 def test_rle_encode_folds_batched_repeats(stream, data):
     """The block engine batches hot backedges as (boundary index, extra
     repeats); folding them must equal materializing them."""
-    rs = np.asarray([s for s, _e in stream], dtype=np.int64)
-    re = np.asarray([e for _s, e in stream], dtype=np.int64)
-    n = len(rs)
+    n = len(stream)
     reps = data.draw(st.lists(
         st.tuples(st.integers(0, max(n - 1, 0)), st.integers(1, 50)),
         min_size=0, max_size=5, unique_by=lambda t: t[0])) if n else []
     # materialized reference: boundary i repeated 1 + extra times
     extra_of = dict(reps)
-    flat_s, flat_e = [], []
-    for i in range(n):
-        times = 1 + extra_of.get(i, 0)
-        flat_s.extend([int(rs[i])] * times)
-        flat_e.extend([int(re[i])] * times)
-    ref = rle_encode(np.asarray(flat_s, dtype=np.int64),
-                     np.asarray(flat_e, dtype=np.int64))
+    flat = []
+    for i, pair in enumerate(stream):
+        flat.extend([pair] * (1 + extra_of.get(i, 0)))
+    ref = rle_encode_packed(packed(flat))
     idx = np.asarray(sorted(extra_of), dtype=np.int64)
     ext = np.asarray([extra_of[i] for i in sorted(extra_of)],
                      dtype=np.int64)
-    folded = rle_encode(rs, re, rep_index=idx, rep_extra=ext)
+    folded = rle_encode_packed(packed(stream), rep_index=idx, rep_extra=ext)
     for a, b in zip(ref, folded):
         assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
-# block vs closure engines: identical columnar traces, including
-# self-backedge loops and budget-truncated (exact-budget) runs
+# compiled vs interpret-only engine runs: identical columnar traces,
+# including self-backedge loops and budget-truncated (exact-budget) runs
 
 
 def selfloop_module():
@@ -160,34 +171,32 @@ def test_engines_columnar_identical_selfloop(isa):
     compiler = compile_arm if isa == "arm" else compile_thumb
     sim = ArmSimulator if isa == "arm" else ThumbSimulator
     image = compiler(selfloop_module())
-    block = sim(image, engine="block").run()
-    closure = sim(image, engine="closure").run()
+    block = sim(image).run()
+    oracle = interpreted(sim(image).run)
     assert block.num_runs > 1000          # the loop actually spun
     assert len(block.seg_ids) < block.num_runs // 100  # and collapsed
-    assert_same_columnar(block, closure, "selfloop/%s" % isa)
+    assert_same_columnar(block, oracle, "selfloop/%s" % isa)
 
 
 @pytest.mark.parametrize("bench", ["crc32", "sha"])
 def test_engines_columnar_identical_workload(bench):
     wl = get_workload(bench)
     image = compile_arm(wl.build_module("small"))
-    block = ArmSimulator(image, engine="block").run()
-    closure = ArmSimulator(image, engine="closure").run()
+    block = ArmSimulator(image).run()
+    oracle = interpreted(ArmSimulator(image).run)
     assert block.exit_code == wl.reference("small")
-    assert_same_columnar(block, closure, bench)
+    assert_same_columnar(block, oracle, bench)
 
 
 def test_engines_columnar_identical_exact_budget():
     """A budget equal to the true dynamic count truncates the block
     engine's backedge batching mid-flight; the emitted columnar trace
-    must still match the closure engine's exactly."""
+    must still match the interpret-only run's exactly."""
     image = compile_arm(selfloop_module())
-    dyn = ArmSimulator(image, engine="closure").run().dynamic_instructions
-    block = ArmSimulator(image, max_instructions=dyn,
-                         engine="block").run()
-    closure = ArmSimulator(image, max_instructions=dyn,
-                           engine="closure").run()
-    assert_same_columnar(block, closure, "exact-budget")
+    dyn = ArmSimulator(image).run().dynamic_instructions
+    block = ArmSimulator(image, max_instructions=dyn).run()
+    oracle = interpreted(ArmSimulator(image, max_instructions=dyn).run)
+    assert_same_columnar(block, oracle, "exact-budget")
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +278,7 @@ def test_rle_stack_profile_memo_cap_overflow(monkeypatch):
 def test_rle_stack_profile_real_trace(bench):
     wl = get_workload(bench)
     image = compile_arm(wl.build_module("small"))
-    result = ArmSimulator(image, engine="block").run()
+    result = ArmSimulator(image).run()
     pre = precompute_timing(result, TimingConfig())
     sl, el = pre.line_spans_for(32)
     assert_rle_profile_matches(sl, el, result.seg_ids,
@@ -277,21 +286,111 @@ def test_rle_stack_profile_real_trace(bench):
 
 
 # ----------------------------------------------------------------------
-# timing replay: full reports over the RLE path == event-stream path
+# timing replay: full reports over the RLE path == a walk of the flat
+# per-run stream
 
 
-def test_timing_replay_event_vs_rle(monkeypatch):
+def _flat_stream_reports(result, specs):
+    """Every :class:`TimingReport` field, derived from the flat per-run
+    stream (``np.repeat`` of the segments) one run at a time, with
+    per-access reference caches — no superblock table, no run-length
+    weighting, no stack kernel."""
+    config = specs[0][1]
+    meta = metadata_for(result.image)
+    fetch = precompute_timing(result, config).fetch  # the image's words
+    words = fetch.words.tolist()
+    starts = np.repeat(result.block_starts[result.seg_ids],
+                       result.seg_counts).tolist()
+    ends = np.repeat(result.block_ends[result.seg_ids],
+                     result.seg_counts).tolist()
+
+    def word(i):
+        return (i * fetch.instr_bytes) // 4
+
+    def toggles(a, b):
+        return bin(words[a] ^ words[b]).count("1")
+
+    base = penalty = requests = fetch_toggles = max_boundary = 0
+    executed = np.zeros(len(meta) + 1, dtype=np.int64)
+    taken = np.zeros(len(meta), dtype=np.int64)
+    prev_last = None
+    for s, e in zip(starts, ends):
+        base += _run_cycles(s, e, meta, config.issue_width)
+        m = meta[e]
+        if m.is_cond_branch:
+            penalty += (config.taken_redirect_penalty if m.is_backward
+                        else config.mispredict_penalty)
+        elif m.is_control:
+            penalty += config.indirect_penalty
+        ws, we = word(s), word(e)
+        requests += we - ws + 1
+        fetch_toggles += sum(toggles(j, j - 1) for j in range(ws + 1, we + 1))
+        if prev_last is not None:
+            t = toggles(prev_last, ws)
+            fetch_toggles += t
+            max_boundary = max(max_boundary, t)
+        prev_last = we
+        executed[s] += 1
+        executed[e + 1] -= 1
+        taken[e] += 1
+    executed = np.cumsum(executed[:-1])
+    backward = [i for i, m in enumerate(meta)
+                if m.is_cond_branch and m.is_backward]
+    not_taken = int(sum(executed[i] - taken[i] for i in backward))
+
+    dcache = SetAssociativeCache(config.dcache_geometry())
+    dshift = config.dcache_block.bit_length() - 1
+    for addr in result.mem_addrs.tolist():
+        dcache.access_line(addr >> dshift)
+    dstats = dcache.stats()
+
+    reports = []
+    for size, cfg in specs:
+        icache = SetAssociativeCache(cfg.icache_geometry(size))
+        shift = cfg.icache_block.bit_length() - 1
+        for s, e in zip(starts, ends):
+            first = (s * fetch.instr_bytes + fetch.code_base) >> shift
+            last = (e * fetch.instr_bytes + fetch.code_base) >> shift
+            for line in range(first, last + 1):
+                icache.access_line(line)
+        istats = icache.stats()
+        reports.append({
+            "image": result.image,
+            "config": cfg,
+            "icache_bytes": size,
+            "instructions": sum(e - s + 1 for s, e in zip(starts, ends)),
+            "cycles": (base + penalty
+                       + not_taken * cfg.mispredict_penalty
+                       + istats["misses"] * cfg.icache_miss_penalty
+                       + dstats["misses"] * cfg.dcache_miss_penalty),
+            "base_cycles": base,
+            "frequency_hz": cfg.frequency_hz,
+            "icache_requests": requests,
+            "icache_line_accesses": istats["accesses"],
+            "icache_misses": istats["misses"],
+            "icache_compulsory": istats["compulsory_misses"],
+            "dcache_accesses": dstats["accesses"],
+            "dcache_misses": dstats["misses"],
+            "fetch_toggles": fetch_toggles,
+            "max_fetch_toggles": max(fetch.max_word_toggles, max_boundary),
+            "taken_transfers": len(starts),
+            "fetch_word_bits": 32,
+            "max_words_per_cycle": max(
+                1, (cfg.issue_width * fetch.instr_bytes) // 4),
+            "instr_bytes": fetch.instr_bytes,
+            "code_lines": ((len(words) * 4 + cfg.icache_block - 1)
+                           // cfg.icache_block),
+        })
+    return reports
+
+
+def test_timing_replay_event_vs_rle():
     specs = [(size, TimingConfig(icache_assoc=assoc))
              for size in (1024, 4096, 32768) for assoc in (1, 4)]
     wl = get_workload("crc32")
     image = compile_arm(wl.build_module("small"))
-    result = ArmSimulator(image, engine="block").run()
+    result = ArmSimulator(image).run()
 
-    def reports(mode):
-        monkeypatch.setenv("REPRO_TRACE_REPLAY", mode)
-        result.__dict__.pop("_timing_precomps", None)
-        return simulate_timing_multi(result, specs)
-
-    event = reports("event")
-    rle = reports("rle")
-    assert [r.__dict__ for r in event] == [r.__dict__ for r in rle]
+    rle = simulate_timing_multi(result, specs)
+    flat = _flat_stream_reports(result, specs)
+    assert [r.__dict__ for r in rle] == flat

@@ -15,6 +15,7 @@ from repro.sim.functional import (
     code_version_hash,
     image_fingerprint,
 )
+from repro.sim.functional.store import clear_plane_cache
 from repro.workloads import get_workload
 
 
@@ -86,6 +87,30 @@ def test_version_mismatch_skips_entry(trace_env, crc_image, capsys):
         json.dump(manifest, f)
     assert store.load(crc_image) is None
     assert "simulator code changed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kept", [0.5, 0.0])
+def test_torn_entry_resimulates(trace_env, crc_image, kept):
+    """A truncated ``.npz`` (a write torn by a crash or a full disk) is a
+    miss: the run re-simulates and rewrites a loadable entry."""
+    first = cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+    npz_path = os.path.join(trace_env, image_fingerprint(crc_image) + ".npz")
+    with open(npz_path, "r+b") as fh:
+        fh.truncate(int(os.path.getsize(npz_path) * kept))
+    clear_plane_cache()
+    calls = []
+
+    def runner():
+        calls.append(1)
+        return ArmSimulator(crc_image).run()
+
+    again = cached_run("arm", crc_image, runner)
+    assert calls == [1]
+    assert again.exit_code == get_workload("crc32").reference("small")
+    clear_plane_cache()
+    reloaded = TraceStore(trace_env).load(crc_image)
+    assert reloaded is not None
+    _assert_same_result(first, reloaded)
 
 
 def test_disable_via_env(tmp_path, crc_image):
