@@ -71,6 +71,7 @@ _DEFAULT_HELP = {
     "dse.task.seconds": "scheduler chunk (task) wall time",
     "dse.point.seconds": "single design-point evaluation wall time",
     "trace_store.load_seconds": "persistent trace store read latency",
+    "trace_store.save_seconds": "persistent trace store encode+write latency",
     "profile.energy.fetch_joules": "dynamic I-cache fetch energy by run",
 }
 _help = {}

@@ -1,14 +1,11 @@
 """Shared-memory handoff of decoded trace planes.
 
-The per-chunk DSE workers used to pay ``lzma.decompress`` for every
-``repro.trace/v2`` entry they touched — once per chunk, for the same
-bytes.  With the persistent worker pool the coordinator instead decodes
-each entry **once**, copies the raw columnar members into one
-``multiprocessing.shared_memory`` segment per entry, and ships a small
-descriptor (segment name + member offsets) to the workers inside the
-task payload.  Workers attach zero-copy: numpy views straight into the
-shared pages, no decompression, no duplication of the planes across
-worker processes.
+The sweep coordinator decodes each trace-store entry **once**, copies
+the decoded columnar members into one ``multiprocessing.shared_memory``
+segment per entry, and ships a small descriptor (segment name + member
+offsets) to the persistent pool workers inside the task payload.
+Workers attach zero-copy: numpy views straight into the shared pages,
+no decompression, no duplication of the planes across worker processes.
 
 Coordinator side — :class:`PlaneBus`:
 
@@ -23,9 +20,10 @@ Coordinator side — :class:`PlaneBus`:
 Worker side — :func:`attach` registers descriptors (idempotent), and
 :func:`lookup` lazily attaches a segment the first time the entry is
 requested, reconstructing the :class:`ExecutionResult` from read-only
-views.  ``memory`` is shipped in its on-disk XOR-delta form and undone
-against ``image.initial_memory()`` at lookup, since only the worker
-holds the image object.  Any attach failure (segment already unlinked,
+views.  ``memory`` is shipped as the dense XOR delta the decoder
+rebuilds from the stored pages and undone against
+``image.initial_memory()`` at lookup, since only the worker holds the
+image object.  Any attach failure (segment already unlinked,
 descriptor stale) silently falls back to the on-disk path in
 ``store.load``.
 """
@@ -72,13 +70,13 @@ class PlaneBus:
         npz_path, _man_path = store._paths(key)
         try:
             member = store_mod._decode_blob(manifest, npz_path)
-        except Exception:
+        except store_mod.TORN_ENTRY_ERRORS:
             return None
         blobs = []
         members = []
         offset = 0
-        for name, _dtype in store_mod._V2_MEMBERS:
-            raw = np.ascontiguousarray(member[name])
+        for name, arr in member.items():
+            raw = np.ascontiguousarray(arr)
             data = raw.tobytes()
             members.append((name, offset, len(data), raw.dtype.str))
             blobs.append(data)

@@ -16,14 +16,13 @@ Keying and versioning:
   e.g. the identical ARM image simulated once per synthesis budget in
   ``fits_flow`` is fetched from the store after its first run;
 * the manifest records a code-version hash over the functional-simulator
-  sources; on mismatch the entry is skipped with a warning (same policy
-  as the bench cache) so stale traces can never leak across simulator
-  changes.
+  sources; on mismatch the entry is skipped with a warning so stale
+  traces can never leak across simulator changes.
 
-Writes are atomic (temp file + ``os.replace``), and the ``.npz`` payload
-lands before its manifest — a missing manifest means the entry does not
-exist.  Set ``REPRO_TRACE_CACHE`` to relocate the store, or to ``0`` /
-``off`` to disable it.
+Writes are atomic (temp file + ``os.replace``), and the ``.npz``
+payload lands before its manifest — a missing manifest means the entry
+does not exist; a torn entry is a miss.  Set ``REPRO_TRACE_CACHE`` to
+relocate the store, or to ``0`` / ``off`` to disable it.
 """
 
 import hashlib
@@ -41,34 +40,39 @@ import numpy as np
 from repro.obs import core as obs
 from repro.sim.functional.trace import ExecutionResult, publish_result
 
-SCHEMA = "repro.trace/v2"
+SCHEMA = "repro.trace/v3"
 
-#: v2 payload layout: the members below, in this order, concatenated
-#: raw and compressed as one lzma stream (``blob`` in the npz), with a
-#: parallel ``lengths`` array of byte counts.  The superblock table and
-#: segment stream replace the per-boundary arrays, data accesses are one
-#: packed ``addr*2|is_store`` word each, and memory is stored as the
-#: XOR against ``image.initial_memory()`` — almost all zeros, which is
-#: what makes hot-loop entries collapse.  int64 members are stored as
-#: transposed byte planes (each of the 8 byte positions contiguous),
-#: and the access stream is additionally delta-coded when that trial
-#: compresses smaller (``flags[1]``).  v1 entries fail the schema check
-#: and are simply re-simulated (see README).
-_V2_MEMBERS = (
+PAGE = 4096  # bytes per page of the stored memory delta
+
+#: payload layout: the members below, in this order, concatenated raw
+#: and compressed as one lzma stream (``blob`` in the npz), with a
+#: parallel ``lengths`` list of byte counts in the manifest.  int64
+#: members are stored as transposed byte planes (each of the 8 byte
+#: positions contiguous).  Final memory is XORed against
+#: ``image.initial_memory()`` (``flags[0]``) and only its non-zero pages
+#: are kept: their indices and bytes; the manifest's ``memory_bytes``
+#: sizes the dense delta.  Older schemas are re-simulated (see README).
+_MEMBERS = (
     ("block_starts", np.int64),
     ("block_ends", np.int64),
     ("seg_ids", np.int64),
     ("seg_counts", np.int64),
     ("mem_packed", np.int64),
     ("console", np.uint8),
-    ("memory", np.uint8),
+    ("page_index", np.int64),
+    ("pages", np.uint8),
 )
+
+#: what reading a torn or corrupt entry can raise; both readers of an
+#: entry (``TraceStore.load`` and the plane exporter) treat it as a miss
+TORN_ENTRY_ERRORS = (OSError, EOFError, KeyError, ValueError,
+                     lzma.LZMAError, zipfile.BadZipFile)
 
 
 def _byte_planes(arr):
     """int64 array -> transposed byte-plane bytes (exactly invertible)."""
-    return np.ascontiguousarray(
-        arr.view(np.uint8).reshape(len(arr), 8).T).tobytes()
+    planes = np.ascontiguousarray(arr, dtype=np.int64).view(np.uint8)
+    return np.ascontiguousarray(planes.reshape(-1, 8).T).tobytes()
 
 
 def _from_byte_planes(raw):
@@ -189,33 +193,37 @@ def _read_manifest(man_path, warn=True):
 
 
 def _decode_blob(manifest, npz_path):
-    """Decompress one entry's blob into its raw member arrays.
+    """Decompress one entry's blob into its member arrays.
 
-    ``mem_packed`` has delta coding undone; ``memory`` is returned still
-    in the on-disk form (XOR against the initial image when
-    ``flags[0]``) so callers without the image object — the shared-
-    memory plane exporter — can ship it as-is.
+    ``memory`` comes back dense but still XORed against the initial
+    image (``flags[0]``), so the shared-memory plane exporter, which
+    has no image object, can ship it as-is.  A manifest that disagrees
+    with its payload raises ValueError.
     """
     with np.load(npz_path) as data:
         raw = lzma.decompress(data["blob"].tobytes())
     lengths = [int(n) for n in manifest["lengths"]]
-    mem_delta_coded = bool(manifest["flags"][1])
+    if sum(lengths) != len(raw):
+        raise ValueError("member lengths do not sum to the payload size")
     member = {}
     offset = 0
-    for (name, dtype), nbytes in zip(_V2_MEMBERS, lengths):
+    for (name, dtype), nbytes in zip(_MEMBERS, lengths):
         chunk = raw[offset:offset + nbytes]
         offset += nbytes
-        if dtype is np.int64:
-            member[name] = _from_byte_planes(chunk)
-        else:
-            member[name] = np.frombuffer(chunk, dtype=dtype)
-    if mem_delta_coded:
-        member["mem_packed"] = np.cumsum(member["mem_packed"])
+        member[name] = (_from_byte_planes(chunk) if dtype is np.int64
+                        else np.frombuffer(chunk, dtype=dtype))
+    index = member.pop("page_index")
+    memory = np.zeros(int(manifest["memory_bytes"]), dtype=np.uint8)
+    pages = memory.reshape(-1, PAGE)
+    if len(index) and (index.min() < 0 or index.max() >= len(pages)):
+        raise ValueError("page index outside memory_bytes")
+    pages[index] = member.pop("pages").reshape(len(index), PAGE)
+    member["memory"] = memory
     return member
 
 
 def result_from_members(image, exit_code, member, memory_delta):
-    """Build an ExecutionResult from decoded v2 members."""
+    """Build an ExecutionResult from decoded store members."""
     memory = bytearray(member["memory"].tobytes())
     if memory_delta:
         base = np.frombuffer(bytes(image.initial_memory()), dtype=np.uint8)
@@ -275,8 +283,7 @@ class TraceStore:
                 result = result_from_members(
                     image, manifest["exit_code"], member,
                     bool(manifest["flags"][0]))
-            except (OSError, EOFError, KeyError, ValueError,
-                    lzma.LZMAError, zipfile.BadZipFile):
+            except TORN_ENTRY_ERRORS:
                 # a torn or corrupt entry is a miss: the caller
                 # re-simulates and rewrites it
                 return None
@@ -294,45 +301,17 @@ class TraceStore:
         memory_delta = len(base) == len(memory)
         if memory_delta:
             memory = np.bitwise_xor(memory, base)
-        mem_packed = np.ascontiguousarray(result.mem_packed, dtype=np.int64)
-        parts = {
-            "block_starts": np.ascontiguousarray(result.block_starts,
-                                                 dtype=np.int64),
-            "block_ends": np.ascontiguousarray(result.block_ends,
-                                               dtype=np.int64),
-            "seg_ids": np.ascontiguousarray(result.seg_ids, dtype=np.int64),
-            "seg_counts": np.ascontiguousarray(result.seg_counts,
-                                               dtype=np.int64),
-            "mem_packed": mem_packed,
-            "console": np.frombuffer(bytes(result.console), dtype=np.uint8),
-            "memory": memory,
-        }
-
-        def payload(mem_delta_coded):
-            chunks = []
-            for name, dtype in _V2_MEMBERS:
-                arr = parts[name]
-                if name == "mem_packed" and mem_delta_coded:
-                    arr = np.diff(arr, prepend=np.int64(0))
-                chunks.append(_byte_planes(arr) if dtype is np.int64
-                              else arr.tobytes())
-            return b"".join(chunks)
-
-        # the access stream compresses better delta-coded on strided
-        # workloads and worse on pointer-chasing ones — trial both at
-        # the fast preset, then squeeze the winner harder when the raw
-        # payload is small enough that the extra pass is cheap
-        raw_flat = payload(False)
-        raw_delta = payload(True)
-        blob_flat = lzma.compress(raw_flat, preset=1)
-        blob_delta = lzma.compress(raw_delta, preset=1)
-        mem_delta_coded = len(blob_delta) < len(blob_flat)
-        raw, blob = ((raw_delta, blob_delta) if mem_delta_coded
-                     else (raw_flat, blob_flat))
-        if len(raw) <= 8 << 20:
-            best = lzma.compress(raw, preset=6)
-            if len(best) < len(blob):
-                blob = best
+        pages = memory.reshape(-1, PAGE)
+        page_index = np.flatnonzero(pages.any(axis=1))
+        parts = dict(
+            block_starts=result.block_starts, block_ends=result.block_ends,
+            seg_ids=result.seg_ids, seg_counts=result.seg_counts,
+            mem_packed=result.mem_packed,
+            console=np.frombuffer(bytes(result.console), dtype=np.uint8),
+            page_index=page_index, pages=pages[page_index])
+        chunks = [_byte_planes(parts[name]) if dtype is np.int64
+                  else parts[name].tobytes() for name, dtype in _MEMBERS]
+        blob = lzma.compress(b"".join(chunks), preset=1)
         buf = io.BytesIO()
         np.savez(buf, blob=np.frombuffer(blob, dtype=np.uint8))
         manifest = {
@@ -345,24 +324,31 @@ class TraceStore:
             "num_superblocks": int(len(result.block_starts)),
             "num_segments": int(len(result.seg_ids)),
             "dynamic_instructions": int(result.dynamic_instructions),
-            "lengths": [int(parts[name].nbytes)
-                        for name, _dtype in _V2_MEMBERS],
-            "flags": [int(memory_delta), int(mem_delta_coded)],
+            "lengths": [len(chunk) for chunk in chunks],
+            "memory_bytes": len(memory),
+            "flags": [int(memory_delta)],
         }
         manifest.update(manifest_extra)
-        tmp = npz_path + ".tmp.%d" % os.getpid()
-        with open(tmp, "wb") as f:
-            f.write(buf.getvalue())
-        os.replace(tmp, npz_path)
-        tmp = man_path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-        os.replace(tmp, man_path)
+        _write_atomic(npz_path, buf.getvalue())
+        _write_atomic(man_path, json.dumps(
+            manifest, indent=1, sort_keys=True).encode())
         # the just-simulated result is the freshest decoded form there
         # is — seed the plane cache so a load right after a save (the
         # resume pattern) never pays a decode
         _plane_cache_put((os.path.abspath(self.root), key), result)
         return key
+
+
+def _write_atomic(path, data):
+    """Write ``data`` to ``path`` atomically; a failure leaves no temp file."""
+    tmp = path + ".tmp.%d" % os.getpid()
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _repo_root():
@@ -405,11 +391,7 @@ def cached_run(kind, image, runner, **manifest_extra):
     t_load = time.perf_counter()
     result = store.load(image)
     if result is not None:
-        if obs.enabled:
-            from repro.obs import metrics as obs_metrics
-
-            obs_metrics.observe("trace_store.load_seconds",
-                                time.perf_counter() - t_load)
+        _observe_seconds("trace_store.load_seconds", t_load)
         obs.counter("trace_store.hit")
         obs.counter("trace_store.hit.%s" % kind)
         # trace-level counters stay present whether warm or cold, so
@@ -421,8 +403,18 @@ def cached_run(kind, image, runner, **manifest_extra):
         result = runner()
     obs.counter("trace_store.miss")
     obs.counter("trace_store.miss.%s" % kind)
+    t_save = time.perf_counter()
     try:
-        store.save(image, result, kind=kind, **manifest_extra)
+        with obs.span("trace_store.encode", kind=kind):
+            store.save(image, result, kind=kind, **manifest_extra)
     except OSError as exc:
         print("trace store: save failed (%s)" % exc, file=sys.stderr)
+    _observe_seconds("trace_store.save_seconds", t_save)
     return result
+
+
+def _observe_seconds(name, start):
+    if obs.enabled:
+        from repro.obs import metrics as obs_metrics
+
+        obs_metrics.observe(name, time.perf_counter() - start)

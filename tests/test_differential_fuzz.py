@@ -25,6 +25,7 @@ from repro.ir import Cond, FunctionBuilder, Global, IRInterpreter, Module, Op, W
 from repro.workloads.runtime import runtime_module
 from repro.compiler import compile_arm, compile_thumb
 from repro.sim.functional import ArmSimulator, TraceStore
+from repro.sim.functional.store import clear_plane_cache
 from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.pipeline.timing import (
     TimingConfig,
@@ -163,6 +164,7 @@ def check_fast_paths(image, result, geometries):
     with tempfile.TemporaryDirectory() as root:
         store = TraceStore(root)
         store.save(image, result, kind="arm")
+        clear_plane_cache()  # else load hands back ``result`` itself
         loaded = store.load(image)
         assert loaded is not None, "trace store: saved entry did not load"
         assert_same_execution(loaded, result, "trace store")

@@ -28,6 +28,7 @@ from repro.sim.functional import planes
 from repro.sim.functional import store as store_mod
 from repro.sim.functional.store import clear_plane_cache
 from repro.workloads import get_workload
+from tests.test_trace_store import MEMORY_SHAPES, with_memory
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +155,12 @@ def _assert_lookup_matches(key, image, fresh):
 
 
 @pytest.mark.skipif(not planes.available(), reason="no shared_memory")
-def test_plane_bus_roundtrip_and_fallback(tmp_path):
+@pytest.mark.parametrize("shape", MEMORY_SHAPES)
+def test_plane_bus_roundtrip_and_fallback(tmp_path, shape):
     import gc
 
     image = compile_arm(get_workload("crc32").build_module("small"))
-    fresh = ArmSimulator(image).run()
+    fresh = with_memory(ArmSimulator(image).run(), shape)
     store = TraceStore(str(tmp_path / "ts"))
     key = store.save(image, fresh, kind="arm")
     with open(os.path.join(store.root, key + ".json")) as fh:

@@ -15,8 +15,28 @@ from repro.sim.functional import (
     code_version_hash,
     image_fingerprint,
 )
-from repro.sim.functional.store import clear_plane_cache
+from repro.sim.functional.store import PAGE, SCHEMA, clear_plane_cache
 from repro.workloads import get_workload
+
+#: final memories a stored trace must round-trip: the simulator's own,
+#: and ones that differ from the initial image only in the first page,
+#: only in the last page, or nowhere (an empty page list)
+MEMORY_SHAPES = ("run", "first-page", "last-page", "unchanged")
+
+#: stored memory-delta bytes per synthetic shape
+_STORED_PAGE_BYTES = {"first-page": PAGE, "last-page": PAGE, "unchanged": 0}
+
+
+def with_memory(result, shape):
+    """``result`` with its final memory replaced according to ``shape``."""
+    if shape != "run":
+        memory = result.image.initial_memory()
+        if shape == "first-page":
+            memory[0] ^= 0xA5
+        elif shape == "last-page":
+            memory[-1] ^= 0xA5
+        result.memory = memory
+    return result
 
 
 @pytest.fixture()
@@ -44,15 +64,52 @@ def _assert_same_result(a, b):
     assert bytes(a.memory) == bytes(b.memory)
 
 
-def test_round_trip(trace_env, crc_image):
+def _read_stored_manifest(store_root, image):
+    with open(os.path.join(store_root,
+                           image_fingerprint(image) + ".json")) as f:
+        return json.load(f)
+
+
+def _write_stored_manifest(store_root, image, manifest):
+    with open(os.path.join(store_root,
+                           image_fingerprint(image) + ".json"), "w") as f:
+        json.dump(manifest, f)
+
+
+def _assert_resimulated(store_root, image, first):
+    """The next ``cached_run`` misses, re-simulates once and leaves a
+    loadable entry equal to ``first``."""
+    clear_plane_cache()
+    calls = []
+
+    def runner():
+        calls.append(1)
+        return ArmSimulator(image).run()
+
+    again = cached_run("arm", image, runner)
+    assert calls == [1]
+    assert again.exit_code == get_workload("crc32").reference("small")
+    clear_plane_cache()
+    reloaded = TraceStore(store_root).load(image)
+    assert reloaded is not None
+    _assert_same_result(first, reloaded)
+
+
+@pytest.mark.parametrize("shape", MEMORY_SHAPES)
+def test_round_trip(trace_env, crc_image, shape):
     store = TraceStore(trace_env)
-    fresh = ArmSimulator(crc_image).run()
+    fresh = with_memory(ArmSimulator(crc_image).run(), shape)
     assert store.load(crc_image) is None
     store.save(crc_image, fresh, kind="arm")
+    clear_plane_cache()  # else load hands back ``fresh`` itself
     loaded = store.load(crc_image)
-    assert loaded is not None
+    assert loaded is not None and loaded is not fresh
     _assert_same_result(fresh, loaded)
     assert loaded.image is crc_image
+    manifest = _read_stored_manifest(trace_env, crc_image)
+    assert manifest["memory_bytes"] == len(fresh.memory)
+    if shape in _STORED_PAGE_BYTES:
+        assert manifest["lengths"][-1] == _STORED_PAGE_BYTES[shape]
 
 
 def test_cached_run_hits_and_counters(trace_env, crc_image):
@@ -76,17 +133,53 @@ def test_cached_run_hits_and_counters(trace_env, crc_image):
     assert counters.get("trace_store.hit") == 1
 
 
+def test_cached_run_observes_save_only_when_cold(trace_env, crc_image):
+    from repro.obs import metrics as obs_metrics
+
+    def observed(name):
+        hist = obs_metrics.histograms().get(name)
+        return hist.count if hist is not None else 0
+
+    was_enabled = obs.enabled
+    obs.enable()
+    mark = obs.mark()
+    saves = observed("trace_store.save_seconds")
+    loads = observed("trace_store.load_seconds")
+    try:
+        cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+        cold_saves = observed("trace_store.save_seconds") - saves
+        cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+        warm_saves = observed("trace_store.save_seconds") - saves - cold_saves
+        warm_loads = observed("trace_store.load_seconds") - loads
+        spans = obs.since(mark)["spans"]
+    finally:
+        if not was_enabled:
+            obs.disable()
+    assert (cold_saves, warm_saves, warm_loads) == (1, 0, 1)
+    assert spans["trace_store.encode"]["count"] == 1
+
+
 def test_version_mismatch_skips_entry(trace_env, crc_image, capsys):
     store = TraceStore(trace_env)
     store.save(crc_image, ArmSimulator(crc_image).run(), kind="arm")
-    man_path = os.path.join(trace_env, image_fingerprint(crc_image) + ".json")
-    with open(man_path) as f:
-        manifest = json.load(f)
+    manifest = _read_stored_manifest(trace_env, crc_image)
     manifest["code_hash"] = "deadbeef00000000"
-    with open(man_path, "w") as f:
-        json.dump(manifest, f)
+    _write_stored_manifest(trace_env, crc_image, manifest)
     assert store.load(crc_image) is None
     assert "simulator code changed" in capsys.readouterr().err
+
+
+def test_old_schema_entry_is_rewritten_in_place(trace_env, crc_image):
+    """An entry of the previous schema is a miss: it is re-simulated and
+    overwritten under the same key, leaving no orphan files."""
+    first = cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+    manifest = _read_stored_manifest(trace_env, crc_image)
+    manifest["schema"] = "repro.trace/v2"
+    _write_stored_manifest(trace_env, crc_image, manifest)
+    _assert_resimulated(trace_env, crc_image, first)
+    key = image_fingerprint(crc_image)
+    assert sorted(os.listdir(trace_env)) == [key + ".json", key + ".npz"]
+    assert _read_stored_manifest(trace_env, crc_image)["schema"] == SCHEMA
 
 
 @pytest.mark.parametrize("kept", [0.5, 0.0])
@@ -97,20 +190,53 @@ def test_torn_entry_resimulates(trace_env, crc_image, kept):
     npz_path = os.path.join(trace_env, image_fingerprint(crc_image) + ".npz")
     with open(npz_path, "r+b") as fh:
         fh.truncate(int(os.path.getsize(npz_path) * kept))
-    clear_plane_cache()
-    calls = []
+    _assert_resimulated(trace_env, crc_image, first)
 
-    def runner():
-        calls.append(1)
-        return ArmSimulator(crc_image).run()
 
-    again = cached_run("arm", crc_image, runner)
-    assert calls == [1]
-    assert again.exit_code == get_workload("crc32").reference("small")
+@pytest.mark.parametrize("defect", ["swapped-lengths", "overlong-lengths",
+                                    "page-outside-memory"])
+def test_manifest_disagreeing_with_payload_resimulates(trace_env, crc_image,
+                                                       defect):
+    """A manifest whose member lengths or memory size do not match its
+    payload is a miss, not an exception out of ``load``: the run
+    re-simulates and rewrites a loadable entry."""
+    first = cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+    manifest = _read_stored_manifest(trace_env, crc_image)
+    lengths = manifest["lengths"]
+    if defect == "swapped-lengths":
+        assert lengths[0] != lengths[-1]
+        lengths[0], lengths[-1] = lengths[-1], lengths[0]
+    elif defect == "overlong-lengths":
+        lengths[-1] += PAGE
+    else:
+        # the run's stack lives in the last page, outside a one-page memory
+        manifest["memory_bytes"] = PAGE
+    _write_stored_manifest(trace_env, crc_image, manifest)
     clear_plane_cache()
-    reloaded = TraceStore(trace_env).load(crc_image)
-    assert reloaded is not None
-    _assert_same_result(first, reloaded)
+    assert TraceStore(trace_env).load(crc_image) is None
+    _assert_resimulated(trace_env, crc_image, first)
+
+
+@pytest.mark.parametrize("failing", [".npz", ".json"])
+def test_failed_save_leaves_no_temp_file(trace_env, crc_image, monkeypatch,
+                                         capsys, failing):
+    """A write that fails (a full disk, a failed rename) is reported,
+    leaves no ``*.tmp.*`` file behind and no loadable entry."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if dst.endswith(failing):
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    result = cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+    monkeypatch.undo()
+    assert result.exit_code == get_workload("crc32").reference("small")
+    assert "save failed" in capsys.readouterr().err
+    assert [n for n in os.listdir(trace_env) if ".tmp." in n] == []
+    clear_plane_cache()
+    assert TraceStore(trace_env).load(crc_image) is None
 
 
 def test_disable_via_env(tmp_path, crc_image):
