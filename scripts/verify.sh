@@ -45,7 +45,10 @@ echo "== benchmark self-tests (layer timers still bind) =="
 python -m pytest perfbench/tests -q
 
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+# the sweep-service gate starts a server in the background: a gate that
+# fails before its clean shutdown must not leave it running
+serve_pid=
+trap '[ -z "$serve_pid" ] || kill "$serve_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 # hermetic persistent trace store for everything below (the pytest run
 # above isolates its own via tests/conftest.py)
@@ -335,6 +338,7 @@ grep -q "workers:" "$tmp/dash.txt" \
 python -m repro.serve status --socket "$tmp/serve.sock" --shutdown > /dev/null
 wait "$serve_pid" \
     || { echo "FAIL: serve exited non-zero"; cat "$tmp/serve.log"; exit 1; }
+serve_pid=
 grep -q "shut down cleanly" "$tmp/serve.log" \
     || { echo "FAIL: no clean-shutdown message"; cat "$tmp/serve.log"; exit 1; }
 

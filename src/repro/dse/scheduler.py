@@ -28,8 +28,10 @@ Progress is reported through :mod:`repro.obs` (``stage.dse.*`` spans,
 
 The same pool runs the flagship harness:
 :func:`repro.harness.runner.collect` builds one task per benchmark and
-hands them to :func:`run_tasks`, parallelizing the paper's 21-benchmark
-study with the identical isolation/retry semantics.
+hands them to :func:`run_tasks`, with the identical isolation/retry
+semantics.  Each task is a :func:`~repro.harness.runner.run_benchmark`
+call, which evaluates the paper's four configurations (the ``paper4``
+preset) through :func:`evaluate_points`, as a sweep worker would.
 """
 
 import math

@@ -10,15 +10,21 @@ Layout (one directory per sweep)::
 Results are keyed by ``(benchmark, point_id)`` where the point id is the
 point's content hash — restarting a sweep (``--resume``, the default)
 skips everything already on disk, regardless of task order, process
-crashes, or how the space was re-declared.  Every write goes through a
-same-directory temp file + ``os.replace`` so parallel workers and
-Ctrl-C can never leave a torn blob behind; a torn/garbage blob from an
-older run is treated as absent and re-evaluated.
+crashes, or how the space was re-declared.  Each blob records the result
+fingerprint of the code that computed it (:mod:`repro.fingerprint`);
+resume treats a blob from other code as pending, so it is re-evaluated
+and overwritten instead of mixing code versions in one frontier.  Every
+write goes through a same-directory temp file + ``os.replace`` so
+parallel workers and Ctrl-C can never leave a torn blob behind; a
+torn/garbage blob from an older run is treated as absent and
+re-evaluated.
 """
 
 import json
 import os
 import tempfile
+
+from repro.fingerprint import RESULT, fingerprint
 
 #: Bump when the result-blob layout changes; stale blobs are skipped
 #: (and re-evaluated) rather than misread.
@@ -40,6 +46,10 @@ def atomic_write_json(path, data):
         except OSError:
             pass
         raise
+
+
+def _current(blob):
+    return blob is not None and blob.get("fingerprint") == fingerprint(RESULT)
 
 
 class ResultStore:
@@ -85,7 +95,8 @@ class ResultStore:
     # -- results --------------------------------------------------------
 
     def has(self, benchmark, point_id):
-        return self.load(benchmark, point_id) is not None
+        """True when the point has a result computed by the current code."""
+        return _current(self.load(benchmark, point_id))
 
     def load(self, benchmark, point_id):
         """One result blob, or None when missing/torn/stale."""
@@ -134,11 +145,9 @@ class ResultStore:
             yield data
 
     def completed_keys(self):
-        """Set of ``(benchmark, point_id)`` pairs with a valid result."""
-        done = set()
-        for data in self.iter_results():
-            done.add((data["benchmark"], data["point"]["id"]))
-        return done
+        """``(benchmark, point_id)`` pairs with a current-code result."""
+        return {(data["benchmark"], data["point"]["id"])
+                for data in self.iter_results() if _current(data)}
 
     def to_trajectory_records(self, commit=None, scale=None, names=None):
         """Bridge this sweep's results into metrics-trajectory records.

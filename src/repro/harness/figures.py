@@ -158,7 +158,7 @@ def fig10(data):
 
 def fig11(data):
     return _component_saving(
-        data, "total_j", "Figure 11", "total I-cache power saving (%)",
+        data, "icache_energy_j", "Figure 11", "total I-cache power saving (%)",
         "47 % FITS8 > 27 % ARM8 > 18 % FITS16 average",
     )
 

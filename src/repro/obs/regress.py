@@ -206,8 +206,9 @@ def records_from_summary(summary, commit):
 
     One record per paper configuration (ARM16/ARM8/FITS16/FITS8), each
     keyed by the configuration's DesignPoint content hash and carrying
-    the per-config metric vector plus the benchmark-level code-size and
-    mapping metrics (which the DSE path cannot supply).
+    the per-config metric vector (already under the canonical DSE names)
+    plus the benchmark-level code-size and mapping metrics (which a DSE
+    blob does not carry).
     """
     from repro.dse.space import DesignPoint
     from repro.harness.runner import CONFIGS
@@ -222,10 +223,6 @@ def records_from_summary(summary, commit):
         if config is None:
             continue
         metrics = dict(config)
-        # harness name → canonical (DSE) name
-        metrics["icache_energy_j"] = metrics.pop("total_j", None)
-        metrics["code_size"] = (data["arm_code_size"] if isa == "arm"
-                                else data["fits_code_size"])
         metrics["arm_code_size"] = data["arm_code_size"]
         metrics["thumb_code_size"] = data["thumb_code_size"]
         metrics["fits_code_size"] = data["fits_code_size"]

@@ -10,9 +10,9 @@ overlapping sweeps pay for the union of their design points once:
   are sharded across the existing DSE worker pool
   (:func:`repro.dse.scheduler.run_tasks`);
 * :mod:`repro.serve.cache` — global content-addressed result cache
-  keyed on the sha256[:12] DesignPoint ids + benchmark + scale + code
-  fingerprints, with single-flight so two concurrent jobs never
-  compute the same point twice;
+  keyed on the sha256[:12] DesignPoint ids + benchmark + scale + the
+  result fingerprint (:mod:`repro.fingerprint`), with single-flight so
+  two concurrent jobs never compute the same point twice;
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.api` — newline-
   delimited JSON over a local socket; per-point events carry monotonic
   sequence numbers, making every stream resumable;
@@ -33,7 +33,7 @@ Typical use::
 """
 
 from repro.serve.api import JOB_STATES, Job, validate_submit
-from repro.serve.cache import GlobalResultCache, SingleFlight, fingerprints
+from repro.serve.cache import GlobalResultCache, SingleFlight
 from repro.serve.client import ServeClient, ServeError, wait_until_up
 from repro.serve.protocol import PROTOCOL, ProtocolError, parse_address
 from repro.serve.server import ServeServer, default_socket_path
@@ -49,7 +49,6 @@ __all__ = [
     "ServeServer",
     "SingleFlight",
     "default_socket_path",
-    "fingerprints",
     "parse_address",
     "validate_submit",
     "wait_until_up",

@@ -3,17 +3,17 @@
 Every completed design-point evaluation is published here under a key
 derived from *what was evaluated*, not which job asked for it:
 
-    sha256(benchmark | point_id | scale | sim_code | result_code)
+    sha256(schema | benchmark | point_id | scale | fingerprint)
 
 ``point_id`` is the existing sha256[:12] content hash of the
 :class:`~repro.dse.space.DesignPoint` (so the key inherits every design
-axis), ``sim_code`` is the persistent trace store's fingerprint over
-the functional-simulator sources, and ``result_code`` hashes the
-result-producing layers on top of them (evaluation, timing, stack
-kernel, cache/power models).  Two jobs sweeping overlapping spaces
-therefore pay for the union of their points exactly once — and a code
-change to any layer that could alter a metric silently invalidates the
-whole cache rather than serving stale numbers.
+axis), and ``fingerprint`` is the result fingerprint
+(:data:`repro.fingerprint.RESULT`): a hash over the source of every
+layer from the workload and the front end through the simulators to
+the timing, cache and power models.  Two jobs sweeping overlapping
+spaces therefore pay for the union of their points exactly once — and a
+code change to any layer that could alter a metric silently invalidates
+the whole cache rather than serving stale numbers.
 
 Writes are atomic (same-directory temp + ``os.replace``, via the DSE
 store's helper) and torn/stale entries read as misses, so many server
@@ -26,55 +26,15 @@ claimants await the same future.
 """
 
 import hashlib
-import importlib
 import os
 
 from repro.dse.store import atomic_write_json
+from repro.fingerprint import RESULT, fingerprint
 from repro.obs import core as obs_core
 from repro.obs import metrics as obs_metrics
-from repro.sim.functional.store import code_version_hash
 
 #: Bump when the cache entry layout (or key recipe) changes.
-CACHE_SCHEMA = "repro.serve.cache/v1"
-
-#: Modules whose source text participates in the result-layer
-#: fingerprint: everything between a functional trace and a metrics
-#: dict.  The functional simulators themselves are covered by the trace
-#: store's :func:`code_version_hash`, which is hashed alongside.
-_RESULT_MODULES = (
-    "repro.dse.evaluate",
-    "repro.dse.space",
-    "repro.sim.pipeline.timing",
-    "repro.sim.pipeline.meta",
-    "repro.sim.cache.model",
-    "repro.sim.cache.stack",
-    "repro.power.cache_power",
-    "repro.power.technology",
-)
-
-_result_hash = None
-
-
-def result_code_hash():
-    """Content hash over the result-producing sources (memoized)."""
-    global _result_hash
-    if _result_hash is None:
-        h = hashlib.sha256()
-        for name in _RESULT_MODULES:
-            h.update(name.encode())
-            path = importlib.import_module(name).__file__
-            try:
-                with open(path, "rb") as fh:
-                    h.update(fh.read())
-            except OSError:
-                h.update(b"<missing>")
-        _result_hash = h.hexdigest()[:16]
-    return _result_hash
-
-
-def fingerprints():
-    """The code-version fingerprints baked into every cache key."""
-    return {"sim_code": code_version_hash(), "result_code": result_code_hash()}
+CACHE_SCHEMA = "repro.serve.cache/v2"
 
 
 class GlobalResultCache:
@@ -85,13 +45,13 @@ class GlobalResultCache:
     directory.
     """
 
-    def __init__(self, root, prints=None):
+    def __init__(self, root, code=None):
         self.root = os.path.expanduser(root)
-        self.prints = dict(prints) if prints is not None else fingerprints()
+        self.code = code if code is not None else fingerprint(RESULT)
 
     def key(self, benchmark, point_id, scale):
         payload = "|".join([CACHE_SCHEMA, benchmark, point_id, scale,
-                            self.prints["sim_code"], self.prints["result_code"]])
+                            self.code])
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
     def path(self, key):
@@ -115,7 +75,7 @@ class GlobalResultCache:
             return None
         if entry.get("schema") != CACHE_SCHEMA:
             return None
-        if entry.get("fingerprints") != self.prints:
+        if entry.get("fingerprint") != self.code:
             return None  # key collision can't happen, but belt and braces
         blob = entry.get("result")
         if (not isinstance(blob, dict) or blob.get("benchmark") != benchmark
@@ -132,7 +92,7 @@ class GlobalResultCache:
             "benchmark": benchmark,
             "point_id": point_id,
             "scale": scale,
-            "fingerprints": self.prints,
+            "fingerprint": self.code,
             "result": blob,
         })
         return key

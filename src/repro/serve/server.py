@@ -172,11 +172,10 @@ class ServeServer:
     def compute_store(self, scale):
         """The crash-safe worker store for one (scale, code fingerprint).
 
-        Keyed by the same fingerprints as the global cache, so a server
+        Keyed by the same fingerprint as the global cache, so a server
         restarted across a code change never trusts stale worker blobs.
         """
-        tag = "%s-%s%s" % (scale, self.cache.prints["sim_code"][:8],
-                           self.cache.prints["result_code"][:8])
+        tag = "%s-%s" % (scale, self.cache.code)
         return ResultStore(os.path.join(self.state_dir, "compute", tag))
 
     # -- bookkeeping ----------------------------------------------------

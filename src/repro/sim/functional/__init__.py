@@ -13,7 +13,6 @@ from repro.sim.functional.arm_sim import ArmSimulator, SimulationError
 from repro.sim.functional.store import (
     TraceStore,
     cached_run,
-    code_version_hash,
     get_store,
     image_fingerprint,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "SimulationError",
     "TraceStore",
     "cached_run",
-    "code_version_hash",
     "get_store",
     "image_fingerprint",
 ]

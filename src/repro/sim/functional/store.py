@@ -15,9 +15,10 @@ Keying and versioning:
   stream, data segment, layout constants) — *not* by benchmark name, so
   e.g. the identical ARM image simulated once per synthesis budget in
   ``fits_flow`` is fetched from the store after its first run;
-* the manifest records a code-version hash over the functional-simulator
-  sources; on mismatch the entry is skipped with a warning so stale
-  traces can never leak across simulator changes.
+* the manifest records the simulator fingerprint
+  (:data:`repro.fingerprint.SIMULATOR`: the functional simulators and
+  the ISA models); on mismatch the entry is skipped with a warning so
+  stale traces can never leak across simulator changes.
 
 Writes are atomic (temp file + ``os.replace``), and the ``.npz``
 payload lands before its manifest — a missing manifest means the entry
@@ -37,6 +38,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.fingerprint import SIMULATOR, fingerprint
 from repro.obs import core as obs
 from repro.sim.functional.trace import ExecutionResult, publish_result
 
@@ -80,36 +82,6 @@ def _from_byte_planes(raw):
     n = len(raw) // 8
     planes = np.frombuffer(raw, dtype=np.uint8).reshape(8, n).T
     return np.ascontiguousarray(planes).view(np.int64).ravel()
-
-#: modules whose source text participates in the code-version hash —
-#: anything that could change what a functional simulation produces.
-_VERSIONED_MODULES = (
-    "repro.sim.functional.trace",
-    "repro.sim.functional.engine",
-    "repro.sim.functional.arm_sim",
-    "repro.sim.functional.thumb_sim",
-    "repro.sim.functional.fits_sim",
-)
-
-_code_hash = None
-
-
-def code_version_hash():
-    """Content hash over the functional-simulator sources (memoized)."""
-    global _code_hash
-    if _code_hash is None:
-        h = hashlib.sha256()
-        base = os.path.dirname(os.path.abspath(__file__))
-        for mod in _VERSIONED_MODULES:
-            path = os.path.join(base, mod.rsplit(".", 1)[1] + ".py")
-            h.update(mod.encode())
-            try:
-                with open(path, "rb") as f:
-                    h.update(f.read())
-            except OSError:
-                h.update(b"<missing>")
-        _code_hash = h.hexdigest()[:16]
-    return _code_hash
 
 
 def image_fingerprint(image):
@@ -180,12 +152,12 @@ def _read_manifest(man_path, warn=True):
         return None
     if manifest.get("schema") != SCHEMA:
         return None
-    if manifest.get("code_hash") != code_version_hash():
+    if manifest.get("code_hash") != fingerprint(SIMULATOR):
         if warn:
             print(
                 "trace store: skipping %s (simulator code changed: %s != %s)"
                 % (manifest.get("image_hash"), manifest.get("code_hash"),
-                   code_version_hash()),
+                   fingerprint(SIMULATOR)),
                 file=sys.stderr,
             )
         return None
@@ -255,8 +227,8 @@ class TraceStore:
     def load(self, image):
         """The stored :class:`ExecutionResult` for ``image``, or None.
 
-        Returns None when the entry is absent or was produced by a
-        different simulator code version (skip-and-warn).  Decoded
+        Returns None when the entry is absent or was produced under a
+        different simulator fingerprint (skip-and-warn).  Decoded
         planes come from, in order: the in-process plane cache, an
         attached shared-memory plane segment published by the sweep
         coordinator, and finally the ``.npz`` on disk.
@@ -264,7 +236,7 @@ class TraceStore:
         key = image_fingerprint(image)
         npz_path, man_path = self._paths(key)
         # the manifest check stays on every load — it is what makes
-        # code-version invalidation and entry deletion observable; the
+        # fingerprint invalidation and entry deletion observable; the
         # plane cache only skips the expensive lzma decode
         manifest = _read_manifest(man_path)
         if manifest is None:
@@ -317,7 +289,7 @@ class TraceStore:
         manifest = {
             "schema": SCHEMA,
             "image_hash": key,
-            "code_hash": code_version_hash(),
+            "code_hash": fingerprint(SIMULATOR),
             "image_name": getattr(image, "name", "?"),
             "exit_code": int(result.exit_code),
             "num_runs": int(result.num_runs),

@@ -28,6 +28,7 @@ class Workload:
         self.category = category
         self._build = build
         self._reference = reference
+        self._checksums = {}  # scale → reference checksum
         self.description = description
 
     def build_module(self, scale="full"):
@@ -41,10 +42,16 @@ class Workload:
         return module
 
     def reference(self, scale="full"):
-        """Expected 32-bit exit checksum for the given scale."""
+        """Expected 32-bit exit checksum for the given scale.
+
+        Computed once per scale, since every simulated ISA of the
+        benchmark is checked against it.
+        """
         if scale not in self.SCALES:
             raise WorkloadError("unknown scale %r (use one of %s)" % (scale, self.SCALES))
-        return self._reference(scale) & 0xFFFFFFFF
+        if scale not in self._checksums:
+            self._checksums[scale] = self._reference(scale) & 0xFFFFFFFF
+        return self._checksums[scale]
 
     def __repr__(self):
         return "<Workload %s (%s)>" % (self.name, self.category)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.harness import collect, run_benchmark, FIGURES, CONFIGS
 from repro.harness.runner import BenchmarkSummary
+from tests.oracles import paper_configs
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +34,20 @@ def test_summary_is_json_serializable(small_data):
         json.dumps(s.data)
 
 
+@pytest.mark.parametrize("name", ["crc32", "sha", "dijkstra"])
+def test_paper_configs_match_oracle(name):
+    """The harness's four configs, computed through ``dse.evaluate``,
+    equal the per-access oracle field for field, bit for bit."""
+    configs = run_benchmark(name, "small")["configs"]
+    expected = paper_configs(name, "small")
+    assert set(configs) == set(expected)
+    for label, fields in expected.items():
+        assert configs[label] == fields, label
+
+
 def test_saving_helper(small_data):
     s = small_data["crc32"]
-    assert s.saving("ARM16", "total_j") == 0.0
+    assert s.saving("ARM16", "icache_energy_j") == 0.0
     assert s.saving("ARM8", "leakage_j") > 0.3
 
 

@@ -207,22 +207,27 @@ def test_cache_stats_and_publish():
 
 
 @pytest.fixture()
-def cache_env(tmp_path):
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path)
-    try:
-        yield tmp_path
-    finally:
-        os.environ.pop("REPRO_CACHE_DIR", None)
+def cache_env(tmp_path, monkeypatch):
+    """An empty summary cache and a cold in-process functional memo, so
+    a run's manifest covers every stage whatever ran before it."""
+    from collections import OrderedDict
+
+    from repro.dse import evaluate
+
+    monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
+    monkeypatch.setattr(evaluate, "_FUNC_GROUPS", OrderedDict())
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    return tmp_path
 
 
 def test_manifest_matches_cache_model_totals(cache_env):
+    from repro.fingerprint import RESULT, fingerprint
     from repro.harness import collect, CONFIGS
-    from repro.harness.runner import CACHE_VERSION
 
     data = collect(scale="small", names=["crc32"])
     summary = data["crc32"]
     manifest = summary.manifest
-    assert manifest["cache_version"] == CACHE_VERSION
+    assert manifest["fingerprint"] == fingerprint(RESULT)
     assert manifest["schema"] == obs.SCHEMA_VERSION
     assert manifest["wall_seconds"] > 0
 
@@ -253,7 +258,10 @@ def test_manifest_matches_cache_model_totals(cache_env):
     assert counters["translate.one_to_one"] > counters["translate.one_to_n"]
 
 
-def test_stale_cache_blob_recomputed_with_warning(cache_env, capsys):
+def test_stale_cache_blob_recomputed(cache_env):
+    """A summary computed by other code (another result fingerprint) is
+    a miss: it is recomputed and rewritten, never served."""
+    from repro.fingerprint import RESULT, fingerprint
     from repro.harness import collect
 
     first = collect(scale="small", names=["crc32"])
@@ -261,17 +269,15 @@ def test_stale_cache_blob_recomputed_with_warning(cache_env, capsys):
     assert path.exists()
 
     blob = json.loads(path.read_text())
-    blob["manifest"]["cache_version"] = -1
+    blob["manifest"]["fingerprint"] = "0" * 16
     blob["static_mapping"] = 0.0  # poison: must not survive the reload
     path.write_text(json.dumps(blob))
 
     second = collect(scale="small", names=["crc32"])
-    err = capsys.readouterr().err
-    assert "stale benchmark cache" in err
     assert second["crc32"]["static_mapping"] == first["crc32"]["static_mapping"]
     # the recomputed blob was rewritten with current provenance
     refreshed = json.loads(path.read_text())
-    assert refreshed["manifest"]["cache_version"] != -1
+    assert refreshed["manifest"]["fingerprint"] == fingerprint(RESULT)
 
 
 def test_cache_dir_independent_of_cwd(tmp_path, monkeypatch):

@@ -124,7 +124,10 @@ def test_records_from_summary_maps_canonical_names():
         "static_mapping": 0.96, "dynamic_mapping": 0.97,
         "manifest": {"wall_seconds": 1.5,
                      "stages": {"simulate": {"count": 4, "seconds": 1.0}}},
-        "configs": {label: {"total_j": 2.0, "ipc": 0.9, "switching_w": 1.0}
+        "configs": {label: {"icache_energy_j": 2.0, "ipc": 0.9,
+                            "switching_w": 1.0,
+                            "code_size": 1000 if label.startswith("ARM")
+                            else 570}
                     for label in POINT_IDS},
     }
     records = records_from_summary(summary, "c1")
@@ -134,7 +137,6 @@ def test_records_from_summary_maps_canonical_names():
     arm16 = by_label["ARM16"]
     assert arm16["point_id"] == POINT_IDS["ARM16"]
     assert arm16["metrics"]["icache_energy_j"] == 2.0
-    assert "total_j" not in arm16["metrics"]
     assert arm16["metrics"]["code_size"] == 1000
     assert by_label["FITS8"]["metrics"]["code_size"] == 570
     assert arm16["metrics"]["thumb_code_size"] == 670
@@ -313,12 +315,8 @@ def test_cli_record_check_diff_round_trip(tmp_path, capsys):
         "static_mapping": 0.96, "dynamic_mapping": 0.96,
         "manifest": {"wall_seconds": 1.0,
                      "stages": {"simulate": {"count": 4, "seconds": 0.5}}},
-        "configs": {label: dict(GOLDEN_METRICS[label],
-                                total_j=GOLDEN_METRICS[label]["icache_energy_j"])
-                    for label in POINT_IDS},
+        "configs": {label: dict(GOLDEN_METRICS[label]) for label in POINT_IDS},
     }
-    for label in POINT_IDS:  # records_from_summary pops icache_energy_j source
-        del summary["configs"][label]["icache_energy_j"]
     with open(str(cache / "synth-small.json"), "w") as fh:
         json.dump(summary, fh)
     hist = str(tmp_path / "trajectory.jsonl")

@@ -20,6 +20,7 @@ from repro.dse import scheduler
 from repro.dse.scheduler import run_tasks, sweep
 from repro.dse.space import DesignSpace, preset
 from repro.dse.store import RESULT_SCHEMA, ResultStore
+from repro.fingerprint import RESULT, fingerprint
 
 BENCH = "crc32"
 
@@ -215,6 +216,7 @@ def _scripted_evaluator(log, crash_after=None):
                 "benchmark": benchmark,
                 "scale": scale,
                 "point": point.to_dict(),
+                "fingerprint": fingerprint(RESULT),
                 "metrics": {"icache_energy_j": 1.0},
                 "manifest": {},
             }, None
@@ -271,6 +273,7 @@ def test_point_failure_is_recorded_and_survives_retries(tmp_path,
             yield point, {
                 "schema": RESULT_SCHEMA, "benchmark": benchmark,
                 "scale": scale, "point": point.to_dict(),
+                "fingerprint": fingerprint(RESULT),
                 "metrics": {"icache_energy_j": 1.0}, "manifest": {},
             }, None
 

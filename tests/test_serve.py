@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.dse.space import DesignPoint, DesignSpace, preset
+from repro.fingerprint import RESULT, fingerprint
 from repro.serve import api, protocol
 from repro.serve.cache import CACHE_SCHEMA, GlobalResultCache, SingleFlight
 from repro.serve.client import ServeClient, ServeError, backoff_seconds
@@ -38,6 +39,7 @@ def make_blob(benchmark, point, scale, energy=1.0):
         "benchmark": benchmark,
         "scale": scale,
         "point": point.to_dict(),
+        "fingerprint": fingerprint(RESULT),
         "metrics": {"icache_energy_j": energy * (point.icache_bytes / 8192.0),
                     "miss_rate": 0.01},
         "manifest": {},
@@ -91,17 +93,15 @@ def client_for(server, **kwargs):
 
 
 def test_cache_key_covers_every_input(tmp_path):
-    prints = {"sim_code": "s" * 16, "result_code": "r" * 16}
-    cache = GlobalResultCache(str(tmp_path), prints=prints)
+    cache = GlobalResultCache(str(tmp_path), code="r" * 16)
     base = cache.key("crc32", "a" * 12, "small")
     assert base == cache.key("crc32", "a" * 12, "small")  # deterministic
     assert base != cache.key("sha", "a" * 12, "small")
     assert base != cache.key("crc32", "b" * 12, "small")
     assert base != cache.key("crc32", "a" * 12, "full")
-    other = GlobalResultCache(str(tmp_path),
-                              prints={"sim_code": "x" * 16,
-                                      "result_code": "r" * 16})
+    other = GlobalResultCache(str(tmp_path), code="x" * 16)
     assert base != other.key("crc32", "a" * 12, "small")
+    assert GlobalResultCache(str(tmp_path)).code == fingerprint(RESULT)
 
 
 def test_cache_roundtrip_and_misses(tmp_path):
@@ -121,9 +121,7 @@ def test_cache_roundtrip_and_misses(tmp_path):
 
     # a fingerprint change (code change) invalidates without deleting
     cache.put("crc32", point.point_id, "small", blob)
-    stale = GlobalResultCache(cache.root,
-                              prints={"sim_code": "0" * 16,
-                                      "result_code": "0" * 16})
+    stale = GlobalResultCache(cache.root, code="0" * 16)
     assert stale.get("crc32", point.point_id, "small") is None
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_arm
+from repro.fingerprint import SIMULATOR, fingerprint
 from repro.obs import core as obs
 from repro.sim.functional import (
     ArmSimulator,
     TraceStore,
     cached_run,
-    code_version_hash,
     image_fingerprint,
 )
 from repro.sim.functional.store import PAGE, SCHEMA, clear_plane_cache
@@ -255,4 +255,4 @@ def test_fingerprint_sensitive_to_code(crc_image):
     assert key == image_fingerprint(crc_image)
     other = compile_arm(get_workload("sha").build_module("small"))
     assert image_fingerprint(other) != key
-    assert len(code_version_hash()) == 16
+    assert len(fingerprint(SIMULATOR)) == 16
