@@ -15,9 +15,11 @@
 # 5. Cross-process trace gate: a --jobs 2 sweep under REPRO_OBS must
 #    export as ONE parent-linked Perfetto trace (every worker span's
 #    trace_id/parent_id resolves to the coordinator's root span).
-# 6. Block-profiler smoke: REPRO_PROFILE on a crc32 run must attribute
-#    >= 1 compiled superblock with nonzero units/wall time, and
-#    `profile top --stable` must be deterministic across two runs.
+# 6. Block-profiler smoke: REPRO_PROFILE on a cold crc32 collect must
+#    attribute every simulation, the FITS flow's included, to crc32 for
+#    each of the three ISAs, with >= 1 compiled superblock of nonzero
+#    units/wall time, and `profile top --stable` must be deterministic
+#    across two runs.
 # 7. Sweep-service gate: a live `repro.serve` server must dedupe two
 #    overlapping sweeps through the global cache (hit counter > 0),
 #    stream bit-identical metrics to the direct dse sweep, survive a
@@ -195,17 +197,13 @@ python -m repro.obs.report --jsonl "$tmp/sweep-spans.jsonl" --top-spans 5 \
 grep -q "p95" "$tmp/top-spans.txt" \
     || { echo "FAIL: --top-spans report missing percentile columns"; exit 1; }
 
-echo "== block profiler smoke (crc32, two runs, deterministic) =="
+echo "== block profiler smoke (crc32 collect, two cold runs, deterministic) =="
 for n in 1 2; do
-    REPRO_PROFILE="jsonl:$tmp/prof$n.jsonl" python - <<'EOF'
-from repro.compiler import compile_arm
-from repro.obs import profile
-from repro.sim.functional import ArmSimulator
-from repro.workloads import get_workload
+    REPRO_PROFILE="jsonl:$tmp/prof$n.jsonl" REPRO_CACHE_DIR="$tmp/prof-cache$n" \
+        REPRO_TRACE_CACHE="$tmp/prof-store$n" python - <<'EOF'
+from repro.harness.runner import collect
 
-image = compile_arm(get_workload("crc32").build_module("small"))
-with profile.run_context(benchmark="crc32", scale="small"):
-    ArmSimulator(image).run()
+collect(scale="small", names=["crc32"])
 EOF
 done
 python -m repro.obs.profile top --profile "$tmp/prof1.jsonl" \
@@ -216,7 +214,12 @@ python - "$tmp/prof1.jsonl" <<'EOF'
 import sys
 from repro.obs.profile import aggregate, load_records
 
-groups = aggregate(load_records(sys.argv[1]))
+records = load_records(sys.argv[1])
+unattributed = [r["isa"] for r in records if r.get("benchmark") != "crc32"]
+assert not unattributed, "runs not attributed to crc32: %s" % unattributed
+groups = aggregate(records)
+assert sorted(groups) == [("crc32", isa) for isa in ("arm", "fits", "thumb")], \
+    sorted(groups)
 rows = groups[("crc32", "arm")].values()
 compiled = [r for r in rows if r["compiled"]]
 assert compiled, "no compiled superblocks attributed"

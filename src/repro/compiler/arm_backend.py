@@ -9,6 +9,14 @@ The output is a :class:`FunctionCode` whose instruction list still
 contains two kinds of link-time placeholders: ``bl`` targets (function
 addresses) and global-address ``mov``/``orr`` pairs (data addresses).
 Intra-function branches are resolved here.
+
+Every emitted instruction records its *origin*: the IR block it was
+lowered from, ``"prologue"`` or ``"epilogue"``, or ``(label, "else")``
+for the final ``B`` of a two-way conditional branch, which runs only on
+the not-taken edge.  All instructions of one origin execute equally
+often under any register budget (calls return into the block that made
+them), which lets the FITS flow read every budget's execution counts off
+one simulated compile.
 """
 
 from repro.ir.ops import Op, Cond as ICond
@@ -112,6 +120,8 @@ class FunctionCode:
         #: 'ga_hi'/'ga_lo' → payload (rd, symbol).
         self.relocs = []
         self.block_offsets = {}
+        #: origin of each instruction (see the module docstring)
+        self.origins = []
 
     def __len__(self):
         return len(self.instrs)
@@ -136,12 +146,14 @@ class _Selector:
             spill_words += 1  # keep sp 8-byte aligned
         self.spill_bytes = 4 * spill_words
         self.slot_offset = {k: 4 * k for k in range(n_slots)}
+        self.origin = "prologue"
 
     # ------------------------------------------------------------------
     # emission helpers
 
     def emit(self, instr):
         self.code.instrs.append(instr)
+        self.code.origins.append(self.origin)
 
     def loc(self, vreg):
         return self.alloc.location(vreg)
@@ -193,9 +205,11 @@ class _Selector:
         next_of = {order[i]: order[i + 1] if i + 1 < len(order) else None for i in range(len(order))}
         for blk in self.func.blocks:
             self.code.block_offsets[blk.label] = len(self.code.instrs)
+            self.origin = blk.label
             for ins in blk.instrs:
                 self.select(ins, next_of[blk.label])
         self.code.block_offsets[self.epilogue_label] = len(self.code.instrs)
+        self.origin = "epilogue"
         self.epilogue()
         self.fix_branches()
         return self.code
@@ -492,7 +506,10 @@ class _Selector:
             self.branch_to(ins.if_false, INVERT[cond])
         else:
             self.branch_to(ins.if_true, cond)
+            label = self.origin
+            self.origin = (label, "else")
             self.branch_to(ins.if_false)
+            self.origin = label
 
     def sel_call(self, ins):
         moves = []
@@ -546,4 +563,5 @@ def make_start_stub(entry):
     code.relocs.append((0, "bl", entry))
     code.instrs.append(Branch(0, link=True))
     code.instrs.append(Swi(0))
+    code.origins = ["prologue", "prologue"]
     return code

@@ -46,18 +46,24 @@ class Image:
         code_base / data_base: segment start addresses.
         symbols: function name → entry byte address.
         func_of_index: function name owning each instruction index.
+        origin_of_index: ``(function, origin)`` of each instruction
+            index, the origin being the IR block it was lowered from
+            (see :mod:`repro.compiler.arm_backend`); None for an image
+            not compiled from IR.
         global_addr: global name → byte address.
         data_bytes: initialized data segment contents.
         entry: name of the application entry function.
     """
 
-    def __init__(self, name, words, instrs, symbols, func_of_index, global_addr, data_bytes, data_base, entry):
+    def __init__(self, name, words, instrs, symbols, func_of_index, global_addr, data_bytes,
+                 data_base, entry, origin_of_index=None):
         self.name = name
         self.words = words
         self.instrs = instrs
         self.code_base = CODE_BASE
         self.symbols = dict(symbols)
         self.func_of_index = func_of_index
+        self.origin_of_index = origin_of_index
         self.global_addr = dict(global_addr)
         self.data_base = data_base
         self.data_bytes = data_bytes
@@ -159,6 +165,7 @@ def _link_arm(module, entry, callee_saved):
     # relocation
     instrs = []
     func_of_index = []
+    origin_of_index = []
     for code in codes:
         base = func_addr[code.name]
         for index, kind, payload in code.relocs:
@@ -187,6 +194,7 @@ def _link_arm(module, entry, callee_saved):
                 raise LinkError("unknown reloc kind %r" % kind)
         instrs.extend(code.instrs)
         func_of_index.extend([code.name] * len(code.instrs))
+        origin_of_index.extend((code.name, origin) for origin in code.origins)
 
     words = [ins.encode() for ins in instrs]
     if obs.enabled:
@@ -199,6 +207,7 @@ def _link_arm(module, entry, callee_saved):
         instrs=instrs,
         symbols=func_addr,
         func_of_index=func_of_index,
+        origin_of_index=origin_of_index,
         global_addr=global_addr,
         data_bytes=bytes(data),
         data_base=data_start,

@@ -8,7 +8,19 @@ synthesize stage").  A tighter register budget keeps every hot register
 inside the 3-bit field range but costs spill instructions; the flow
 translates under each budget and keeps the cheapest total
 (static + dynamic fetched halfwords).
+
+Only the unrestricted compile (the *baseline*) is simulated on ARM.
+Every budget compiles the same IR, so they share its control flow:
+spill code and prologues change what an IR block lowers to, not how
+often it runs.  The linker tags each instruction with its origin (the
+IR block it was lowered from, see :mod:`repro.compiler.arm_backend`);
+the baseline's execution counts, folded onto origins, are read back
+through each budget image's own origins.  A budget image with an origin
+the baseline lacks (a block that lowers to nothing at the baseline) is
+simulated instead.  Only the kept FITS image runs on the FITS simulator.
 """
+
+import numpy as np
 
 from repro.compiler.link import link_arm
 from repro.obs import core as obs
@@ -25,7 +37,12 @@ DEFAULT_BUDGETS = ((4, 5), (4, 5, 6), (4, 5, 6, 7), None)
 
 
 class FitsFlowResult:
-    """Everything the experiments need from one application's FITS flow."""
+    """Everything the experiments need from one application's FITS flow.
+
+    ``arm_result`` is the baseline (unrestricted) ARM run, the one the
+    FITS exit code is checked against; the kept budget's execution
+    counts are ``profile.exec_counts``.
+    """
 
     def __init__(self, budget, arm_image, arm_result, profile, synthesis, fits_result):
         self.budget = budget
@@ -46,7 +63,7 @@ class FitsFlowResult:
 
     @property
     def dynamic_mapping(self):
-        return self.fits_image.dynamic_mapping_rate(self.arm_result.exec_counts())
+        return self.fits_image.dynamic_mapping_rate(self.profile.exec_counts)
 
     def __repr__(self):
         return "<FitsFlowResult budget=%r k=(%d,%d) static=%.3f dynamic=%.3f>" % (
@@ -64,7 +81,32 @@ def _fits_cost(synthesis, exec_counts):
     dynamic = 0
     for idx, n in enumerate(image.unit_size):
         dynamic += int(exec_counts[idx]) * n
-    return len(image.halfwords) + dynamic
+    return len(image.records) + dynamic
+
+
+def origin_counts(image, exec_counts):
+    """Execution counts of ``image`` folded onto ``(function, origin)``.
+
+    A function without a prologue instruction (a frameless leaf) gets
+    its epilogue's count as its prologue count, since it runs once per
+    call too.
+    """
+    counts = dict(zip(image.origin_of_index, exec_counts.tolist()))
+    for func, origin in list(counts):
+        if origin == "epilogue":
+            counts.setdefault((func, "prologue"), counts[func, origin])
+    return counts
+
+
+def project_counts(image, counts):
+    """Per-instruction execution counts of ``image`` read from
+    :func:`origin_counts` of another compile of the same IR, or None
+    when ``image`` has an origin that compile lacks."""
+    try:
+        return np.array([counts[origin] for origin in image.origin_of_index],
+                        dtype=np.int64)
+    except KeyError:
+        return None
 
 
 def fits_flow(module, entry="main", budgets=DEFAULT_BUDGETS, config=None,
@@ -74,25 +116,37 @@ def fits_flow(module, entry="main", budgets=DEFAULT_BUDGETS, config=None,
     The FITS binary is executed to completion on the FITS simulator so
     the caller gets a validated trace, not just a translation.
     """
+    baseline = link_arm(module, entry=entry)
+    arm_result = cached_run(
+        "arm", baseline,
+        ArmSimulator(baseline, max_instructions=max_instructions).run)
+    by_origin = origin_counts(baseline, arm_result.exec_counts())
     attempts = []
     for budget in budgets:
         with obs.span("flow.attempt", module=module.name,
                       budget=list(budget) if budget else None):
-            arm_image = link_arm(module, entry=entry, callee_saved=budget)
-            arm_result = cached_run(
-                "arm", arm_image,
-                ArmSimulator(arm_image, max_instructions=max_instructions).run)
-            profile = ArmProfile.from_execution(arm_image, arm_result)
+            if budget is None:
+                arm_image, counts = baseline, arm_result.exec_counts()
+            else:
+                arm_image = link_arm(module, entry=entry, callee_saved=budget)
+                counts = project_counts(arm_image, by_origin)
+            if counts is None:
+                obs.counter("flow.budget_simulations")
+                counts = cached_run(
+                    "arm", arm_image,
+                    ArmSimulator(arm_image, max_instructions=max_instructions).run,
+                ).exec_counts()
+            profile = ArmProfile.from_execution(arm_image, counts)
             synthesis = synthesize(profile, config)
-            cost = _fits_cost(synthesis, arm_result.exec_counts())
-            mapping = synthesis.image.dynamic_mapping_rate(arm_result.exec_counts())
+            cost = _fits_cost(synthesis, counts)
+            mapping = synthesis.image.dynamic_mapping_rate(counts)
         obs.counter("flow.attempts")
-        attempts.append((cost, mapping, budget, arm_image, arm_result, profile, synthesis))
+        attempts.append((cost, mapping, budget, arm_image, profile, synthesis))
     # minimize fetched halfwords, but within a 10 % cost band prefer the
     # attempt with the best dynamic mapping (the paper's headline metric)
     min_cost = min(a[0] for a in attempts)
     eligible = [a for a in attempts if a[0] <= 1.10 * min_cost]
-    _cost, _mapping, budget, arm_image, arm_result, profile, synthesis = max(
+    _cost, _mapping, budget, arm_image, profile, synthesis = max(
         eligible, key=lambda a: a[1]
     )
     if obs.enabled:

@@ -53,27 +53,25 @@ class ArmProfile:
 
     @classmethod
     def from_execution(cls, image, result):
-        """Profile an image using a completed functional simulation."""
-        with obs.span("stage.profile", image=image.name, mode="dynamic"):
-            uses = [
-                classify(instr, index=i, image=image)
-                for i, instr in enumerate(image.instrs)
-            ]
-            profile = cls(image, uses, result.exec_counts())
-        if obs.enabled:
-            obs.counter("profile.runs")
-            obs.counter("profile.signatures", len(profile.sig_static))
-        return profile
+        """Profile an image using a completed functional simulation:
+        its :class:`~repro.sim.functional.trace.ExecutionResult`, or
+        the per-instruction execution counts themselves."""
+        counts = result.exec_counts() if hasattr(result, "exec_counts") else result
+        return cls._classified(image, counts, "dynamic")
 
     @classmethod
     def static_only(cls, image):
         """Profile with no dynamic weights (static synthesis fallback)."""
-        with obs.span("stage.profile", image=image.name, mode="static"):
+        return cls._classified(image, [0] * len(image.instrs), "static")
+
+    @classmethod
+    def _classified(cls, image, exec_counts, mode):
+        with obs.span("stage.profile", image=image.name, mode=mode):
             uses = [
                 classify(instr, index=i, image=image)
                 for i, instr in enumerate(image.instrs)
             ]
-            profile = cls(image, uses, [0] * len(image.instrs))
+            profile = cls(image, uses, exec_counts)
         if obs.enabled:
             obs.counter("profile.runs")
             obs.counter("profile.signatures", len(profile.sig_static))

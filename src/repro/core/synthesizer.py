@@ -113,7 +113,7 @@ def _synthesize(profile, config):
 
 def _score(profile, image, config):
     """Lower is better: normalized static + dynamic fetch halfwords."""
-    static_hw = len(image.halfwords) / max(1, len(image.unit_size))
+    static_hw = len(image.records) / max(1, len(image.unit_size))
     total_dyn = 0
     weighted = 0
     for idx, n in enumerate(image.unit_size):

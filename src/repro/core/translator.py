@@ -13,7 +13,15 @@ Branch displacements are resolved by fix-point iteration because
 expanding a branch to ``ext``+branch moves every later instruction.
 The per-instruction expansion counts are the paper's mapping statistics
 (Figures 3 and 4).
+
+Each distinct non-branch instruction is planned once per image, and a
+translated image is encoded to halfwords only when they are first read:
+the synthesizer scores every candidate geometry from its plan sizes, and
+only the candidate it keeps is ever encoded.
 """
+
+from functools import cached_property
+from itertools import accumulate
 
 from repro.isa.arm.model import DPOp
 from repro.isa.fits.spec import (
@@ -41,12 +49,13 @@ class _Planner:
 
     def __init__(self, isa):
         self.isa = isa
-        self.specs = {spec.key(): (num, spec) for num, spec in isa.opcode_table.items()}
         self._by_kind_params = {}
         for num, spec in isa.opcode_table.items():
             self._by_kind_params.setdefault((spec.kind, self._params_key(spec.params)), []).append(
                 (num, spec)
             )
+        # find() answers, keyed by the params as each call site orders them
+        self._found = {}
 
     @staticmethod
     def _params_key(params):
@@ -54,10 +63,14 @@ class _Planner:
 
     def find(self, kind, params, oprd_mode=None):
         """Opcode (num, spec) for a kind+params (+mode), or None."""
-        for num, spec in self._by_kind_params.get((kind, self._params_key(params)), []):
-            if oprd_mode is None or spec.oprd_mode == oprd_mode:
-                return num, spec
-        return None
+        key = (kind, tuple(params.items()), oprd_mode)
+        if key not in self._found:
+            candidates = self._by_kind_params.get((kind, self._params_key(params)), [])
+            self._found[key] = next(
+                ((num, spec) for num, spec in candidates
+                 if oprd_mode is None or spec.oprd_mode == oprd_mode),
+                None)
+        return self._found[key]
 
     # ------------------------------------------------------------------
     # field helpers
@@ -568,11 +581,10 @@ class FitsImage:
     address constants embedded in the translated code remain valid.
     """
 
-    def __init__(self, arm_image, isa, halfwords, records, unit_start, unit_size):
+    def __init__(self, arm_image, isa, records, unit_start, unit_size):
         self.name = arm_image.name
         self.arm_image = arm_image
         self.isa = isa
-        self.halfwords = halfwords
         self.records = records
         self.unit_start = unit_start  # ARM static index → first halfword index
         self.unit_size = unit_size    # ARM static index → halfword count
@@ -584,16 +596,21 @@ class FitsImage:
         self.stack_top = arm_image.stack_top
         self.entry = arm_image.entry
 
+    @cached_property
+    def halfwords(self):
+        """The encoded code stream, one halfword per record."""
+        return [encode_fits(self.isa, rec) for rec in self.records]
+
     @property
     def code_size(self):
-        return 2 * len(self.halfwords)
+        return 2 * len(self.records)
 
     def addr_of_index(self, index):
         return self.code_base + 2 * index
 
     def index_of_addr(self, addr):
         offset = addr - self.code_base
-        if offset % 2 or not 0 <= offset < 2 * len(self.halfwords):
+        if offset % 2 or not 0 <= offset < 2 * len(self.records):
             raise ValueError("0x%x is not a FITS code address" % addr)
         return offset // 2
 
@@ -646,21 +663,24 @@ def _translate(arm_image, isa, uses=None):
     sizes = [0] * n_instrs
     plans = [None] * n_instrs
     branch_indices = []
+    # a non-branch instruction's plan depends only on its encoding, so
+    # each distinct ARM word is planned once
+    planned = {}
     for i, use in enumerate(uses):
         if use.sig[0] in ("b", "bl"):
             branch_indices.append(i)
-            plans[i] = planner.plan(use, branch_disp=0)
-        else:
-            plans[i] = planner.plan(use)
+            sizes[i] = 1  # a first guess for the fix-point below
+            continue
+        word = arm_image.words[i]
+        if word not in planned:
+            planned[word] = planner.plan(use)
+        plans[i] = planned[word]
         sizes[i] = len(plans[i])
 
-    # fix-point over branch displacement widths
+    # fix-point over branch displacement widths; the round that changes
+    # no size has planned every branch against the final layout
     for _round in range(20):
-        starts = [0] * n_instrs
-        acc = 0
-        for i in range(n_instrs):
-            starts[i] = acc
-            acc += sizes[i]
+        starts = list(accumulate(sizes, initial=0))[:-1]
         changed = False
         for i in branch_indices:
             target = uses[i].target_arm_index
@@ -675,28 +695,15 @@ def _translate(arm_image, isa, uses=None):
     else:
         raise TranslationError("branch displacement fix-point did not converge")
 
-    # final displacement resolution (sizes stable now)
-    starts = [0] * n_instrs
-    acc = 0
-    for i in range(n_instrs):
-        starts[i] = acc
-        acc += sizes[i]
-    for i in branch_indices:
-        target = uses[i].target_arm_index
-        disp = starts[target] - (starts[i] + sizes[i])
-        plans[i] = planner.plan(uses[i], branch_disp=disp)
-        assert len(plans[i]) == sizes[i], "branch size changed after fix-point"
-
     records = []
     for plan in plans:
         records.extend(plan)
-    halfwords = [encode_fits(isa, rec) for rec in records]
     if obs.enabled:
         ones = sum(1 for n in sizes if n == 1)
         obs.counter("translate.runs")
         obs.counter("translate.arm_instructions", len(sizes))
         obs.counter("translate.one_to_one", ones)
         obs.counter("translate.one_to_n", len(sizes) - ones)
-        obs.counter("translate.halfwords", len(halfwords))
+        obs.counter("translate.halfwords", len(records))
         obs.observe("translate.max_expansion", max(sizes) if sizes else 0)
-    return FitsImage(arm_image, isa, halfwords, records, starts, sizes)
+    return FitsImage(arm_image, isa, records, starts, sizes)

@@ -26,9 +26,11 @@ The configuration rides along in :func:`repro.obs.core.export_spec`, so
 DSE scheduler workers and parallel harness collects inherit it.
 
 Attribution context: simulators do not know which benchmark they are
-running, so the call sites that do (``cached_run``, the harness) wrap
-the run in :func:`run_context`; records then carry ``benchmark`` and
-``scale`` alongside the ISA and image name.
+running, so the caller that does (``dse.evaluate._functional``, which
+the harness and every sweep go through) wraps the whole build in
+:func:`run_context`; records then carry ``benchmark`` and ``scale``
+alongside the ISA and image name, and ``cached_run`` writes the same
+two fields into the trace-store manifest.
 
 Analysis CLI::
 
@@ -371,9 +373,10 @@ def record_label(record):
 def aggregate(records, benchmark=None, isa=None):
     """Merge records into ``{(label, isa): {entry: row}}``.
 
-    Multiple runs of the same (label, isa) — e.g. the synthesis flow's
-    per-budget ARM re-runs — sum their counts; ``func`` and ``compiled``
-    come from the last record seen (they are stable per image).
+    Multiple runs of the same (label, isa) — e.g. a budget image the
+    synthesis flow had to simulate beside its baseline — sum their
+    counts; ``func`` and ``compiled`` come from the last record seen
+    (they are stable per image).
     """
     groups = {}
     for record in records:

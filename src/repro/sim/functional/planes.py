@@ -20,12 +20,13 @@ Coordinator side — :class:`PlaneBus`:
 Worker side — :func:`attach` registers descriptors (idempotent), and
 :func:`lookup` lazily attaches a segment the first time the entry is
 requested, reconstructing the :class:`ExecutionResult` from read-only
-views.  ``memory`` is shipped as the dense XOR delta the decoder
-rebuilds from the stored pages and undone against
-``image.initial_memory()`` at lookup, since only the worker holds the
-image object.  Any attach failure (segment already unlinked,
-descriptor stale) silently falls back to the on-disk path in
-``store.load``.
+views.  The final memory is shipped as stored, page-sparse: the
+non-zero pages of its XOR delta and their indices.  The worker rebuilds
+it against ``image.initial_memory()`` at lookup, since only it holds
+the image object, so a result's dense memory is private and freed with
+it rather than pinned in every attached worker.  Any attach failure
+(segment already unlinked, descriptor stale) silently falls back to the
+on-disk path in ``store.load``.
 """
 
 import json
@@ -97,6 +98,7 @@ class PlaneBus:
             "key": key,
             "shm": shm.name,
             "exit_code": int(manifest["exit_code"]),
+            "memory_bytes": int(manifest["memory_bytes"]),
             "memory_delta": bool(manifest["flags"][0]),
             "members": members,
         }
@@ -213,7 +215,8 @@ def lookup(key, image):
             view.flags.writeable = False
             member[name] = view
         result = store_mod.result_from_members(
-            image, desc["exit_code"], member, desc["memory_delta"])
+            image, desc["exit_code"], member, desc["memory_bytes"],
+            desc["memory_delta"])
     except (OSError, ValueError, KeyError):
         _REGISTRY.pop(key, None)
         return None

@@ -13,8 +13,8 @@ Keying and versioning:
 
 * each entry is keyed by a content hash of the executed image (code
   stream, data segment, layout constants) — *not* by benchmark name, so
-  e.g. the identical ARM image simulated once per synthesis budget in
-  ``fits_flow`` is fetched from the store after its first run;
+  e.g. ``fits_flow``'s baseline ARM compile, the same image the paper
+  run's ARM configs simulate, is fetched from the store;
 * the manifest records the simulator fingerprint
   (:data:`repro.fingerprint.SIMULATOR`: the functional simulators and
   the ISA models); on mismatch the entry is skipped with a warning so
@@ -167,9 +167,10 @@ def _read_manifest(man_path, warn=True):
 def _decode_blob(manifest, npz_path):
     """Decompress one entry's blob into its member arrays.
 
-    ``memory`` comes back dense but still XORed against the initial
-    image (``flags[0]``), so the shared-memory plane exporter, which
-    has no image object, can ship it as-is.  A manifest that disagrees
+    The final memory stays as stored, page-sparse and XORed against
+    the initial image (``flags[0]``), so the shared-memory plane
+    exporter, which has no image object, ships only its non-zero pages;
+    :func:`result_from_members` rebuilds it.  A manifest that disagrees
     with its payload raises ValueError.
     """
     with np.load(npz_path) as data:
@@ -184,23 +185,21 @@ def _decode_blob(manifest, npz_path):
         offset += nbytes
         member[name] = (_from_byte_planes(chunk) if dtype is np.int64
                         else np.frombuffer(chunk, dtype=dtype))
-    index = member.pop("page_index")
-    memory = np.zeros(int(manifest["memory_bytes"]), dtype=np.uint8)
-    pages = memory.reshape(-1, PAGE)
-    if len(index) and (index.min() < 0 or index.max() >= len(pages)):
+    index = member["page_index"]
+    if len(index) and (index.min() < 0
+                       or index.max() >= int(manifest["memory_bytes"]) // PAGE):
         raise ValueError("page index outside memory_bytes")
-    pages[index] = member.pop("pages").reshape(len(index), PAGE)
-    member["memory"] = memory
+    member["pages"] = member["pages"].reshape(len(index), PAGE)
     return member
 
 
-def result_from_members(image, exit_code, member, memory_delta):
+def result_from_members(image, exit_code, member, memory_bytes, memory_delta):
     """Build an ExecutionResult from decoded store members."""
-    memory = bytearray(member["memory"].tobytes())
+    memory = np.zeros(memory_bytes, dtype=np.uint8)
+    memory.reshape(-1, PAGE)[member["page_index"]] = \
+        member["pages"].reshape(-1, PAGE)
     if memory_delta:
-        base = np.frombuffer(bytes(image.initial_memory()), dtype=np.uint8)
-        memory = bytearray(
-            np.bitwise_xor(member["memory"], base).tobytes())
+        memory ^= np.frombuffer(bytes(image.initial_memory()), dtype=np.uint8)
     return ExecutionResult(
         image=image,
         exit_code=int(exit_code),
@@ -210,7 +209,7 @@ def result_from_members(image, exit_code, member, memory_delta):
         seg_counts=member["seg_counts"],
         mem_packed=member["mem_packed"],
         console=member["console"].tobytes(),
-        memory=memory,
+        memory=bytearray(memory.tobytes()),
     )
 
 
@@ -254,7 +253,7 @@ class TraceStore:
                 member = _decode_blob(manifest, npz_path)
                 result = result_from_members(
                     image, manifest["exit_code"], member,
-                    bool(manifest["flags"][0]))
+                    int(manifest["memory_bytes"]), bool(manifest["flags"][0]))
             except TORN_ENTRY_ERRORS:
                 # a torn or corrupt entry is a miss: the caller
                 # re-simulates and rewrites it
@@ -342,24 +341,22 @@ def get_store():
     return TraceStore(os.path.join(_repo_root(), "trace_cache"))
 
 
-def cached_run(kind, image, runner, **manifest_extra):
+def cached_run(kind, image, runner):
     """Run ``runner()`` through the persistent trace store.
 
     On a store hit the functional simulation is skipped entirely; on a
     miss the fresh result is persisted for every later process/session.
     ``kind`` labels the manifest (e.g. ``"arm"``, ``"fits"``) and the
-    ``trace_store.{hit,miss}`` obs counters.  The benchmark/scale
-    manifest extras double as the block profiler's attribution context,
-    so profile records from here carry the benchmark name.
+    ``trace_store.{hit,miss}`` obs counters.  The manifest names the
+    benchmark and scale of the enclosing
+    :func:`repro.obs.profile.run_context`, the same attribution the
+    block profiler gives the run's records.
     """
     from repro.obs import profile as obs_profile  # lazy: keeps -m runs clean
 
-    ctx = obs_profile.run_context(benchmark=manifest_extra.get("benchmark"),
-                                  scale=manifest_extra.get("scale"))
     store = get_store()
     if store is None:
-        with ctx:
-            return runner()
+        return runner()
     t_load = time.perf_counter()
     result = store.load(image)
     if result is not None:
@@ -371,14 +368,16 @@ def cached_run(kind, image, runner, **manifest_extra):
         publish_result("sim." + kind, result)
         return result
     with obs.span("trace_store.fill", kind=kind,
-                  image=getattr(image, "name", "?")), ctx:
+                  image=getattr(image, "name", "?")):
         result = runner()
     obs.counter("trace_store.miss")
     obs.counter("trace_store.miss.%s" % kind)
+    ctx = obs_profile.current_context()
     t_save = time.perf_counter()
     try:
         with obs.span("trace_store.encode", kind=kind):
-            store.save(image, result, kind=kind, **manifest_extra)
+            store.save(image, result, kind=kind,
+                       benchmark=ctx.get("benchmark"), scale=ctx.get("scale"))
     except OSError as exc:
         print("trace store: save failed (%s)" % exc, file=sys.stderr)
     _observe_seconds("trace_store.save_seconds", t_save)

@@ -9,6 +9,9 @@ first visit is the most aggressive codegen path.
 
 :func:`paper_configs` is the oracle for the harness's four paper
 configurations: it rebuilds them without the DSE evaluation path.
+
+:func:`budget_counts` is the oracle for the FITS flow's projected
+register-budget profiles: it simulates the budget image instead.
 """
 
 import sys
@@ -40,6 +43,11 @@ def compiled(run):
         mp.setattr(engine_mod, "COMPILE_THRESHOLD", 1)
         mp.setattr(engine_mod, "COMPILE_FREE_UNITS", sys.maxsize)
         return run()
+
+
+def budget_counts(image):
+    """Execution counts of one ARM budget image, by simulating it."""
+    return ArmSimulator(image).run().exec_counts()
 
 
 #: The paper's four configurations, spelled out here rather than read

@@ -12,7 +12,9 @@ Every ARM program additionally goes through each fast path against its
 reference: the block engine forced to compile every entry against the
 engine forced to interpret every run, the one-pass multi-geometry timing
 replay against per-point LRU simulation at hypothesis-drawn cache
-geometries, and a trace-store save/load round trip.
+geometries, and a trace-store save/load round trip.  The FITS flow's
+register-budget profiles, projected from one ARM run, are checked
+against simulating every budget image.
 """
 
 import tempfile
@@ -32,8 +34,8 @@ from repro.sim.pipeline.timing import (
     simulate_timing,
     simulate_timing_multi,
 )
-from repro.core.flow import fits_flow
 from tests.oracles import compiled, interpreted
+from tests.test_flow_projection import assert_counts_match_oracle, flow_counts
 
 OPS = [Op.ADD, Op.SUB, Op.RSB, Op.AND, Op.ORR, Op.EOR, Op.MUL]
 SHIFTS = [Op.LSL, Op.LSR, Op.ASR]
@@ -198,5 +200,7 @@ def test_thumb_matches_interpreter(spec):
 def test_fits_matches_interpreter(spec):
     m1, m2 = fresh_modules(spec, 2)
     golden = IRInterpreter(m1, max_steps=5_000_000).call("main")
-    flow = fits_flow(m2)  # internally asserts FITS == ARM
+    flow, seen, _simulated = flow_counts(m2)  # internally asserts FITS == ARM
     assert flow.fits_result.exit_code == golden
+    # every budget's projected profile equals simulating that budget
+    assert_counts_match_oracle(flow, seen)

@@ -13,6 +13,7 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -193,11 +194,12 @@ def test_plane_bus_roundtrip_and_fallback(tmp_path, shape):
 
 def test_export_for_matches_benchmark_and_scale(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
+    from repro.obs import profile as prof
     from repro.sim.functional import cached_run
 
     image = compile_arm(get_workload("crc32").build_module("small"))
-    cached_run("arm", image, ArmSimulator(image).run,
-               benchmark="crc32", scale="small")
+    with prof.run_context(benchmark="crc32", scale="small"):
+        cached_run("arm", image, ArmSimulator(image).run)
     store = store_mod.get_store()
     bus = planes.PlaneBus()
     try:
@@ -208,6 +210,42 @@ def test_export_for_matches_benchmark_and_scale(tmp_path, monkeypatch):
         assert descs[0]["key"] == image_fingerprint(image)
     finally:
         bus.close()
+
+
+def test_functional_attributes_every_simulation(tmp_path, monkeypatch):
+    """Every run ``_functional`` makes, the FITS flow's included, names
+    its benchmark and scale: in the trace-store manifests, hence in the
+    shared-memory export that filters on them, and in the block
+    profiler's records."""
+    from repro.dse import evaluate
+    from repro.obs import profile as prof
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
+    monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
+    monkeypatch.setattr(evaluate, "_FUNC_GROUPS", OrderedDict())
+    prof.enable()
+    prof.clear()
+    try:
+        for isa in ("arm", "thumb", "fits"):
+            evaluate._functional("crc32", "small", isa)
+        records = prof.records()
+    finally:
+        prof.disable()
+        prof.clear()
+    store = store_mod.get_store()
+    manifests = [json.load(open(os.path.join(store.root, name)))
+                 for name in sorted(os.listdir(store.root))
+                 if name.endswith(".json")]
+    assert sorted(m["kind"] for m in manifests) == ["arm", "fits", "thumb"]
+    for manifest in manifests:
+        assert (manifest["benchmark"], manifest["scale"]) == ("crc32", "small")
+    bus = planes.PlaneBus()
+    try:
+        assert len(bus.export_for(store, "crc32", "small")) == 3
+    finally:
+        bus.close()
+    fits = [r for r in records if r["isa"] == "fits"]
+    assert fits and all(r["benchmark"] == "crc32" for r in fits)
 
 
 # ----------------------------------------------------------------------

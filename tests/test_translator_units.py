@@ -9,8 +9,12 @@ from repro.compiler.link import link_arm
 from repro.sim.functional import ArmSimulator
 from repro.sim.functional.fits_sim import FitsSimulator
 from repro.core import ArmProfile, synthesize, translate, SynthesisConfig
+from repro.core import synthesizer
 from repro.core.signatures import classify, UnsupportedInstruction
 from repro.core.flow import fits_flow
+from repro.core.translator import _Planner
+from repro.isa.fits.codec import encode_fits
+from repro.workloads import get_workload
 
 
 def pipeline(build, budgets=((4, 5),)):
@@ -172,3 +176,31 @@ def test_fits_memory_trace_matches_arm_shape():
     # FITS executes the same data accesses (plus/minus spill traffic)
     assert fits_loads >= arm_loads * 0.9
     assert fits_loads <= arm_loads * 1.6
+
+
+@pytest.mark.parametrize("name", ["crc32", "sha", "jpeg"])
+def test_memoized_translation_equals_fresh_planning(name, monkeypatch):
+    """Every candidate the flow translates: each non-branch instruction's
+    records equal a fresh plan of its use, and the lazily encoded
+    halfwords equal encoding those records."""
+    made = []
+
+    def spy(arm_image, isa, uses=None):
+        image = translate(arm_image, isa, uses)
+        made.append((uses, image))
+        return image
+
+    monkeypatch.setattr(synthesizer, "translate", spy)
+    fits_flow(get_workload(name).build_module("small"))
+    assert made
+    for uses, image in made:
+        planner = _Planner(image.isa)
+        for i, use in enumerate(uses):
+            if use.sig[0] in ("b", "bl"):
+                continue
+            start = image.unit_start[i]
+            got = image.records[start:start + image.unit_size[i]]
+            want = planner.plan(use)
+            assert [(r.opcode, r.spec, r.fields) for r in got] == \
+                [(r.opcode, r.spec, r.fields) for r in want], (name, i, use)
+        assert image.halfwords == [encode_fits(image.isa, r) for r in image.records]
