@@ -8,14 +8,17 @@ the point's cache geometry / tech node / fetch width.
 
 The per-ISA functional work (compile + simulate, and for FITS the whole
 synthesis flow) dominates the cost and is independent of the cache
-axes, so it is memoized per ``(benchmark, scale, isa)``: a worker
-evaluating many cache geometries for one benchmark compiles and
-simulates each ISA once.  The memo keeps a small LRU of benchmark
-groups (:data:`FUNC_CACHE_GROUPS`) to bound memory while letting a
-persistent pool worker interleave chunks from concurrent jobs without
-thrashing.  Across processes and sessions the persistent
-trace store (:mod:`repro.sim.functional.store`) removes the functional
-simulation entirely on a warm cache.
+axes.  A sweep makes each (benchmark, ISA) unit one task
+(:func:`repro.dse.scheduler._chunk_tasks`), so a task builds its unit
+once.  The build is also memoized per ``(benchmark, scale, isa)`` for
+later work on the same unit in this process: the harness reads its
+images and FITS extras back after evaluating them, and a persistent
+pool worker reuses a build when a retried task, a resumed sweep or a
+later serve job brings the unit back.  The memo keeps a small LRU of
+benchmark groups (:data:`FUNC_CACHE_GROUPS`) to bound memory.  Across
+processes and sessions the persistent trace store
+(:mod:`repro.sim.functional.store`) removes the functional simulation
+entirely on a warm cache.
 
 Cache points are further batched by :func:`evaluate_points`: all points
 of one ``(benchmark, scale, isa)`` share the geometry-invariant timing
@@ -52,10 +55,11 @@ from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.pipeline import TimingBatch, TimingConfig
 from repro.workloads import get_workload
 
-#: How many (benchmark, scale) groups the functional memo keeps.
-#: Persistent pool workers interleave chunks from different benchmarks
-#: (fair-share across concurrent serve jobs), so the memo holds the most
-#: recently used groups rather than a single benchmark.
+#: How many (benchmark, scale) groups the functional memo keeps.  A
+#: sweep task is one (benchmark, ISA) unit and builds it once; the memo
+#: serves later work on a recent unit in the same process — the
+#: harness's read-back of its images, a retried task, a resumed sweep or
+#: a later serve job — and evicts whole benchmarks to bound memory.
 FUNC_CACHE_GROUPS = 2
 
 #: (benchmark, scale, isa) → (image, ExecutionResult, extras) — see

@@ -82,6 +82,13 @@ def _worker_main(conn, parent_conn=None):
 
     if parent_conn is not None:
         parent_conn.close()
+    # a worker forked while another coordinator thread was inside the
+    # shared-memory resource tracker (every exported trace plane
+    # registers there) inherits the tracker's lock held by a thread that
+    # does not exist here, and its first plane attach would block forever
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._lock = threading.RLock()
     # a forked worker inherits whatever handler the coordinator
     # installed (serve registers asyncio handlers) — restore the
     # default so terminate() actually terminates

@@ -9,9 +9,9 @@ counters, publishes them as ``dse.progress.*`` gauges, and (under
 ``python -m repro.dse sweep --progress``) renders a single live status
 line — points done/failed, throughput, ETA, live worker count.
 
-Heartbeats are additive across *writers*: each chunk task gets its own
+Heartbeats are additive across *writers*: each sweep task gets its own
 uniquely-named file (pid plus a per-process sequence number, since a
-persistent pool worker runs many chunks under one pid), so summing all
+persistent pool worker runs many tasks under one pid), so summing all
 files yields the points evaluated by this sweep invocation.  A crashed
 worker's partial count survives on disk and its retry (which re-checks
 the result store per point) only adds what the crash left unfinished.
@@ -33,13 +33,13 @@ from repro.obs import metrics as metrics_mod
 #: heartbeat files older than this many seconds count as not-live
 STALE_AFTER = 5.0
 
-#: per-process counter so each HeartbeatWriter (one per chunk) gets a
+#: per-process counter so each HeartbeatWriter (one per task) gets a
 #: distinct file even when a persistent pool worker reuses its pid
 _WRITER_SEQ = itertools.count()
 
 
 class HeartbeatWriter:
-    """One chunk task's progress gauge, atomically rewritten per point."""
+    """One sweep task's progress gauge, atomically rewritten per point."""
 
     def __init__(self, dirpath, benchmark, total):
         self.path = os.path.join(
@@ -273,7 +273,7 @@ class DashRenderer(ProgressRenderer):
     @staticmethod
     def merged_metrics(beats):
         # snapshots are cumulative per process: a pool worker embeds an
-        # ever-growing snapshot in every chunk's heartbeat file, so only
+        # ever-growing snapshot in every task's heartbeat file, so only
         # the newest snapshot per pid may be merged
         latest = {}
         for beat in beats:

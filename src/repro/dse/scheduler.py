@@ -5,7 +5,7 @@ Two layers:
 * :func:`run_tasks` — a generic task runner.  With ``jobs > 1`` tasks
   run on the persistent warm worker pool (:mod:`repro.dse.pool`):
   long-lived child processes that keep their functional-sim memo,
-  timing precomps, and decoded trace planes warm across chunks and
+  timing precomps, and decoded trace planes warm across tasks and
   across jobs, with centrally-assigned (work-stealing) dispatch and
   fair-share interleaving between concurrent callers, a per-task
   timeout (``terminate`` + bounded requeue), bounded retry count, and
@@ -16,12 +16,12 @@ Two layers:
   resumable and crash-safe.
 
 * :func:`sweep` — the DSE orchestration: diff the design space against
-  the store's completed keys (``resume``), group the pending
-  (benchmark, point) pairs into per-benchmark chunks so workers reuse
-  their functional-simulation memo, and fan the chunks out over
-  :func:`run_tasks`.  Workers re-check the store before each point, so
-  a retried chunk re-evaluates only what its crashed predecessor did
-  not finish.
+  the store's completed keys (``resume``), make one task per
+  (benchmark, ISA) unit of pending points, so each unit's functional
+  build, timing precomputation and stack-distance passes happen once
+  (:func:`_chunk_tasks`), and fan the tasks out over :func:`run_tasks`.
+  Workers re-check the store before each point, so a retried task
+  re-evaluates only what its crashed predecessor did not finish.
 
 Progress is reported through :mod:`repro.obs` (``stage.dse.*`` spans,
 ``dse.*`` counters) and each stored blob embeds a per-point manifest.
@@ -34,7 +34,6 @@ call, which evaluates the paper's four configurations (the ``paper4``
 preset) through :func:`evaluate_points`, as a sweep worker would.
 """
 
-import math
 import os
 import sys
 import threading
@@ -128,10 +127,11 @@ def run_tasks(worker, payloads, jobs=1, timeout=None, retries=1,
 
 
 def _sweep_worker(payload):
-    """Evaluate one chunk of points for one benchmark (child process).
+    """Evaluate one task's points for one benchmark.
 
+    Runs on a pool worker, or in the calling process at ``jobs <= 1``.
     Points that survive the resume check are streamed through
-    :func:`evaluate_points`, so the whole chunk shares one functional
+    :func:`evaluate_points`, so the task shares one functional
     simulation and one stack-distance pass per (ISA, block size); each
     result is persisted as it is yielded, preserving crash-safe resume.
     """
@@ -170,104 +170,27 @@ def _sweep_worker(payload):
         raise SystemExit(1)
 
 
-def _cost_observation(benchmark, scale):
-    """Last-known per-point cost evidence for one benchmark, or None.
+def _chunk_tasks(pending, store_root, scale):
+    """One task payload per (benchmark, ISA) unit of pending points.
 
-    Preference order: measured per-point wall seconds from the
-    trajectory history (median of the most recent records), then the
-    benchmark's dynamic instruction count from its trace-store
-    manifest.  The returned ``(tier, value)`` keeps the source visible
-    so values from different tiers are never compared raw.
+    A unit's points share its functional build (for FITS, the whole
+    synthesis flow), its ``TimingPrecomp`` and one stack-distance pass
+    per block size (:func:`evaluate_points`), so a unit split across
+    tasks would repeat that work in each of them — on every worker that
+    ran a piece.  Units appear in first-seen order, each holding its
+    points in input order.  A sweep with fewer units than workers
+    leaves the rest idle: splitting a unit would only repeat its shared
+    work.
     """
-    try:
-        from repro.obs.regress import TrajectoryStore
-
-        store = TrajectoryStore()
-        walls = [float(r["wall_seconds"]) for r in store.records()
-                 if r.get("benchmark") == benchmark
-                 and r.get("scale") == scale
-                 and r.get("wall_seconds")]
-        if walls:
-            recent = sorted(walls[-8:])
-            return ("trajectory", recent[len(recent) // 2])
-    except Exception:
-        pass
-    try:
-        from repro.sim.functional.store import _read_manifest, get_store
-
-        trace_store = get_store()
-        if trace_store is not None and os.path.isdir(trace_store.root):
-            for name in sorted(os.listdir(trace_store.root)):
-                if not name.endswith(".json"):
-                    continue
-                manifest = _read_manifest(
-                    os.path.join(trace_store.root, name), warn=False)
-                if (manifest is not None
-                        and manifest.get("benchmark") == benchmark
-                        and manifest.get("scale") == scale
-                        and manifest.get("dynamic_instructions")):
-                    return ("dynamic_instructions",
-                            float(manifest["dynamic_instructions"]))
-    except Exception:
-        pass
-    return None
-
-
-def _point_costs(benchmarks, scale):
-    """Relative per-point cost weights, mean-normalized within tier.
-
-    Benchmarks whose evidence comes from the same tier compare by
-    ratio; each tier is normalized to mean 1.0 so mixed-tier sweeps
-    degrade to "roughly equal" rather than comparing seconds against
-    instruction counts.  No evidence at all means weight 1.0 — which
-    reduces the chunking below to the old uniform split.
-    """
-    observed = {b: _cost_observation(b, scale) for b in benchmarks}
-    by_tier = {}
-    for obs_pair in observed.values():
-        if obs_pair is not None:
-            by_tier.setdefault(obs_pair[0], []).append(obs_pair[1])
-    means = {tier: sum(vals) / len(vals) for tier, vals in by_tier.items()}
-    costs = {}
-    for benchmark in benchmarks:
-        obs_pair = observed[benchmark]
-        if obs_pair is None or means[obs_pair[0]] <= 0:
-            costs[benchmark] = 1.0
-        else:
-            tier, value = obs_pair
-            costs[benchmark] = max(value / means[tier], 1e-3)
-    return costs
-
-
-def _chunk_tasks(pending, store_root, scale, jobs):
-    """Group pending (benchmark, point) pairs into per-benchmark chunks.
-
-    Chunks never mix benchmarks (workers memoize functional simulations
-    per benchmark), and each benchmark's points are split so the task
-    count comfortably exceeds the worker count.  Chunk sizes are
-    weighted by last-known per-point cost (see :func:`_point_costs`):
-    an expensive benchmark gets proportionally smaller chunks, so one
-    slow chunk can never serialize the tail of the sweep behind it.
-    """
-    by_bench = {}
+    units = {}
     for benchmark, point in pending:
-        by_bench.setdefault(benchmark, []).append(point)
-    costs = _point_costs(sorted(by_bench), scale)
-    target_tasks = max(1, (jobs or 1) * 2)
-    budget = sum(costs[b] * len(pts) for b, pts in by_bench.items())
-    budget = budget / target_tasks  # weighted work per chunk
-    payloads = []
-    for benchmark in sorted(by_bench):
-        points = by_bench[benchmark]
-        chunk_size = max(1, math.ceil(budget / costs[benchmark]))
-        for i in range(0, len(points), chunk_size):
-            payloads.append({
-                "store": store_root,
-                "benchmark": benchmark,
-                "scale": scale,
-                "points": [p.to_dict() for p in points[i:i + chunk_size]],
-            })
-    return payloads
+        units.setdefault((benchmark, point.isa), []).append(point)
+    return [{
+        "store": store_root,
+        "benchmark": benchmark,
+        "scale": scale,
+        "points": [p.to_dict() for p in points],
+    } for (benchmark, _isa), points in units.items()]
 
 
 def _export_planes(payloads, scale):
@@ -329,7 +252,7 @@ def sweep(space, benchmarks, scale="small", jobs=1, store=None, resume=True,
     task_results = []
     dash_owns_obs = False
     if pending:
-        payloads = _chunk_tasks(pending, store.root, scale, jobs)
+        payloads = _chunk_tasks(pending, store.root, scale)
         timeout = None
         if timeout_per_point is not None:
             timeout = timeout_per_point * max(len(p["points"]) for p in payloads)

@@ -68,7 +68,9 @@ _DEFAULT_HELP = {
     "serve.job.seconds": "job run time from start to finish",
     "serve.job.wait_seconds": "job queue wait from submit to start",
     "serve.cache.lookup_seconds": "global result cache lookup latency",
-    "dse.task.seconds": "scheduler chunk (task) wall time",
+    "dse.task.seconds": ("scheduler task wall time (a sweep task is one "
+                         "(benchmark, ISA) unit, a collect task one "
+                         "benchmark)"),
     "dse.point.seconds": "single design-point evaluation wall time",
     "trace_store.load_seconds": "persistent trace store read latency",
     "trace_store.save_seconds": "persistent trace store encode+write latency",

@@ -13,7 +13,7 @@ Architecture (one process, one event loop)::
                  └──────────────┬──────────────────────┘
                                 ▼ (one batch per job, concurrent)
                  thread: run_tasks(_sweep_worker, …)   ← the warm
-                         per-chunk progress → publish    worker pool
+                         per-task progress → publish     worker pool
                                 ▼
                  loop: cache.put + SingleFlight.resolve
                                 ▼
@@ -85,16 +85,17 @@ def _default_compute(server, scale, items, publish):
     """Thread-side compute: shard ``items`` over the DSE worker pool.
 
     ``items`` is a list of ``(benchmark, DesignPoint, cache_key)``
-    triples that were neither cached nor in flight.  Results land in
-    the per-(scale, fingerprint) compute store via the workers' atomic
-    writes; each task's completion publishes its chunk's outcomes back
-    to the event loop, so a job streams points as chunks finish rather
+    triples that were neither cached nor in flight; each
+    (benchmark, ISA) unit of them is one task.  Results land in the
+    per-(scale, fingerprint) compute store via the workers' atomic
+    writes; each task's completion publishes its points' outcomes back
+    to the event loop, so a job streams points as tasks finish rather
     than when the whole batch does.
     """
     store = server.compute_store(scale)
     keymap = {(b, p.point_id): key for b, p, key in items}
     pairs = [(b, p) for b, p, _key in items]
-    payloads = _chunk_tasks(pairs, store.root, scale, server.worker_jobs)
+    payloads = _chunk_tasks(pairs, store.root, scale)
     timeout = None
     if server.timeout_per_point is not None:
         timeout = server.timeout_per_point * max(

@@ -2,27 +2,30 @@
 
 The pool promises: workers persist across ``run`` calls (the warmth the
 whole design exists for), concurrent groups interleave fair-share
-rather than head-of-line blocking, chunking is weighted by last-known
-per-point cost, and plane descriptors round-trip an ExecutionResult
-through shared memory bit-for-bit (with silent fallback once the bus is
-gone).  That a pool-dispatched sweep is bit-identical to the in-process
-serial path is ``tests/test_dse.py::test_parallel_sweep_matches_serial``.
+rather than head-of-line blocking, a sweep task is one (benchmark, ISA)
+unit whose shared work runs once, and plane descriptors round-trip an
+ExecutionResult through shared memory bit-for-bit (with silent fallback
+once the bus is gone).  That a pool-dispatched sweep is bit-identical
+to the in-process serial path is
+``tests/test_dse.py::test_parallel_sweep_matches_serial``.
 """
 
 import json
 import os
+import random
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
 
 from repro.compiler import compile_arm
-from repro.dse import scheduler
+from repro.dse import pool as pool_mod
 from repro.dse.pool import WorkerPool, _context
-from repro.dse.scheduler import _chunk_tasks
-from repro.dse.space import preset
+from repro.dse.scheduler import _chunk_tasks, sweep
+from repro.dse.space import DesignSpace
+from repro.dse.store import ResultStore
 from repro.obs import core as obs
 from repro.sim.functional import ArmSimulator, TraceStore, image_fingerprint
 from repro.sim.functional import planes
@@ -43,6 +46,12 @@ def _pid_task(payload):
 
 def _sleep_task(payload):
     time.sleep(payload["s"])
+
+
+def _attach_task(payload):
+    from multiprocessing import shared_memory
+
+    shared_memory.SharedMemory(name=payload["name"]).close()
 
 
 # ----------------------------------------------------------------------
@@ -103,41 +112,89 @@ def test_fair_share_interleaves_concurrent_groups():
         pool.close()
 
 
+@pytest.mark.skipif(not planes.available(), reason="no shared_memory")
+def test_worker_forked_while_tracker_busy_can_attach():
+    """A worker forked while another thread holds the shared-memory
+    resource tracker's lock (a concurrent serve batch exporting planes)
+    must still attach segments instead of hanging on the lock."""
+    from multiprocessing import resource_tracker, shared_memory
+
+    segment = shared_memory.SharedMemory(create=True, size=4096)
+    held, release = threading.Event(), threading.Event()
+
+    def hold_tracker():
+        with resource_tracker._resource_tracker._lock:
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold_tracker)
+    holder.start()
+    pool = WorkerPool(_context())
+    try:
+        assert held.wait(10)
+        threading.Timer(0.5, release.set).start()
+        results = pool.run(_attach_task, [{"name": segment.name}], jobs=1,
+                           timeout=10, retries=0)
+        assert [r.ok for r in results] == [True], results[0].error
+    finally:
+        release.set()
+        holder.join(10)
+        assert not holder.is_alive()
+        pool.close()
+        segment.close()
+        segment.unlink()
+
+
 # ----------------------------------------------------------------------
-# cost-weighted chunking
+# one task per (benchmark, ISA) unit
 
 
-def test_chunk_tasks_weights_by_point_cost(monkeypatch):
-    points = [p for p in preset("paper4")]
-    pending = [("cheap", p) for p in points * 2] \
-        + [("costly", p) for p in points * 2]     # 8 points per benchmark
-    monkeypatch.setattr(scheduler, "_point_costs",
-                        lambda benchmarks, scale: {"cheap": 1.0,
-                                                   "costly": 4.0})
-    payloads = _chunk_tasks(pending, "/tmp/store", "small", jobs=2)
-    sizes = {}
-    for payload in payloads:
-        sizes.setdefault(payload["benchmark"], []).append(
-            len(payload["points"]))
-    # budget = (1*8 + 4*8) / 4 = 10 weighted units per chunk: the cheap
-    # benchmark fits in one chunk, the costly one is split 3/3/2
-    assert sizes["cheap"] == [8]
-    assert sizes["costly"] == [3, 3, 2]
-    assert sum(sizes["cheap"]) + sum(sizes["costly"]) == len(pending)
+def test_chunk_tasks_one_payload_per_unit():
+    space = DesignSpace.grid(isas=("arm", "thumb", "fits"),
+                             sizes=(8192, 16384), blocks=(16, 32))
+    pending = [(b, p) for b in ("sha", "crc32") for p in space]
+    random.Random(7).shuffle(pending)
+    payloads = _chunk_tasks(pending, "/tmp/store", "small")
+
+    units = OrderedDict()
+    for benchmark, point in pending:
+        units.setdefault((benchmark, point.isa), []).append(point.to_dict())
+    assert len(payloads) == 6
+    assert [(p["benchmark"], p["points"][0]["isa"]) for p in payloads] \
+        == list(units)
+    for payload, points in zip(payloads, units.values()):
+        assert set(payload) == {"store", "benchmark", "scale", "points"}
+        assert (payload["store"], payload["scale"]) == ("/tmp/store", "small")
+        assert payload["points"] == points      # all of them, input order
 
 
-def test_chunk_tasks_uniform_costs_match_legacy_split(monkeypatch):
-    points = [p for p in preset("paper4")]
-    pending = [("crc32", p) for p in points] + [("sha", p) for p in points]
-    monkeypatch.setattr(scheduler, "_point_costs",
-                        lambda benchmarks, scale: {b: 1.0
-                                                   for b in benchmarks})
-    payloads = _chunk_tasks(pending, "/tmp/store", "small", jobs=2)
-    # 8 points / (2 jobs * 2) = 2-point chunks, exactly the old uniform
-    # ceil(len/target) split
-    assert [len(p["points"]) for p in payloads] == [2, 2, 2, 2]
-    assert all(len({pt["isa"] for pt in p["points"]}) >= 1
-               and p["benchmark"] in ("crc32", "sha") for p in payloads)
+def test_pool_sweep_does_each_units_shared_work_once(tmp_path, monkeypatch):
+    """At ``jobs=2`` every (benchmark, ISA) unit is one task, so its
+    functional build, timing precomputation and stack-distance passes
+    happen once, not once per worker that ran a piece of it."""
+    from repro.dse import evaluate
+
+    pool_mod.shutdown_pool()
+    # forked workers inherit the coordinator's memos: start them cold
+    monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
+    monkeypatch.setattr(evaluate, "_FUNC_GROUPS", OrderedDict())
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
+    space = DesignSpace.grid(isas=("arm", "thumb", "fits"),
+                             sizes=(8192, 16384), assocs=(32,),
+                             blocks=(16, 32))
+    store = ResultStore(str(tmp_path / "store"))
+    try:
+        summary = sweep(space, ["crc32"], scale="small", jobs=2, store=store)
+    finally:
+        pool_mod.shutdown_pool()
+    assert summary["failed"] == [] and summary["evaluated"] == 12
+    assert summary["tasks"] == 3
+    counters = Counter()
+    for blob in store.iter_results():
+        counters.update(blob["manifest"]["counters"])
+    assert counters["cache.stack.rle_passes"] == 6     # 3 ISAs x 2 blocks
+    assert counters["flow.runs"] == 1
+    assert counters["timing.precomputations"] == 3
 
 
 # ----------------------------------------------------------------------

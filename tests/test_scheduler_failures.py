@@ -283,8 +283,9 @@ def test_point_failure_is_recorded_and_survives_retries(tmp_path,
     assert summary["failed"] == [(BENCH, bad_id)]
     assert summary["evaluated"] == 1           # the good point still landed
     assert summary["task_retries"] == 2        # full budget spent, then on
-    # two 1-point chunks: the failing chunk ran 3 times, the good one once
-    assert attempts == [1, 1, 1, 1]
+    # both ARM points are one task: its first attempt evaluates both,
+    # and each retry only the failing point, which resume left pending
+    assert attempts == [2, 1, 1]
     failures = store.failures()
     assert len(failures) == 1
     assert "this point always fails" in failures[0]["error"]
