@@ -28,10 +28,10 @@
 # 8. Metrics gate: the serve `metrics` op must return valid OpenMetrics
 #    whose serve.cache.hit counter matches the job manifests exactly;
 #    `alerts check` on the committed rules must pass against the live
-#    server and an injected-breach rule set must fail non-zero;
-#    `serve dash --once` must render a frame with the per-worker pool
-#    row; and simulation must be bit-identical with the metrics registry
-#    on vs off.
+#    server and an injected-breach rule set must fail non-zero; and
+#    `serve dash --once` must render a frame with the per-worker
+#    pool row.  (Simulation bit-identity with obs on vs off is tier-1:
+#    tests/test_engine.py::test_obs_on_off_bit_identical.)
 #
 # Performance is measured by perfbench/ (see perfbench/NOTES.md), not
 # here.
@@ -344,30 +344,5 @@ wait "$serve_pid" \
 serve_pid=
 grep -q "shut down cleanly" "$tmp/serve.log" \
     || { echo "FAIL: no clean-shutdown message"; cat "$tmp/serve.log"; exit 1; }
-
-echo "== metrics on/off simulation bit-identity =="
-python - <<'EOF'
-import numpy as np
-from repro import obs
-from repro.compiler import compile_arm
-from repro.sim.functional import ArmSimulator
-from repro.workloads import get_workload
-
-image = compile_arm(get_workload("crc32").build_module("small"))
-off = ArmSimulator(image).run()
-obs.enable(sink=None)          # metrics registry live, aggregate-only
-try:
-    on = ArmSimulator(image).run()
-finally:
-    obs.disable()
-    obs.reset()
-assert off.exit_code == on.exit_code
-for f in ("run_starts", "run_ends", "mem_addrs", "mem_is_store"):
-    assert np.array_equal(getattr(off, f), getattr(on, f)), f
-assert off.console == on.console
-assert off.dynamic_instructions == on.dynamic_instructions
-assert bytes(off.memory) == bytes(on.memory)
-print("simulation bit-identical with metrics registry on vs off")
-EOF
 
 echo "verify OK"

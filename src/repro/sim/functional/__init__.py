@@ -2,10 +2,12 @@
 
 :class:`~repro.sim.functional.arm_sim.ArmSimulator` executes linked ARM
 images to completion, capturing a run-compressed instruction trace and a
-memory-access trace that the timing and power models consume.  The FITS
-functional simulator lives in :mod:`repro.sim.functional.fits_sim` and
-executes translated binaries through the programmable-decoder
-configuration.
+memory-access trace that the timing and power models consume.  The
+Thumb and FITS simulators (:mod:`~repro.sim.functional.thumb_sim`,
+:mod:`~repro.sim.functional.fits_sim`, the latter through the
+programmable-decoder configuration) decode onto the same operation set,
+:mod:`~repro.sim.functional.semantics`, and run on the same engine,
+:mod:`~repro.sim.functional.engine`.
 """
 
 from repro.sim.functional.trace import ExecutionResult

@@ -2,34 +2,35 @@
 
 The three functional simulators (:mod:`~repro.sim.functional.arm_sim`,
 :mod:`~repro.sim.functional.thumb_sim`,
-:mod:`~repro.sim.functional.fits_sim`) pre-decode their image into
-per-instruction Python closures plus per-instruction codegen templates
-and hand both to :func:`execute`.  Execution discovers *superblocks*
-lazily from the executed control flow: the first time control reaches
-index ``i`` the run starting there is interpreted through the closures
-(one call per instruction, a run boundary recorded on every taken
-control transfer); once an entry is hot the stretch from ``i`` is
-``exec()``-compiled into a single generated Python function.  The scan
-runs **through** conditional branches — a conditional branch becomes an
-inline guarded early return (the taken path records its run boundary
-and exits; the fall-through path simply keeps executing inside the same
-function) — and only stops at an unconditional transfer, an instruction
-with no codegen template, or the block-size cap.  Subsequent visits
+:mod:`~repro.sim.functional.fits_sim`) are decoders: each turns its
+image into one :mod:`~repro.sim.functional.semantics` operation per
+static index and hands them to :func:`execute` in a :class:`Program`.
+Every operation carries its semantics twice, side by side in that
+module: a closure for the interpreter and a source template for
+codegen.  The engine builds every closure up front, then discovers
+*superblocks* lazily from the executed control flow: the first time
+control reaches index ``i`` the run starting there is interpreted
+through the closures (one call per instruction, a run boundary recorded
+on every taken control transfer); once an entry is hot the stretch from
+``i`` is ``exec()``-compiled into a single generated Python function.
+The scan runs **through** conditional branches — a conditional branch
+becomes an inline guarded early return (the taken path records its run
+boundary and exits; the fall-through path simply keeps executing inside
+the same function) — and only stops at an unconditional transfer, an
+operation with no template, or the block-size cap.  Subsequent visits
 dispatch through a ``{entry index: block fn}`` table.  Inside a block
-there are no per-instruction calls or comparisons: each instruction's
-semantics are emitted inline from a source template, and memory-access
-trace records are *batched* — buffered in local temporaries and
-appended to the trace once per block exit instead of once per access.
-Run boundaries (and the executed-instruction budget tally) are
-maintained by the generated code itself through a shared state list,
-recording exactly the boundaries the interpreter would.
+there are no per-instruction calls or comparisons: each operation's
+template is inlined, and memory-access trace records are *batched* —
+buffered in local temporaries and appended to the trace once per block
+exit instead of once per access.  Run boundaries (and the
+executed-instruction budget tally) are maintained by the generated code
+itself through a shared state list, recording exactly the boundaries
+the interpreter would.
 
-Instructions without a template fall back to the always-available
-per-instruction closure: the block ends there and the closure becomes
-the block's terminator (pending trace records are flushed first so the
-access order is preserved).  A lazily-entered index that lands mid-atom
-(FITS) or on a continuation halfword (Thumb) simply dispatches the
-existing closure/None and fails exactly like the interpreter.
+An operation without a template (only ``Invalid``, the index control
+must never reach) ends the block at its closure: pending trace records
+are flushed first so the access order is preserved, and the closure
+raises :class:`SimulationError`, as it does when interpreted.
 
 Compiled and interpreted execution produce bit-identical
 :class:`~repro.sim.functional.trace.ExecutionResult` objects: same run
@@ -65,9 +66,14 @@ import re
 import struct
 import time
 
-from repro.isa.arm.model import ShiftType
 from repro.obs import core as obs
-from repro.sim.functional.trace import PACK
+from repro.sim.functional.semantics import (
+    EXEC_GLOBALS,
+    SimulationError,
+    jump_resolver,
+    where,
+)
+from repro.sim.functional.trace import PACK, TraceBuilder, publish_result
 
 #: repro.obs.profile, bound on first use.  Importing it eagerly would pull
 #: it into sys.modules whenever ``repro`` loads, making every
@@ -82,8 +88,6 @@ def _profile_mod():
         obs_profile = profile
     return obs_profile
 
-
-M32 = 0xFFFFFFFF
 
 #: Blocks longer than this are split; a split point behaves exactly like
 #: a sequential fall-through, so the cap only bounds codegen size.
@@ -118,171 +122,70 @@ COMPILE_FREE_UNITS = 512
 CHAIN_MIN_UNITS = 48
 
 
-class SimulationError(Exception):
-    """Raised on bad control flow, memory faults, or instruction limits."""
-
-
-def dyn_shift(value, stype, amount):
-    """Register-amount barrel shift, shared by every ISA's semantics.
-
-    ``amount`` is the already-masked 0..255 shift register value; the
-    behaviour matches the ARM register-specified shift rules that all
-    three instruction sets inherit.
-    """
-    if stype is ShiftType.LSL:
-        return (value << amount) & M32 if amount < 32 else 0
-    if stype is ShiftType.LSR:
-        return value >> amount if amount < 32 else 0
-    if stype is ShiftType.ASR:
-        if amount >= 32:
-            return M32 if value & 0x80000000 else 0
-        if value & 0x80000000:
-            return (value >> amount) | (((1 << amount) - 1) << (32 - amount))
-        return value >> amount
-    amount &= 31
-    if amount == 0:
-        return value
-    return ((value >> amount) | (value << (32 - amount))) & M32
-
-
-#: Names visible to generated block code, beyond the factory arguments.
-EXEC_GLOBALS = {
-    "dyn_shift": dyn_shift,
-    "LSL": ShiftType.LSL,
-    "LSR": ShiftType.LSR,
-    "ASR": ShiftType.ASR,
-    "ROR": ShiftType.ROR,
-}
-
-#: Condition-code source expressions over the shared ``flags`` NZCV
-#: list, keyed by condition *name* so the ARM ``Cond`` and Thumb
-#: ``TCond`` enums share one table.  ``AL`` is absent on purpose —
-#: always-taken branches emit an unconditional next expression.
-COND_EXPR = {
-    "EQ": "(flags[1])",
-    "NE": "(not flags[1])",
-    "CS": "(flags[2])",
-    "CC": "(not flags[2])",
-    "MI": "(flags[0])",
-    "PL": "(not flags[0])",
-    "VS": "(flags[3])",
-    "VC": "(not flags[3])",
-    "HI": "(flags[2] and not flags[1])",
-    "LS": "(not flags[2] or flags[1])",
-    "GE": "(flags[0] == flags[3])",
-    "LT": "(flags[0] != flags[3])",
-    "GT": "(not flags[1] and flags[0] == flags[3])",
-    "LE": "(flags[1] or flags[0] != flags[3])",
-}
-
-
-def cond_expr(cond):
-    """Source expression for a condition enum member, None for AL."""
-    if cond.name == "AL":
-        return None
-    return COND_EXPR[cond.name]
-
-
-class Emitted:
-    """One instruction's codegen template output.
-
-    Attributes:
-        lines: statement strings (one statement per entry, no newlines).
-        addrs: ``(temp_name, is_store)`` pairs, in access order, naming
-            temporaries assigned by ``lines`` that hold data-memory
-            addresses to be appended to the trace.
-        nxt: for control-transferring instructions, the expression for
-            the next instruction index (evaluated after ``lines``);
-            None for always-sequential instructions.  When ``cond`` is
-            set it must be a *static* index literal.
-        cond: for conditional branches, the source expression deciding
-            whether the transfer to ``nxt`` is taken; when it is false
-            the instruction falls through sequentially and the
-            superblock continues past it.
-        taken_lines: statements executed only on the taken path of a
-            conditional transfer (e.g. a conditional ``bl``'s link-
-            register write), before the run boundary is recorded.
-    """
-
-    __slots__ = ("lines", "addrs", "nxt", "cond", "taken_lines")
-
-    def __init__(self, lines, addrs=(), nxt=None, cond=None, taken_lines=()):
-        self.lines = lines
-        self.addrs = addrs
-        self.nxt = nxt
-        self.cond = cond
-        self.taken_lines = taken_lines
-
-
-def emit_mem(load, width, signed, rd, ea_expr, temp):
-    """Shared load/store template (identical semantics in all ISAs).
-
-    Returns an :class:`Emitted` performing one access of ``width`` bytes
-    at ``ea_expr`` into/out of ``regs[rd]``, recording the address in
-    ``temp``.
-    """
-    lines = ["%s = %s" % (temp, ea_expr)]
-    if load:
-        if width == 4:
-            lines.append("regs[%d] = unpack_from(\"<I\", mem, %s)[0]" % (rd, temp))
-        elif width == 2 and signed:
-            lines.append("regs[%d] = unpack_from(\"<h\", mem, %s)[0] & 4294967295" % (rd, temp))
-        elif width == 2:
-            lines.append("regs[%d] = unpack_from(\"<H\", mem, %s)[0]" % (rd, temp))
-        elif signed:
-            lines.append("_v%s = mem[%s]" % (temp, temp))
-            lines.append("regs[%d] = _v%s | 4294967040 if _v%s & 128 else _v%s"
-                         % (rd, temp, temp, temp))
-        else:
-            lines.append("regs[%d] = mem[%s]" % (rd, temp))
-        return Emitted(lines, addrs=((temp, 0),))
-    if width == 4:
-        lines.append("pack_into(\"<I\", mem, %s, regs[%d])" % (temp, rd))
-    elif width == 2:
-        lines.append("pack_into(\"<H\", mem, %s, regs[%d] & 65535)" % (temp, rd))
-    else:
-        lines.append("mem[%s] = regs[%d] & 255" % (temp, rd))
-    return Emitted(lines, addrs=((temp, 1),))
-
-
 class Program:
-    """Everything the engine needs to execute one prepared image.
+    """One decoded image plus the machine state of one run.
 
-    Built fresh per run by each simulator's ``_run``: the closures in
-    ``handlers`` close over the mutable state (``regs``/``mem``/
-    ``flags``/``trace``/``exit_code``) that the generated block code
-    shares through the factory arguments.
-
-    ``seq_next`` is None when the sequential successor of index ``i`` is
-    always ``i + 1`` (ARM, Thumb); FITS passes its per-halfword atom
-    successor table.  ``emit`` maps an instruction index to an
-    :class:`Emitted` template or None (→ closure fallback).
+    ``ops`` holds one :mod:`~repro.sim.functional.semantics` operation
+    per static index.  ``seq_next`` is None when the sequential
+    successor of index ``i`` is always ``i + 1`` (ARM, Thumb); FITS
+    passes its per-halfword atom successor table.  The rest is the state
+    the operations' closures and the generated block code share:
+    registers (sp at the image's stack top), memory, the NZCV flags,
+    the trace, the exit code and the computed-jump helper ``index_of``.
     """
 
-    __slots__ = ("image", "isa", "handlers", "seq_next", "emit", "regs",
-                 "mem", "flags", "trace", "exit_code", "index_of")
+    __slots__ = ("image", "isa", "ops", "seq_next", "regs", "mem", "flags",
+                 "trace", "exit_code", "index_of")
 
-    def __init__(self, image, isa, handlers, regs, mem, flags, trace,
-                 exit_code, emit=None, seq_next=None, index_of=None):
+    def __init__(self, image, isa, ops, seq_next=None):
         self.image = image
         self.isa = isa
-        self.handlers = handlers
+        self.ops = ops
         self.seq_next = seq_next
-        self.emit = emit
-        self.regs = regs
-        self.mem = mem
-        self.flags = flags
-        self.trace = trace
-        self.exit_code = exit_code
-        self.index_of = index_of if index_of is not None else image.index_of_addr
+        self.regs = [0] * 16
+        self.regs[13] = image.stack_top
+        self.mem = image.initial_memory()
+        self.flags = [False, False, False, False]  # N, Z, C, V
+        self.trace = TraceBuilder()
+        self.exit_code = [None]
+        self.index_of = jump_resolver(image, isa)
+
+
+class Simulator:
+    """Decode an image, execute it, publish the run.
+
+    Subclasses name their ``isa`` and decode in :meth:`program`.  Each
+    binds ``run`` as an attribute of its own class, so perfbench's
+    per-ISA layer timers can wrap one ISA's runs.
+    """
+
+    isa = None
+
+    def __init__(self, image, max_instructions=200_000_000):
+        self.image = image
+        self.max_instructions = max_instructions
+
+    def run(self):
+        """Simulate from the entry until the exit SWI; returns
+        :class:`~repro.sim.functional.trace.ExecutionResult`."""
+        if not obs.enabled:
+            return execute(self.program(), self.max_instructions)
+        with obs.span("stage.simulate", isa=self.isa, image=self.image.name):
+            result = execute(self.program(), self.max_instructions)
+        publish_result("sim." + self.isa, result)
+        return result
+
+    def program(self):
+        """A fresh :class:`Program` for one run."""
+        raise NotImplementedError
 
 
 def execute(program, max_instructions):
     """Run ``program`` to completion; returns :class:`ExecutionResult`."""
-    if len(program.handlers) >= PACK:
+    if len(program.ops) >= PACK:
         raise SimulationError(
             "image too large for packed trace boundaries (%d >= %d static "
-            "indices)" % (len(program.handlers), PACK))
+            "indices)" % (len(program.ops), PACK))
     runner = _BlockRunner(program, prof=_profile_mod().recorder())
     runner.run(max_instructions)
     if obs.enabled:
@@ -326,15 +229,8 @@ def _budget_error(program, limit):
 
 
 def _fault_error(program, idx, exc):
-    image = program.image
-    where = ""
-    func_of_index = getattr(image, "func_of_index", None)
-    if func_of_index is not None and 0 <= idx < len(func_of_index):
-        where = " (%s)" % func_of_index[idx]
-    return SimulationError(
-        "%s memory fault near instruction index %d%s: %s"
-        % (program.isa, idx, where, exc)
-    )
+    return SimulationError("memory fault near %s: %s"
+                           % (where(program.image, program.isa, idx), exc))
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +382,9 @@ class _BlockRunner:
     def __init__(self, program, prof=None):
         self.program = program
         self.prof = prof
+        seq = program.seq_next
+        self.handlers = [op.closure(program, i, i + 1 if seq is None else seq[i])
+                         for i, op in enumerate(program.ops)]
         self.blocks = {}
         self.hot = {}  # entry index -> visit count, below threshold
         self.state = [0, 0, 0]  # [run_start, executed, budget limit]
@@ -544,7 +443,7 @@ class _BlockRunner:
 
     def _compile_block(self, start):
         """Scan + codegen one superblock entered at ``start``."""
-        emit = self.program.emit
+        ops = self.program.ops
         blocks = self.blocks
         body = []
         pending = []  # (temp_name, is_store) accumulated since block entry
@@ -565,15 +464,15 @@ class _BlockRunner:
                 body.append(_SYNC)
                 body.append("return %d" % idx)
                 break
-            template = emit(idx) if emit is not None else None
+            template = ops[idx].template(idx)
             units += 1
             count_end = self._seq(idx) - 1
             if template is None:
-                # no codegen template: flush the batch, sync cached
-                # locals back (the closure reads the shared lists), let
-                # the pre-compiled closure terminate the block.  No
-                # sync *after* the call — the locals are stale then,
-                # and nothing downstream reads them.
+                # no template: flush the batch, sync cached locals back
+                # (the closure reads the shared lists), let the closure
+                # terminate the block.  No sync *after* the call — the
+                # locals are stale then, and nothing downstream reads
+                # them.
                 body.extend(_flush_lines(pending))
                 body.append(_SYNC)
                 body.append("_nxt = H[%d]()" % idx)
@@ -680,7 +579,7 @@ class _BlockRunner:
         exec(code, EXEC_GLOBALS, namespace)
         trace = program.trace
         return namespace["_factory"](
-            program.handlers, program.regs, program.mem, program.flags,
+            self.handlers, program.regs, program.mem, program.flags,
             trace.mem.extend, trace.bounds.append,
             trace.flush_repeat, self.state,
             program.index_of, struct.unpack_from, struct.pack_into,
@@ -695,7 +594,7 @@ class _BlockRunner:
         blocks_get = blocks.get
         hot = self.hot
         hot_get = hot.get
-        handlers = program.handlers
+        handlers = self.handlers
         seq = program.seq_next
         boundary = program.trace.add_boundary
         prof = self.prof

@@ -17,6 +17,20 @@ Coordinator side — :class:`PlaneBus`:
   as long as any attached result is alive — unlink only removes the
   name.
 
+Segment ownership: the coordinator's ``multiprocessing`` resource
+tracker holds each segment's one registration, so a coordinator that
+dies without ``close()`` (SIGKILL) still has its segments unlinked once
+every process reporting to that tracker — it and its workers — is gone.
+Attaching a segment registers it with the attaching process's tracker
+too.  A worker forked after the coordinator's tracker started (or
+spawned by it) reports to that same tracker, whose registrations are a
+set: the attach adds nothing, and the worker must leave the
+registration alone.  A worker with a tracker of its own (forked before
+the coordinator's started, or started outside it) must unregister, or
+its tracker would unlink the live segment when the worker exits.  Each
+descriptor names the coordinator's tracker, and :func:`lookup`
+unregisters only under a different one.
+
 Worker side — :func:`attach` registers descriptors (idempotent), and
 :func:`lookup` lazily attaches a segment the first time the entry is
 requested, reconstructing the :class:`ExecutionResult` from read-only
@@ -52,6 +66,13 @@ _MAX_EXPORT_BYTES = 256 << 20
 def available():
     """Whether shared-memory plane handoff can be used at all."""
     return shared_memory is not None
+
+
+def _tracker_id():
+    """Identity of this process's resource tracker: the device and inode
+    of its pipe, which every process reporting to it shares."""
+    st = os.fstat(resource_tracker.getfd())
+    return (st.st_dev, st.st_ino)
 
 
 class PlaneBus:
@@ -97,6 +118,7 @@ class PlaneBus:
         desc = {
             "key": key,
             "shm": shm.name,
+            "tracker": _tracker_id(),
             "exit_code": int(manifest["exit_code"]),
             "memory_bytes": int(manifest["memory_bytes"]),
             "memory_delta": bool(manifest["flags"][0]),
@@ -137,18 +159,6 @@ class PlaneBus:
                 shm.close()
             except OSError:
                 pass
-            # workers forked after the tracker started share our tracker
-            # process, so their attach-time unregister (see lookup())
-            # consumed our registration; re-register first — the tracker
-            # cache is a set, so this is a no-op when the registration is
-            # still there and restores it when it isn't, keeping unlink's
-            # own unregister from tracing a KeyError in the tracker
-            if resource_tracker is not None:
-                try:
-                    resource_tracker.register(
-                        "/" + shm.name.lstrip("/"), "shared_memory")
-                except Exception:
-                    pass
             try:
                 shm.unlink()
             except (OSError, FileNotFoundError):
@@ -196,15 +206,12 @@ def lookup(key, image):
     try:
         if entry["shm"] is None:
             shm = shared_memory.SharedMemory(name=desc["shm"])
-            # attaching registers the segment with the resource
-            # tracker, which would unlink it again when this worker
-            # exits — the coordinator owns the lifetime, not us
-            if resource_tracker is not None:
-                try:
-                    resource_tracker.unregister(
-                        "/" + desc["shm"].lstrip("/"), "shared_memory")
-                except Exception:
-                    pass
+            # attaching registered the segment with our resource tracker;
+            # under a tracker of our own that registration would unlink
+            # it when we exit — the coordinator's tracker owns it
+            if _tracker_id() != tuple(desc["tracker"]):
+                resource_tracker.unregister("/" + desc["shm"].lstrip("/"),
+                                            "shared_memory")
             entry["shm"] = shm
         shm = entry["shm"]
         member = {}

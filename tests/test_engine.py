@@ -7,7 +7,8 @@ closures, see ``tests/oracles.py``) — same exit code, run boundaries,
 memory-access trace, console bytes, final memory, and dynamic
 instruction count — on every (workload, ISA, scale) combination,
 including branch-heavy adversarial control flow, forced closure
-fallback, and instruction-budget exhaustion.
+fallback, and instruction-budget exhaustion.  Bad control flow raises
+:class:`SimulationError` on both paths.
 """
 
 from array import array
@@ -17,17 +18,19 @@ import pytest
 
 from repro import obs
 from repro.compiler import compile_arm, compile_thumb
+from repro.compiler.link import CODE_BASE, Image
 from repro.core.flow import fits_flow
 from repro.ir import Cond, FunctionBuilder, Global, Module
+from repro.isa.arm import DataProc, DPOp, Operand2Imm, Operand2Reg, ShiftType, Swi
 from repro.sim.functional import ArmSimulator, SimulationError
+from repro.sim.functional import arm_sim, fits_sim, semantics, thumb_sim
 from repro.sim.functional import engine as engine_mod
-from repro.sim.functional.arm_sim import build_program
 from repro.sim.functional.fits_sim import FitsSimulator
 from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.functional.trace import TraceBuilder
 from repro.workloads import get_workload
 from repro.workloads.runtime import runtime_module
-from tests.oracles import interpreted
+from tests.oracles import compiled, interpreted
 
 SAMPLE = ["crc32", "sha", "qsort", "gsm", "rijndael"]
 
@@ -170,28 +173,52 @@ def test_budget_raises_identically(isa):
 
 
 # ----------------------------------------------------------------------
-# forced fallback: with every codegen template removed the block engine
-# must run entirely through the per-instruction closures and still match.
+# forced fallback: with every codegen template withheld the block engine
+# must run entirely through the operations' closures and still match.
+
+BUILD = {"arm": arm_sim.build_program, "thumb": thumb_sim.build_program,
+         "fits": fits_sim.build_program}
 
 
-def test_forced_fallback_bit_identical():
-    image = compile_arm(get_workload("crc32").build_module("small"))
-    oracle = interpreted(ArmSimulator(image).run)
+class ClosureOnly:
+    """An operation with its template withheld: compiled blocks end at
+    its closure."""
 
-    program = build_program(image)
-    program.emit = lambda idx: None  # no templates: closure fallback only
-    block = engine_mod.execute(program, 200_000_000)
-    assert_identical(block, oracle, "crc32/arm/forced-fallback")
+    def __init__(self, op):
+        self.op = op
+
+    def closure(self, p, idx, nxt):
+        return self.op.closure(p, idx, nxt)
+
+    def template(self, idx):
+        return None
 
 
-def test_fallback_counter_reported():
+def _closure_only_run(image, isa):
+    program = BUILD[isa](image)
+    program.ops = [ClosureOnly(op) for op in program.ops]
+    return engine_mod.execute(program, 400_000_000)
+
+
+@pytest.fixture(scope="module")
+def crc32_small():
+    return _images("crc32", "small")
+
+
+@pytest.mark.parametrize("isa", ["arm", "thumb", "fits"])
+def test_forced_fallback_bit_identical(crc32_small, isa):
+    image = crc32_small[isa]
+    oracle = interpreted(lambda: _run(image, isa))
+    block = _closure_only_run(image, isa)
+    assert_identical(block, oracle, "crc32/%s/forced-fallback" % isa)
+
+
+@pytest.mark.parametrize("isa", ["arm", "thumb", "fits"])
+def test_fallback_counter_reported(crc32_small, isa):
     obs.enable(sink=None)
     try:
         marker = obs.mark()
-        image = compile_arm(get_workload("crc32").build_module("small"))
-        program = build_program(image)
-        program.emit = lambda idx: None
-        engine_mod.execute(program, 200_000_000)
+        _closure_only_run(crc32_small[isa], isa)
         counters = obs.since(marker)["counters"]
         assert counters.get("sim.engine.fallback_instrs", 0) > 0
         assert counters.get("sim.engine.blocks_compiled", 0) > 0
@@ -200,12 +227,12 @@ def test_fallback_counter_reported():
         obs.disable()
 
 
-def test_block_engine_counters():
+@pytest.mark.parametrize("isa", ["arm", "thumb", "fits"])
+def test_block_engine_counters(crc32_small, isa):
     obs.enable(sink=None)
     try:
         marker = obs.mark()
-        image = compile_arm(get_workload("crc32").build_module("small"))
-        ArmSimulator(image).run()
+        _run(crc32_small[isa], isa)
         counters = obs.since(marker)["counters"]
         assert counters.get("sim.engine.blocks_compiled", 0) > 0
         assert counters.get("sim.engine.units_compiled", 0) > 0
@@ -215,6 +242,106 @@ def test_block_engine_counters():
         assert any(k.startswith("sim.engine.avg_block_len") for k in gauges)
     finally:
         obs.disable()
+
+
+# ----------------------------------------------------------------------
+# observability never feeds the simulation: a run with obs on and opcode
+# sampling (the heaviest obs path in the simulators) matches one with
+# obs off in every ExecutionResult field.  repro.obs is left out of the
+# source fingerprints on the strength of this test.
+
+
+def assert_results_equal(a, b, label):
+    assert a.exit_code == b.exit_code, label
+    assert a.dynamic_instructions == b.dynamic_instructions, label
+    for field in ("block_starts", "block_ends", "seg_ids", "seg_counts",
+                  "mem_packed"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), \
+            "%s: %s differs" % (label, field)
+    assert a.console == b.console, label
+    assert bytes(a.memory) == bytes(b.memory), "%s: memory differs" % label
+
+
+@pytest.mark.parametrize("isa", ["arm", "thumb", "fits"])
+def test_obs_on_off_bit_identical(crc32_small, isa):
+    image = crc32_small[isa]
+    assert not obs.enabled
+    off = _run(image, isa)
+    obs.enable(sink=None, opcode_sampling=True)
+    try:
+        marker = obs.mark()
+        on = _run(image, isa)
+        assert obs.since(marker)["counters"]["sim.%s.executions" % isa] == 1
+    finally:
+        obs.disable()
+        obs.reset()
+    assert_results_equal(off, on, "crc32/%s obs on vs off" % isa)
+
+
+# ----------------------------------------------------------------------
+# bad control flow raises SimulationError, naming the ISA, the index and
+# its function, on every ISA and on both engine paths: a computed jump
+# to an address outside the code, and a branch to an index control must
+# never reach (a Thumb BL's second halfword, a halfword inside a FITS
+# atom).  Operation 0 of a decoded crc32 program is replaced by the bad
+# transfer.
+
+
+def _bad_target(program):
+    return next(i for i, op in enumerate(program.ops)
+                if isinstance(op, semantics.Invalid))
+
+
+BAD_FLOW = [("arm", "jump"), ("thumb", "jump"), ("fits", "jump"),
+            ("thumb", "branch"), ("fits", "branch")]
+
+
+@pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+@pytest.mark.parametrize("isa,case", BAD_FLOW)
+def test_bad_control_flow_raises(crc32_small, isa, case, mode):
+    program = BUILD[isa](crc32_small[isa])
+    if case == "jump":
+        program.ops[0] = semantics.Jump(semantics.Imm(0x40))
+        bad = 0
+    else:
+        bad = _bad_target(program)
+        program.ops[0] = semantics.Branch(bad)
+    oracle = {"interpreted": interpreted, "compiled": compiled}[mode]
+    with pytest.raises(SimulationError) as info:
+        oracle(lambda: engine_mod.execute(program, 200_000_000))
+    message = str(info.value)
+    assert message.startswith("bad control flow at %s instruction index %d ("
+                              % (isa, bad)), message
+    if case == "jump":
+        assert "0x40 is not a" in message and "code address" in message
+
+
+# ----------------------------------------------------------------------
+# decoding is eager: an image the simulator cannot run fails when its
+# program is built, before any instruction executes.
+
+
+def _arm_image(instrs):
+    return Image(name="unsupported", words=[i.encode() for i in instrs],
+                 instrs=instrs, symbols={"_start": CODE_BASE},
+                 func_of_index=["_start"] * len(instrs), global_addr={},
+                 data_bytes=b"", data_base=CODE_BASE + 4 * len(instrs),
+                 entry="_start")
+
+
+@pytest.mark.parametrize("ins,error", [
+    (DataProc(DPOp.MOV, 0, 0, Operand2Reg(1, ShiftType.ROR, 0)),
+     NotImplementedError),                                   # RRX
+    (DataProc(DPOp.ADD, 0, 0, Operand2Imm(0, 1), s=True),
+     NotImplementedError),                                   # S-bit ADD
+    (DataProc(DPOp.ADD, 15, 0, Operand2Imm(0, 1)),
+     NotImplementedError),                                   # ADD to pc
+    (Swi(7), SimulationError),                               # unknown SWI
+], ids=["rrx", "s-bit", "add-pc", "swi"])
+def test_unsupported_arm_instruction_fails_at_build(ins, error):
+    image = _arm_image([ins, Swi(0)])
+    with pytest.raises(error):
+        arm_sim.build_program(image)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ SRC = os.path.dirname(os.path.abspath(repro.__file__))
 EXCLUDED = {
     "repro.obs": "instrumentation only: spans and counters never feed a "
                  "metric, and simulation is bit-identical with it on and "
-                 "off (scripts/verify.sh gates that)",
+                 "off (test_engine::test_obs_on_off_bit_identical)",
     "repro.fingerprint": "computes the fingerprints; a change to what it "
                          "hashes changes them all",
     "repro.dse.store": "stores result blobs and checks their fingerprint; "

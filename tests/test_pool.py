@@ -13,6 +13,9 @@ to the in-process serial path is
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter, OrderedDict
@@ -247,6 +250,145 @@ def test_plane_bus_roundtrip_and_fallback(tmp_path, shape):
         bus.close()
         gc.collect()
         planes.clear_registry()
+
+
+# ----------------------------------------------------------------------
+# segment ownership: the coordinator's resource tracker owns every
+# exported segment, through a clean close, a worker with a tracker of
+# its own, and a SIGKILL of the coordinator
+
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+def _segment_exists(name):
+    return os.path.exists(os.path.join("/dev/shm", name.lstrip("/")))
+
+
+def _process_alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not planes.available() or not os.path.isdir("/dev/shm"),
+                    reason="needs POSIX shared memory under /dev/shm")
+def test_worker_with_its_own_tracker_leaves_segment_alive(tmp_path):
+    """A process outside the coordinator attaches under a resource
+    tracker of its own and exits: its tracker must not unlink the
+    segment the coordinator still exports."""
+    image = compile_arm(get_workload("crc32").build_module("small"))
+    store = TraceStore(str(tmp_path / "ts"))
+    key = store.save(image, ArmSimulator(image).run(), kind="arm")
+    with open(os.path.join(store.root, key + ".json")) as fh:
+        manifest = json.load(fh)
+    bus = planes.PlaneBus()
+    try:
+        desc = bus.export_entry(store, manifest)
+        script = (
+            "import json, sys\n"
+            "from repro.compiler import compile_arm\n"
+            "from repro.sim.functional import planes\n"
+            "from repro.workloads import get_workload\n"
+            "desc = json.loads(sys.argv[1])\n"
+            "image = compile_arm(get_workload('crc32').build_module('small'))\n"
+            "planes.attach([desc])\n"
+            "assert planes.lookup(desc['key'], image) is not None\n")
+        subprocess.run([sys.executable, "-c", script, json.dumps(desc)],
+                       env=_child_env(), check=True, timeout=60)
+        time.sleep(0.5)  # the child's tracker cleans up as it exits
+        assert _segment_exists(desc["shm"])
+    finally:
+        bus.close()
+    assert not _segment_exists(desc["shm"])
+
+
+#: Coordinator that SIGKILLs itself on its first task result, after
+#: recording the segments it exported and its pool workers' pids.
+_KILLED_COORDINATOR = """
+import json, os, signal, sys
+from multiprocessing import active_children
+from repro.dse import scheduler
+from repro.dse.space import DesignSpace
+
+out, store = sys.argv[1], sys.argv[2]
+segments = []
+export = scheduler._export_planes
+
+
+def export_planes(payloads, scale):
+    bus = export(payloads, scale)
+    segments.extend(sorted({d["shm"] for p in payloads
+                            for d in p.get("planes", ())}))
+    return bus
+
+
+run_tasks = scheduler.run_tasks
+
+
+def killed_run_tasks(*args, **kwargs):
+    def die(_result):
+        with open(out, "w") as fh:
+            json.dump({"segments": segments,
+                       "workers": [p.pid for p in active_children()]}, fh)
+        os.kill(os.getpid(), signal.SIGKILL)
+    kwargs["progress"] = die
+    return run_tasks(*args, **kwargs)
+
+
+scheduler._export_planes = export_planes
+scheduler.run_tasks = killed_run_tasks
+space = DesignSpace.grid(isas=("arm", "thumb", "fits"), sizes=(8192, 16384),
+                         assocs=(32,), blocks=(16, 32))
+scheduler.sweep(space, ["crc32"], scale="small", jobs=2, store=store)
+"""
+
+
+@pytest.mark.skipif(not planes.available() or not os.path.isdir("/dev/shm"),
+                    reason="needs POSIX shared memory under /dev/shm")
+def test_sigkilled_coordinator_leaks_no_segments(tmp_path, monkeypatch):
+    """A sweep coordinator SIGKILLed mid-sweep leaves no shared-memory
+    segment behind and no pool worker running: the workers exit on the
+    closed pipe, and the coordinator's resource tracker, which still
+    holds every registration, unlinks the segments."""
+    from repro.dse import evaluate
+
+    # a trace store holding crc32's three traces, recorded for crc32 (an
+    # entry stored earlier outside a run context names no benchmark and
+    # would not be exported)
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
+    monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
+    monkeypatch.setattr(evaluate, "_FUNC_GROUPS", OrderedDict())
+    for isa in ("arm", "thumb", "fits"):
+        evaluate._functional("crc32", "small", isa)
+
+    out = tmp_path / "exported.json"
+    with open(tmp_path / "stderr", "w") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_COORDINATOR, str(out),
+             str(tmp_path / "store")], env=_child_env(), stderr=err)
+        assert child.wait(timeout=120) == -signal.SIGKILL
+    exported = json.loads(out.read_text())
+    assert len(exported["segments"]) == 3 and exported["workers"]
+    try:
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and (
+                any(map(_segment_exists, exported["segments"]))
+                or any(map(_process_alive, exported["workers"]))):
+            time.sleep(0.1)
+        assert not any(map(_segment_exists, exported["segments"]))
+        assert not any(map(_process_alive, exported["workers"]))
+    finally:
+        for pid in exported["workers"]:
+            if _process_alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        for name in exported["segments"]:
+            if _segment_exists(name):
+                os.unlink(os.path.join("/dev/shm", name.lstrip("/")))
 
 
 def test_export_for_matches_benchmark_and_scale(tmp_path, monkeypatch):
