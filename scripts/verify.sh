@@ -10,8 +10,10 @@
 #    that silently drops a stage's spans fails fast.
 # 3. Renders the observability report CLI over the smoke cache (and
 #    checks the sim.engine.* counter family is surfaced).
-# 4. DSE sweeps (cold, resumed, warm over the persistent trace store),
-#    frontier, per-point report, and the trajectory/golden gates.
+# 4. A DSE sweep, its per-point report, and the trajectory/golden
+#    gates.  Resume, frontier and warm-store bit-identity are tier-1
+#    (tests/test_dse.py, tests/test_scheduler_failures.py,
+#    tests/test_flow_record.py).
 # 5. Cross-process trace gate: a --jobs 2 sweep under REPRO_OBS must
 #    export as ONE parent-linked Perfetto trace (every worker span's
 #    trace_id/parent_id resolves to the coordinator's root span).
@@ -86,46 +88,6 @@ grep -q "evaluated: 8" "$tmp/sweep1.txt" \
     || { echo "FAIL: first sweep did not evaluate 8 points"; exit 1; }
 grep -q "failed:    0" "$tmp/sweep1.txt" \
     || { echo "FAIL: sweep reported failures"; exit 1; }
-
-echo "== DSE resume (must evaluate zero new points) =="
-python -m repro.dse sweep --preset smoke --benchmarks crc32,sha \
-    --scale small --jobs 2 --store "$dse_store" --resume | tee "$tmp/sweep2.txt"
-grep -q "evaluated: 0" "$tmp/sweep2.txt" \
-    || { echo "FAIL: resumed sweep re-evaluated points"; exit 1; }
-grep -q "skipped:   8" "$tmp/sweep2.txt" \
-    || { echo "FAIL: resumed sweep did not skip all 8 points"; exit 1; }
-
-echo "== persistent trace store (second sweep must be served warm) =="
-dse_store2="$tmp/dse2"
-python -m repro.dse sweep --preset smoke --benchmarks crc32,sha \
-    --scale small --jobs 2 --store "$dse_store2" | tee "$tmp/sweep3.txt"
-grep -q "evaluated: 8" "$tmp/sweep3.txt" \
-    || { echo "FAIL: warm sweep did not evaluate 8 points"; exit 1; }
-python - "$dse_store" "$dse_store2" <<'EOF'
-import sys
-from repro.dse.store import ResultStore
-
-cold = {(b["benchmark"], b["point"]["id"]): b
-        for b in ResultStore(sys.argv[1]).iter_results()}
-warm = {(b["benchmark"], b["point"]["id"]): b
-        for b in ResultStore(sys.argv[2]).iter_results()}
-assert cold and set(cold) == set(warm), "sweeps evaluated different points"
-hits = sum(b["manifest"]["counters"].get("trace_store.hit", 0)
-           for b in warm.values())
-assert hits > 0, "second sweep never hit the persistent trace store"
-for key, blob in cold.items():
-    assert blob["metrics"] == warm[key]["metrics"], \
-        "warm-trace metrics diverged for %s/%s" % key
-print("trace store: %d hits, %d points bit-identical cold vs warm"
-      % (hits, len(cold)))
-EOF
-
-echo "== DSE frontier (must be non-empty) =="
-python -m repro.dse frontier --store "$dse_store" | tee "$tmp/frontier.txt"
-grep -q "FITS" "$tmp/frontier.txt" \
-    || { echo "FAIL: frontier is empty / lost the paper configs"; exit 1; }
-grep -Eq "aggregate frontier \([1-9][0-9]* points" "$tmp/frontier.txt" \
-    || { echo "FAIL: aggregate frontier is empty"; exit 1; }
 
 echo "== DSE per-point observability report =="
 python -m repro.obs.report --dse "$dse_store" --counters 8 > "$tmp/dse-report.txt"

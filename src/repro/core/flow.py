@@ -18,22 +18,34 @@ the baseline's execution counts, folded onto origins, are read back
 through each budget image's own origins.  A budget image with an origin
 the baseline lacks (a block that lowers to nothing at the baseline) is
 simulated instead.  Only the kept FITS image runs on the FITS simulator.
+
+The search's outcome is small: the kept budget and the synthesized ISA
+(:func:`flow_record`).  :func:`replay_flow` rebuilds the kept FITS image
+from it with one compile and one translation — no ARM simulation, no
+profile from execution and no synthesis — and checks the rebuilt
+image's content hash against the record's.
 """
 
 import numpy as np
 
 from repro.compiler.link import link_arm
+from repro.isa.fits.spec import FitsIsa
 from repro.obs import core as obs
 from repro.sim.functional import ArmSimulator, cached_run
 from repro.sim.functional.fits_sim import FitsSimulator
+from repro.sim.functional.store import image_fingerprint
 from repro.core.profiler import ArmProfile
 from repro.core.synthesizer import synthesize
+from repro.core.translator import translate
 
 #: Register budgets explored by the flow, tightest first; ``None`` means
 #: the full ARM callee-saved pool (no restriction: register-hungry
 #: applications then lean on the k_reg=4 two-address geometries instead
 #: of spilling).
 DEFAULT_BUDGETS = ((4, 5), (4, 5, 6), (4, 5, 6, 7), None)
+
+#: Instruction limit of the flow's ARM runs; the FITS run gets twice it.
+MAX_INSTRUCTIONS = 200_000_000
 
 
 class FitsFlowResult:
@@ -110,7 +122,7 @@ def project_counts(image, counts):
 
 
 def fits_flow(module, entry="main", budgets=DEFAULT_BUDGETS, config=None,
-              max_instructions=200_000_000):
+              max_instructions=MAX_INSTRUCTIONS):
     """Run the full FITS flow for an IR module; returns the best result.
 
     The FITS binary is executed to completion on the FITS simulator so
@@ -153,12 +165,47 @@ def fits_flow(module, entry="main", budgets=DEFAULT_BUDGETS, config=None,
         obs.counter("flow.runs")
         obs.gauge("flow.selected_budget", list(budget) if budget else None)
         obs.observe("flow.dynamic_mapping", _mapping)
-    fits_result = cached_run(
-        "fits", synthesis.image,
-        FitsSimulator(synthesis.image, max_instructions=2 * max_instructions).run)
+    fits_result = run_fits(synthesis.image, 2 * max_instructions)
     if fits_result.exit_code != arm_result.exit_code:
         raise AssertionError(
             "FITS execution diverged from ARM (exit %r vs %r)"
             % (fits_result.exit_code, arm_result.exit_code)
         )
     return FitsFlowResult(budget, arm_image, arm_result, profile, synthesis, fits_result)
+
+
+def run_fits(image, max_instructions=2 * MAX_INSTRUCTIONS):
+    """Run a FITS image to completion through the trace store."""
+    return cached_run(
+        "fits", image,
+        FitsSimulator(image, max_instructions=max_instructions).run)
+
+
+def flow_record(flow):
+    """What :func:`replay_flow` needs to rebuild ``flow``'s FITS image,
+    plus the dynamic mapping rate the harness reports, as JSON-ready data."""
+    return {
+        "budget": list(flow.budget) if flow.budget else None,
+        "isa": flow.isa.to_dict(),
+        "dynamic_mapping": flow.dynamic_mapping,
+        "image_hash": image_fingerprint(flow.fits_image),
+    }
+
+
+def replay_flow(module, record, entry="main"):
+    """Rebuild and run the FITS image a :func:`flow_record` describes.
+
+    Compiles ``module`` once at the kept budget and translates it with
+    the stored ISA and the static operand uses that synthesis translates
+    with.  Returns ``(image, result)``, or None when the rebuilt image's
+    content hash is not the record's: the record then describes another
+    compile, and the caller re-runs :func:`fits_flow`.
+    """
+    budget = record["budget"]
+    arm_image = link_arm(module, entry=entry,
+                         callee_saved=tuple(budget) if budget else None)
+    image = translate(arm_image, FitsIsa.from_dict(record["isa"]),
+                      uses=ArmProfile.static_only(arm_image).uses)
+    if image_fingerprint(image) != record["image_hash"]:
+        return None
+    return image, run_fits(image)

@@ -189,10 +189,10 @@ def cmd_gc(args):
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("gc %s: pruned %d stale heartbeat(s), %d orphaned failure "
-              "record(s), %d tmp file(s)" % (
-                  store.root, report["heartbeats"], report["failures"],
-                  report["tmp"]))
+        print("gc %s: pruned %d stale heartbeat(s), %d torn and %d "
+              "superseded line(s), %d old-layout file(s)" % (
+                  store.root, report["heartbeats"], report["torn"],
+                  report["superseded"], report["legacy"]))
     return 0
 
 
@@ -258,8 +258,10 @@ def build_parser():
                    help="how many counters to print (default 16)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("gc", help="prune stale heartbeats, orphaned failure "
-                       "records and tmp files left by killed sweeps")
+    p = sub.add_parser("gc", help="prune stale heartbeats, compact result "
+                       "segments (dropping torn and superseded lines) and "
+                       "delete old-layout result files; run it while no "
+                       "sweep writes the store")
     p.add_argument("--store", required=True, help="result-store directory")
     p.add_argument("--stale-after", type=float, default=None, metavar="SECS",
                    help="heartbeats idle this long count as dead "

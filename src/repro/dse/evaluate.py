@@ -18,7 +18,10 @@ later serve job brings the unit back.  The memo keeps a small LRU of
 benchmark groups (:data:`FUNC_CACHE_GROUPS`) to bound memory.  Across
 processes and sessions the persistent trace store
 (:mod:`repro.sim.functional.store`) removes the functional simulation
-entirely on a warm cache.
+entirely on a warm cache, and its flow records remove the FITS flow's
+search: a FITS unit whose record is stored (keyed by workload, scale
+and :data:`repro.fingerprint.FLOW`) replays one compile and one
+translation (:func:`repro.core.flow.replay_flow`).
 
 Cache points are further batched by :func:`evaluate_points`: all points
 of one ``(benchmark, scale, isa)`` share the geometry-invariant timing
@@ -38,19 +41,22 @@ Every result blob records the result fingerprint
 (:data:`repro.fingerprint.RESULT`) of the code that computed it.
 """
 
+import sys
 import time
 from collections import OrderedDict
 
 from repro import obs
 from repro.compiler import compile_arm, compile_thumb
-from repro.core.flow import fits_flow
+from repro.core.flow import fits_flow, flow_record, replay_flow
+from repro.core.translator import TranslationError
 from repro.dse.space import DesignPoint
 from repro.dse.store import RESULT_SCHEMA
-from repro.fingerprint import RESULT, fingerprint
+from repro.fingerprint import FLOW, RESULT, fingerprint
 from repro.power import CachePowerModel
 from repro.power.technology import tech_node
 from repro.sim.cache import CacheGeometry
 from repro.sim.functional import ArmSimulator, cached_run
+from repro.sim.functional.store import get_store
 from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.pipeline import TimingBatch, TimingConfig
 from repro.workloads import get_workload
@@ -108,10 +114,7 @@ def _functional(name, scale, isa):
             image = compile_thumb(module)
             result = cached_run("thumb", image, ThumbSimulator(image).run)
         elif isa == "fits":
-            flow = fits_flow(module)
-            image, result = flow.fits_image, flow.fits_result
-            extras = {"budget": flow.budget,
-                      "dynamic_mapping": flow.dynamic_mapping}
+            image, result, extras = _fits(name, scale, module)
         else:
             raise ValueError("unknown ISA %r" % (isa,))
     if result.exit_code != wl.reference(scale):
@@ -121,6 +124,40 @@ def _functional(name, scale, isa):
         )
     _FUNC_CACHE[key] = (image, result, extras)
     return _FUNC_CACHE[key]
+
+
+def _fits(name, scale, module):
+    """The FITS unit: ``(image, result, extras)``, replayed from the
+    trace store's flow record when it holds one, else from a full
+    :func:`fits_flow`, whose outcome is then recorded."""
+    store = get_store()
+    key = "%s-%s-%s" % (name, scale, fingerprint(FLOW))
+    record = store.load_flow(key) if store is not None else None
+    if record is not None:
+        try:
+            replayed = replay_flow(module, record)
+        except (KeyError, TypeError, ValueError, TranslationError):
+            replayed = None     # a garbage record is re-derived
+        if replayed is not None:
+            image, result = replayed
+            return image, result, _flow_extras(record)
+        print("flow record %s does not rebuild its FITS image; re-running "
+              "the flow" % key, file=sys.stderr)
+    flow = fits_flow(module)
+    record = flow_record(flow)
+    if store is not None:
+        try:
+            store.save_flow(key, record)
+        except OSError as exc:
+            print("trace store: flow record save failed (%s)" % exc,
+                  file=sys.stderr)
+    return flow.fits_image, flow.fits_result, _flow_extras(record)
+
+
+def _flow_extras(record):
+    budget = record["budget"]
+    return {"budget": tuple(budget) if budget else None,
+            "dynamic_mapping": record["dynamic_mapping"]}
 
 
 def _is_paper_default(point):

@@ -11,9 +11,9 @@ Two layers:
   timeout (``terminate`` + bounded requeue), bounded retry count, and
   crash isolation.  ``jobs <= 1`` runs the tasks in the calling
   process — the serial reference the pool is tested against.  Task
-  results must flow through the filesystem (the result store's atomic
-  writes), never through pipes — which is exactly what makes sweeps
-  resumable and crash-safe.
+  results must flow through the filesystem (each task appends to its
+  own result-store segment), never through pipes — which is exactly
+  what makes sweeps resumable and crash-safe.
 
 * :func:`sweep` — the DSE orchestration: diff the design space against
   the store's completed keys (``resume``), make one task per
@@ -133,9 +133,18 @@ def _sweep_worker(payload):
     Points that survive the resume check are streamed through
     :func:`evaluate_points`, so the task shares one functional
     simulation and one stack-distance pass per (ISA, block size); each
-    result is persisted as it is yielded, preserving crash-safe resume.
+    result is appended to the task's own store segment as it is
+    yielded, preserving crash-safe resume.
     """
     store = ResultStore(payload["store"])
+    try:
+        _evaluate_task(store, payload)
+    finally:
+        store.close()
+
+
+def _evaluate_task(store, payload):
+    """The body of :func:`_sweep_worker`, writing into ``store``."""
     benchmark = payload["benchmark"]
     scale = payload["scale"]
     if payload.get("planes"):

@@ -1,34 +1,54 @@
-"""Resumable on-disk result store for design-space sweeps.
+"""The result store: design-point evaluations, written once per task.
 
-Layout (one directory per sweep)::
+One store layout serves both the ``python -m repro.dse sweep --store``
+directories and the sweep service's global cache
+(:class:`repro.serve.cache.GlobalResultCache` is a view on one store
+per scale and result fingerprint)::
 
     <store>/
-        space.json                     # the swept DesignSpace + sweep args
-        results/<bench>--<pid>.json    # one blob per completed evaluation
-        failures/<bench>--<pid>.json   # last error per failed evaluation
+        space.json                          # the swept DesignSpace + sweep args
+        results/<bench>/<writer>.jsonl      # one segment per writing task
+        progress/                           # live worker heartbeats
 
-Results are keyed by ``(benchmark, point_id)`` where the point id is the
-point's content hash — restarting a sweep (``--resume``, the default)
-skips everything already on disk, regardless of task order, process
-crashes, or how the space was re-declared.  Each blob records the result
-fingerprint of the code that computed it (:mod:`repro.fingerprint`);
-resume treats a blob from other code as pending, so it is re-evaluated
-and overwritten instead of mixing code versions in one frontier.  Every
-write goes through a same-directory temp file + ``os.replace`` so
-parallel workers and Ctrl-C can never leave a torn blob behind; a
-torn/garbage blob from an older run is treated as absent and
-re-evaluated.
+A writer is one sweep task (or one cache ``put`` caller): it opens its
+own segment, named by its pid and a random token, on its first write,
+appends one JSON line per evaluated point (a result blob, or a failure
+record ``{"schema", "benchmark", "point_id", "error"}``), flushes each
+line and closes the segment when the task ends.  No point creates a
+file of its own, and no two writers ever append to the same file, so
+several sweeps or servers may share one store.
+
+Readers keep a per-benchmark index of complete lines, refreshed
+incrementally (a consumed byte offset per segment).  A line without its
+newline — the torn tail a killed writer leaves — is skipped until it is
+completed, which for a dead writer is never.  Results are keyed by
+``(benchmark, point_id)`` where the point id is the point's content
+hash, so resume skips everything already stored regardless of task
+order, crashes, or how the space was re-declared.  Each blob records
+the result fingerprint of the code that computed it
+(:mod:`repro.fingerprint`); resume treats a blob from other code as
+pending and re-evaluates it.  Per point, a result from the current code
+beats any other line, so a retry in another segment supersedes a
+failure without rewriting it.
+
+:meth:`ResultStore.gc` compacts each benchmark's segments into one,
+dropping torn lines and superseded lines, and deletes the per-point
+files of the previous layout (``results/<bench>--<id>.json``,
+``failures/``), which no reader opens.
 """
 
 import json
 import os
 import tempfile
+import threading
 
 from repro.fingerprint import RESULT, fingerprint
 
 #: Bump when the result-blob layout changes; stale blobs are skipped
 #: (and re-evaluated) rather than misread.
-RESULT_SCHEMA = 1
+RESULT_SCHEMA = 2
+
+SEGMENT_SUFFIX = ".jsonl"
 
 
 def atomic_write_json(path, data):
@@ -38,7 +58,7 @@ def atomic_write_json(path, data):
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -52,13 +72,74 @@ def _current(blob):
     return blob is not None and blob.get("fingerprint") == fingerprint(RESULT)
 
 
+def _listdir(path):
+    try:
+        return os.listdir(path)
+    except OSError:
+        return []
+
+
+class _Index:
+    """What one benchmark's segments hold: the winning line per point."""
+
+    __slots__ = ("offsets", "results", "failures", "torn", "superseded")
+
+    def __init__(self):
+        self.offsets = {}       # segment name -> bytes consumed
+        self.results = {}       # point id -> result blob
+        self.failures = {}      # point id -> failure record
+        self.torn = 0           # complete lines that did not parse
+        self.superseded = 0     # lines a later or current line replaced
+
+    def consume(self, line):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            self.torn += 1
+            return
+        if not isinstance(record, dict) or record.get("schema") != RESULT_SCHEMA:
+            self.torn += 1
+            return
+        failed = "error" in record
+        point_id = (record.get("point_id") if failed
+                    else (record.get("point") or {}).get("id"))
+        if not isinstance(point_id, str):
+            self.torn += 1
+            return
+        if failed:
+            if point_id in self.failures:
+                self.superseded += 1
+            self.failures[point_id] = record
+            return
+        old = self.results.get(point_id)
+        if old is not None:
+            self.superseded += 1
+            if _current(old) and not _current(record):
+                return
+        self.results[point_id] = record
+
+    def failure(self, point_id):
+        """The failure record of a point no current result supersedes."""
+        if _current(self.results.get(point_id)):
+            return None
+        return self.failures.get(point_id)
+
+
 class ResultStore:
-    """Directory-backed store of per-(benchmark, point) result blobs."""
+    """Directory-backed store of per-(benchmark, point) result lines.
+
+    Thread-safe: a server's event loop and compute threads share one
+    instance.  Indexes are built lazily, on the first read of a
+    benchmark.
+    """
 
     def __init__(self, root):
         self.root = os.path.expanduser(root)
         self.results_dir = os.path.join(self.root, "results")
-        self.failures_dir = os.path.join(self.root, "failures")
+        self._lock = threading.Lock()
+        self._index = {}        # benchmark -> _Index
+        self._segments = {}     # benchmark -> open segment of this writer
+        self._writer = None
 
     # -- store metadata -------------------------------------------------
 
@@ -80,74 +161,124 @@ class ResultStore:
         except (OSError, ValueError):
             return None
 
-    # -- result keys ----------------------------------------------------
+    # -- writing --------------------------------------------------------
 
-    @staticmethod
-    def key(benchmark, point_id):
-        return "%s--%s" % (benchmark, point_id)
+    def segment_dir(self, benchmark):
+        return os.path.join(self.results_dir, benchmark)
 
-    def result_path(self, benchmark, point_id):
-        return os.path.join(self.results_dir, self.key(benchmark, point_id) + ".json")
+    def save(self, result):
+        """Append one evaluation blob to this writer's segment."""
+        self._append(result["benchmark"], result)
 
-    def failure_path(self, benchmark, point_id):
-        return os.path.join(self.failures_dir, self.key(benchmark, point_id) + ".json")
+    def save_failure(self, benchmark, point_id, error):
+        self._append(benchmark, {"schema": RESULT_SCHEMA,
+                                 "benchmark": benchmark,
+                                 "point_id": point_id, "error": str(error)})
 
-    # -- results --------------------------------------------------------
+    def _append(self, benchmark, record):
+        line = (json.dumps(record) + "\n").encode()
+        with self._lock:
+            segment = self._segments.get(benchmark)
+            if segment is None:
+                if self._writer is None:
+                    self._writer = "%d-%s" % (os.getpid(), os.urandom(4).hex())
+                os.makedirs(self.segment_dir(benchmark), exist_ok=True)
+                segment = open(os.path.join(self.segment_dir(benchmark),
+                                            self._writer + SEGMENT_SUFFIX), "ab")
+                self._segments[benchmark] = segment
+            segment.write(line)
+            segment.flush()
+
+    def close(self):
+        """Close this writer's segments (a later write opens new ones)."""
+        with self._lock:
+            for segment in self._segments.values():
+                segment.close()
+            self._segments = {}
+            self._writer = None
+
+    # -- reading --------------------------------------------------------
+
+    def _refresh(self, benchmark):
+        """Consume every complete line appended since the last refresh;
+        the caller holds the lock."""
+        index = self._index.get(benchmark)
+        if index is None:
+            index = self._index[benchmark] = _Index()
+        try:
+            entries = sorted(os.scandir(self.segment_dir(benchmark)),
+                             key=lambda entry: entry.name)
+        except OSError:
+            return index
+        for entry in entries:
+            if not entry.name.endswith(SEGMENT_SUFFIX):
+                continue
+            done = index.offsets.get(entry.name, 0)
+            try:
+                if entry.stat().st_size <= done:
+                    continue
+                with open(entry.path, "rb") as fh:
+                    fh.seek(done)
+                    data = fh.read()
+            except OSError:
+                continue
+            end = data.rfind(b"\n") + 1
+            for line in data[:end].splitlines():
+                index.consume(line)
+            index.offsets[entry.name] = done + end
+        return index
+
+    def _benchmarks(self):
+        try:
+            return sorted(entry.name for entry in os.scandir(self.results_dir)
+                          if entry.is_dir())
+        except OSError:
+            return []
+
+    def _indexes(self):
+        """Every benchmark's index, refreshed, in benchmark order; the
+        caller holds the lock."""
+        return [self._refresh(benchmark) for benchmark in self._benchmarks()]
 
     def has(self, benchmark, point_id):
         """True when the point has a result computed by the current code."""
         return _current(self.load(benchmark, point_id))
 
     def load(self, benchmark, point_id):
-        """One result blob, or None when missing/torn/stale."""
-        try:
-            with open(self.result_path(benchmark, point_id)) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if data.get("schema") != RESULT_SCHEMA:
-            return None
-        return data
+        """One result blob (current code when there is one), or None.
 
-    def save(self, result):
-        """Persist one evaluation blob (atomic); clears any failure mark."""
-        benchmark = result["benchmark"]
-        point_id = result["point"]["id"]
-        atomic_write_json(self.result_path(benchmark, point_id), result)
-        try:
-            os.unlink(self.failure_path(benchmark, point_id))
-        except OSError:
-            pass
+        An index lookup; when the index holds no current result for the
+        point it is refreshed once, which reads what other writers have
+        appended since.
+        """
+        with self._lock:
+            index = self._index.get(benchmark)
+            blob = index.results.get(point_id) if index is not None else None
+            if not _current(blob):
+                blob = self._refresh(benchmark).results.get(point_id)
+            return blob
 
-    def save_failure(self, benchmark, point_id, error):
-        atomic_write_json(
-            self.failure_path(benchmark, point_id),
-            {"schema": RESULT_SCHEMA, "benchmark": benchmark,
-             "point_id": point_id, "error": str(error)},
-        )
+    def failure(self, benchmark, point_id):
+        """The point's failure record, or None when it has none or a
+        current-code result supersedes it."""
+        with self._lock:
+            return self._refresh(benchmark).failure(point_id)
 
     def iter_results(self):
-        """Yield every valid result blob (sorted by file name)."""
-        try:
-            names = sorted(os.listdir(self.results_dir))
-        except OSError:
-            return
-        for fname in names:
-            if not fname.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(self.results_dir, fname)) as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            if data.get("schema") != RESULT_SCHEMA:
-                continue
-            yield data
+        """Yield one valid result blob per point, sorted by benchmark and
+        point id."""
+        with self._lock:
+            blobs = [index.results[point_id] for index in self._indexes()
+                     for point_id in sorted(index.results)]
+        yield from blobs
 
     def completed_keys(self):
         """``(benchmark, point_id)`` pairs with a current-code result."""
-        return {(data["benchmark"], data["point"]["id"])
-                for data in self.iter_results() if _current(data)}
+        with self._lock:
+            return {(blob["benchmark"], point_id)
+                    for index in self._indexes()
+                    for point_id, blob in index.results.items()
+                    if _current(blob)}
 
     def to_trajectory_records(self, commit=None, scale=None, names=None):
         """Bridge this sweep's results into metrics-trajectory records.
@@ -166,19 +297,11 @@ class ResultStore:
         return records_from_dse_store(self, commit, scale=scale, names=names)
 
     def failures(self):
-        """List of failure record dicts (empty when none)."""
-        out = []
-        try:
-            names = sorted(os.listdir(self.failures_dir))
-        except OSError:
-            return out
-        for fname in names:
-            try:
-                with open(os.path.join(self.failures_dir, fname)) as fh:
-                    out.append(json.load(fh))
-            except (OSError, ValueError):
-                continue
-        return out
+        """Failure records of points no current result supersedes."""
+        with self._lock:
+            return [record for index in self._indexes()
+                    for record in map(index.failure, sorted(index.failures))
+                    if record is not None]
 
     # -- garbage collection ---------------------------------------------
 
@@ -187,71 +310,87 @@ class ResultStore:
         return os.path.join(self.root, "progress")
 
     def gc(self, stale_after=None):
-        """Prune debris a killed sweep leaves behind; returns a report.
+        """Prune what killed and superseded work leaves; returns a report.
 
-        Three kinds of garbage accumulate in a store that sweeps are
-        killed over (Ctrl-C, OOM, per-point timeout kills):
+        Precondition: no sweep is writing the store.
 
         * stale worker heartbeats under ``progress/`` — last-gasp files
           from dead pids that inflate the next run's worker count;
-        * orphaned failure records — a failure mark whose point now has
-          a valid result (the worker was killed between writing the
-          result and clearing the mark), or a torn/garbage failure file;
-        * ``.tmp-*`` leftovers from atomic writes interrupted mid-flight
-          in ``results/`` and ``failures/``.
+        * each benchmark's segments are compacted into one holding the
+          winning line per point: torn lines and lines a later or
+          current-code line superseded (a failure a retry fixed, a
+          result re-evaluated by newer code) are dropped;
+        * per-point files of the previous layout
+          (``results/<bench>--<id>.json``, ``failures/``, ``.tmp-*``).
 
-        Valid results are never touched.  Returns
-        ``{"heartbeats": n, "failures": n, "tmp": n}``.
+        Current results are never dropped.  Returns ``{"heartbeats": n,
+        "torn": n, "superseded": n, "legacy": n}``.
         """
         from repro.dse import progress as progress_mod
 
         if stale_after is None:
             stale_after = progress_mod.STALE_AFTER
-        report = {"heartbeats": 0, "failures": 0, "tmp": 0}
-        report["heartbeats"] = progress_mod.prune_heartbeats(
-            self.progress_dir, stale_after=stale_after)
+        report = {"heartbeats": progress_mod.prune_heartbeats(
+            self.progress_dir, stale_after=stale_after),
+            "torn": 0, "superseded": 0, "legacy": 0}
+        self.close()
+        with self._lock:
+            self._index = {}
+            for benchmark in self._benchmarks():
+                self._compact(benchmark, report)
+            self._index = {}
+        report["legacy"] = self._remove_legacy()
+        return report
 
-        done = self.completed_keys()
-        try:
-            names = os.listdir(self.failures_dir)
-        except OSError:
-            names = []
-        for fname in names:
-            path = os.path.join(self.failures_dir, fname)
-            if fname.startswith(".tmp-"):
-                kind = "tmp"
-            elif fname.endswith(".json"):
-                try:
-                    with open(path) as fh:
-                        record = json.load(fh)
-                    orphaned = ((record["benchmark"], record["point_id"])
-                                in done)
-                except (OSError, ValueError, KeyError, TypeError):
-                    orphaned = True     # torn or garbage record
-                if not orphaned:
-                    continue
-                kind = "failures"
-            else:
-                continue
+    def _compact(self, benchmark, report):
+        """Fold one benchmark's segments into one; the lock is held."""
+        directory = self.segment_dir(benchmark)
+        segments = sorted(name for name in os.listdir(directory)
+                          if name.endswith(SEGMENT_SUFFIX))
+        index = self._refresh(benchmark)
+        # bytes past a segment's last newline: a killed writer's tail
+        torn = index.torn + sum(
+            os.path.getsize(os.path.join(directory, name))
+            > index.offsets.get(name, 0) for name in segments)
+        failures = [index.failure(p) for p in sorted(index.failures)]
+        superseded = index.superseded + failures.count(None)
+        report["torn"] += torn
+        report["superseded"] += superseded
+        if len(segments) <= 1 and not (torn or superseded):
+            return
+        kept = [index.results[p] for p in sorted(index.results)]
+        kept += [record for record in failures if record is not None]
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gc-",
+                                   suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in kept)
+        os.replace(tmp, os.path.join(
+            directory, "gc-%d-%s%s" % (os.getpid(), os.urandom(4).hex(),
+                                       SEGMENT_SUFFIX)))
+        for name in segments:
+            os.unlink(os.path.join(directory, name))
+
+    def _remove_legacy(self):
+        """Delete the per-point files of the previous layout; returns
+        how many."""
+        failures_dir = os.path.join(self.root, "failures")
+        paths = [os.path.join(self.results_dir, name)
+                 for name in _listdir(self.results_dir)
+                 if name.endswith(".json")]
+        paths += [os.path.join(failures_dir, name)
+                  for name in _listdir(failures_dir)]
+        removed = 0
+        for path in paths:
             try:
                 os.unlink(path)
-                report[kind] += 1
+                removed += 1
             except OSError:
                 pass
-
         try:
-            names = os.listdir(self.results_dir)
+            os.rmdir(failures_dir)
         except OSError:
-            names = []
-        for fname in names:
-            if not fname.startswith(".tmp-"):
-                continue
-            try:
-                os.unlink(os.path.join(self.results_dir, fname))
-                report["tmp"] += 1
-            except OSError:
-                pass
-        return report
+            pass
+        return removed
 
     def __repr__(self):
         return "<ResultStore %s>" % self.root

@@ -5,15 +5,19 @@ fingerprint is a hash over the source text of a declared set of package
 roots, and an entry written under another fingerprint is a miss.  No
 version number has to be remembered and bumped.
 
-Two sets are declared:
+Three sets are declared, each containing the one before it:
 
 * :data:`SIMULATOR` — the functional simulators and the ISA models they
-  decode with.  It keys the trace store.
+  decode with.  It keys the trace store's traces.
+* :data:`FLOW` — the simulator set plus the front end: IR, compiler,
+  FITS profiling, synthesis and translation, and the workloads.  It
+  keys the trace store's FITS flow records (the kept register budget
+  and synthesized ISA of one workload): the flow's choice depends on
+  simulated execution counts, so the simulators are part of it.
 * :data:`RESULT` — everything between a workload and a metrics dict:
-  the simulator set, the front end (IR, compiler, FITS synthesis and
-  translation, workloads), timing/cache/power, the DSE evaluation and
-  the harness runner.  It keys the serve cache, the serve compute
-  store, DSE result blobs and harness summaries.
+  the flow set, timing/cache/power, the DSE evaluation and the harness
+  runner.  It keys result stores (the serve cache and DSE sweeps) and
+  harness summaries.
 
 ``tests/test_fingerprint.py`` walks the static import closure of each
 set's entry modules and checks that the set covers it.
@@ -28,9 +32,13 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 #: Sources that decide what a functional simulation produces.
 SIMULATOR = ("repro.sim.functional", "repro.isa")
 
-#: Sources that decide a design point's metrics.
-RESULT = SIMULATOR + (
+#: Sources that decide what the FITS flow keeps for a workload.
+FLOW = SIMULATOR + (
     "repro.ir", "repro.compiler", "repro.core", "repro.workloads",
+)
+
+#: Sources that decide a design point's metrics.
+RESULT = FLOW + (
     "repro.sim.pipeline", "repro.sim.cache", "repro.power",
     "repro.dse.evaluate", "repro.dse.space", "repro.harness.runner",
 )

@@ -14,7 +14,13 @@ Operand interpretation is *per opcode* and fixed at synthesis time —
 that is what the programmable decoder stores.  The ``ext`` prefix
 instruction supplies high bits (immediate extension or register-field
 extension) to the instruction that follows it.
+
+:meth:`FitsIsa.to_dict` / :meth:`FitsIsa.from_dict` carry a whole
+decoder configuration through JSON, so a synthesized ISA can be stored
+and reused without synthesizing it again.
 """
+
+from repro.isa.arm.model import Cond, DPOp, ShiftType
 
 #: OPRD / IMM interpretation modes.
 OPRD_REG = "reg"
@@ -98,8 +104,48 @@ class OperationSpec:
     def __repr__(self):
         return "<OperationSpec %s %r mode=%s>" % (self.name, self.params, self.oprd_mode)
 
+    def to_dict(self):
+        """JSON-ready form; :meth:`from_dict` restores an equal spec."""
+        return {
+            "kind": self.kind,
+            "params": {k: _encode_param(v) for k, v in self.params.items()},
+            "oprd_mode": self.oprd_mode,
+            "dict_category": self.dict_category,
+            "name": self.name,
+        }
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls(data["kind"],
+                   {k: _decode_param(v) for k, v in data["params"].items()},
+                   oprd_mode=data["oprd_mode"],
+                   dict_category=data["dict_category"], name=data["name"])
+
 
 def _freeze(value):
+    if isinstance(value, list):
+        return tuple(value)
+    return value
+
+
+#: Enum types a spec parameter may hold, by class name.  They are
+#: IntEnums, so JSON alone would turn them into plain ints.
+_PARAM_ENUMS = {cls.__name__: cls for cls in (Cond, DPOp, ShiftType)}
+
+
+def _encode_param(value):
+    """An enum member becomes ``{"<Enum>": "<member>"}``, a tuple a list."""
+    if isinstance(value, tuple(_PARAM_ENUMS.values())):
+        return {type(value).__name__: value.name}
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def _decode_param(value):
+    if isinstance(value, dict):
+        ((cls, member),) = value.items()
+        return _PARAM_ENUMS[cls][member]
     if isinstance(value, list):
         return tuple(value)
     return value
@@ -166,6 +212,29 @@ class FitsIsa:
             cat: {v & 0xFFFFFFFF: i for i, v in enumerate(vals)}
             for cat, vals in self.dicts.items()
         }
+
+    def to_dict(self):
+        """The decoder configuration as JSON-ready data.
+
+        Insertion orders are kept (opcode table, register map, dictionary
+        categories), so :meth:`from_dict` rebuilds an ISA that translates
+        and hashes exactly like this one.
+        """
+        return {
+            "k_op": self.k_op,
+            "k_reg": self.k_reg,
+            "opcodes": [[num, spec.to_dict()]
+                        for num, spec in self.opcode_table.items()],
+            "regmap": [list(pair) for pair in self.regmap.items()],
+            "dicts": {cat: list(vals) for cat, vals in self.dicts.items()},
+        }
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls(data["k_op"], data["k_reg"],
+                   [(num, OperationSpec.from_dict(spec))
+                    for num, spec in data["opcodes"]],
+                   [tuple(pair) for pair in data["regmap"]], data["dicts"])
 
     # ------------------------------------------------------------------
     # field geometry

@@ -1,23 +1,25 @@
 """Global content-addressed result cache for the sweep service.
 
-Every completed design-point evaluation is published here under a key
-derived from *what was evaluated*, not which job asked for it:
-
-    sha256(schema | benchmark | point_id | scale | fingerprint)
-
-``point_id`` is the existing sha256[:12] content hash of the
-:class:`~repro.dse.space.DesignPoint` (so the key inherits every design
-axis), and ``fingerprint`` is the result fingerprint
-(:data:`repro.fingerprint.RESULT`): a hash over the source of every
+Every completed design-point evaluation is published here under what
+was evaluated, not which job asked for it: the benchmark, the point id
+(the sha256[:12] content hash of the
+:class:`~repro.dse.space.DesignPoint`, so every design axis is part of
+it), the scale and the result fingerprint
+(:data:`repro.fingerprint.RESULT`: a hash over the source of every
 layer from the workload and the front end through the simulators to
-the timing, cache and power models.  Two jobs sweeping overlapping
+the timing, cache and power models).  Two jobs sweeping overlapping
 spaces therefore pay for the union of their points exactly once — and a
 code change to any layer that could alter a metric silently invalidates
 the whole cache rather than serving stale numbers.
 
-Writes are atomic (same-directory temp + ``os.replace``, via the DSE
-store's helper) and torn/stale entries read as misses, so many server
-processes may share one cache directory.
+The cache is a view on one :class:`~repro.dse.store.ResultStore` per
+scale and fingerprint, ``<cache>/<scale>-<fingerprint>/``.  The sweep
+workers write their points straight into it, one segment per task, so a
+computed point is encoded once and creates no file of its own; a lookup
+is an index hit, and a miss refreshes the index once, which picks up
+what other servers sharing the directory wrote.  Each writer appends to
+a segment of its own, so many server processes may share one cache
+directory.
 
 :class:`SingleFlight` closes the remaining window: within one server,
 two *concurrent* jobs wanting the same not-yet-cached key share one
@@ -27,35 +29,40 @@ claimants await the same future.
 
 import hashlib
 import os
+import threading
 
-from repro.dse.store import atomic_write_json
+from repro.dse.store import ResultStore
 from repro.fingerprint import RESULT, fingerprint
 from repro.obs import core as obs_core
 from repro.obs import metrics as obs_metrics
 
 #: Bump when the cache entry layout (or key recipe) changes.
-CACHE_SCHEMA = "repro.serve.cache/v2"
+CACHE_SCHEMA = "repro.serve.cache/v3"
 
 
 class GlobalResultCache:
-    """One directory of content-addressed evaluation results.
-
-    Entries are sharded into 256 two-hex-char subdirectories so a
-    long-lived service cache never collects millions of files in one
-    directory.
-    """
+    """Content-addressed evaluation results under one directory."""
 
     def __init__(self, root, code=None):
         self.root = os.path.expanduser(root)
         self.code = code if code is not None else fingerprint(RESULT)
+        self._stores = {}
+        self._lock = threading.Lock()
 
     def key(self, benchmark, point_id, scale):
+        """The in-flight key of one evaluation (:class:`SingleFlight`)."""
         payload = "|".join([CACHE_SCHEMA, benchmark, point_id, scale,
                             self.code])
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
-    def path(self, key):
-        return os.path.join(self.root, key[:2], key + ".json")
+    def store(self, scale):
+        """The result store holding this cache's entries at ``scale``."""
+        with self._lock:
+            store = self._stores.get(scale)
+            if store is None:
+                store = self._stores[scale] = ResultStore(os.path.join(
+                    self.root, "%s-%s" % (scale, self.code)))
+            return store
 
     def get(self, benchmark, point_id, scale):
         """The cached result blob, or None when absent/torn/stale."""
@@ -65,52 +72,34 @@ class GlobalResultCache:
             return self._get(benchmark, point_id, scale)
 
     def _get(self, benchmark, point_id, scale):
-        import json
-
-        key = self.key(benchmark, point_id, scale)
-        try:
-            with open(self.path(key)) as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != CACHE_SCHEMA:
-            return None
-        if entry.get("fingerprint") != self.code:
-            return None  # key collision can't happen, but belt and braces
-        blob = entry.get("result")
-        if (not isinstance(blob, dict) or blob.get("benchmark") != benchmark
-                or (blob.get("point") or {}).get("id") != point_id):
+        blob = self.store(scale).load(benchmark, point_id)
+        if blob is None or blob.get("fingerprint") != self.code:
             return None
         return blob
 
     def put(self, benchmark, point_id, scale, blob):
-        """Publish one result blob (atomic); returns its cache key."""
-        key = self.key(benchmark, point_id, scale)
-        atomic_write_json(self.path(key), {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "benchmark": benchmark,
-            "point_id": point_id,
-            "scale": scale,
-            "fingerprint": self.code,
-            "result": blob,
-        })
-        return key
+        """Publish one result blob unless the cache holds it already;
+        returns its key."""
+        if self._get(benchmark, point_id, scale) is None:
+            self.store(scale).save(blob)
+        return self.key(benchmark, point_id, scale)
 
     def entries(self):
-        """Number of entries on disk (any generation/fingerprint)."""
-        count = 0
+        """Number of points the current code's entries cover, over every
+        scale."""
+        suffix = "-" + self.code
         try:
-            shards = os.listdir(self.root)
+            names = os.listdir(self.root)
         except OSError:
             return 0
-        for shard in shards:
-            try:
-                count += sum(1 for n in os.listdir(os.path.join(self.root, shard))
-                             if n.endswith(".json"))
-            except OSError:
-                continue
-        return count
+        return sum(1 for name in names if name.endswith(suffix)
+                   for _blob in self.store(name[:-len(suffix)]).iter_results())
+
+    def close(self):
+        """Close the segments :meth:`put` appended to."""
+        with self._lock:
+            for store in self._stores.values():
+                store.close()
 
     def __repr__(self):
         return "<GlobalResultCache %s>" % self.root

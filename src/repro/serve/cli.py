@@ -345,7 +345,7 @@ def build_parser():
                    help="global result-cache directory "
                    "(default: <repo>/.serve/cache)")
     p.add_argument("--state", default=None,
-                   help="server state directory (compute stores; "
+                   help="server state directory (worker metric snapshots; "
                    "default: <repo>/.serve/state)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes per compute batch (default: 1)")

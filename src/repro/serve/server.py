@@ -13,18 +13,23 @@ Architecture (one process, one event loop)::
                  └──────────────┬──────────────────────┘
                                 ▼ (one batch per job, concurrent)
                  thread: run_tasks(_sweep_worker, …)   ← the warm
-                         per-task progress → publish     worker pool
-                                ▼
-                 loop: cache.put + SingleFlight.resolve
+                         workers append to the cache    worker pool
+                         store, one segment per task
+                                ▼ per finished task
+                 loop: SingleFlight.resolve (one callback per task)
                                 ▼
                  every waiting job emits the point, exactly once
 
 The heavy lifting reuses :func:`repro.dse.scheduler.run_tasks` (process
-isolation, per-point timeout, bounded retries, crash-safe resume via a
-per-fingerprint compute :class:`~repro.dse.store.ResultStore`) — the
+isolation, per-point timeout, bounded retries, crash-safe resume) — the
 server adds the long-running job lifecycle, the bounded queue with
 backpressure, the global content-addressed cache, and single-flight so
-two concurrent jobs never compute the same design point twice.
+two concurrent jobs never compute the same design point twice.  The
+workers write their points straight into the global cache's result
+store (:mod:`repro.serve.cache`), so a computed point is written once;
+when a task finishes the server reads its points from the store's
+index and resolves them.  ``--state`` holds only the worker metric
+snapshots.
 
 Up to ``max_running`` compute batches run **concurrently**: each batch
 registers its own task group on the persistent warm worker pool
@@ -43,7 +48,6 @@ service counters; completed jobs can append to the metrics trajectory.
 """
 
 import asyncio
-import json
 import os
 import signal
 import sys
@@ -59,7 +63,6 @@ from repro.dse.scheduler import (
     _sweep_worker,
     run_tasks,
 )
-from repro.dse.store import ResultStore
 from repro.serve import api
 from repro.serve.cache import GlobalResultCache, SingleFlight
 from repro.serve.protocol import (
@@ -86,13 +89,13 @@ def _default_compute(server, scale, items, publish):
 
     ``items`` is a list of ``(benchmark, DesignPoint, cache_key)``
     triples that were neither cached nor in flight; each
-    (benchmark, ISA) unit of them is one task.  Results land in the
-    per-(scale, fingerprint) compute store via the workers' atomic
-    writes; each task's completion publishes its points' outcomes back
-    to the event loop, so a job streams points as tasks finish rather
-    than when the whole batch does.
+    (benchmark, ISA) unit of them is one task.  The workers append the
+    results to the cache's store for ``scale``; each task's completion
+    publishes its points' outcomes back to the event loop in one call,
+    so a job streams points as tasks finish rather than when the whole
+    batch does.
     """
-    store = server.compute_store(scale)
+    store = server.cache.store(scale)
     keymap = {(b, p.point_id): key for b, p, key in items}
     pairs = [(b, p) for b, p, _key in items]
     payloads = _chunk_tasks(pairs, store.root, scale)
@@ -103,21 +106,17 @@ def _default_compute(server, scale, items, publish):
 
     def flush(task_result):
         benchmark = task_result.payload["benchmark"]
+        outcomes = []
         for pdict in task_result.payload["points"]:
-            key = keymap.get((benchmark, pdict["id"]))
-            if key is None:
-                continue
+            key = keymap[(benchmark, pdict["id"])]
             blob = store.load(benchmark, pdict["id"])
             if blob is not None:
-                publish(key, blob, None)
+                outcomes.append((key, blob, None))
                 continue
-            error = task_result.error or "evaluation failed"
-            try:
-                with open(store.failure_path(benchmark, pdict["id"])) as fh:
-                    error = json.load(fh).get("error", error)
-            except (OSError, ValueError):
-                pass
-            publish(key, None, error)
+            failure = store.failure(benchmark, pdict["id"]) or {}
+            outcomes.append((key, None, failure.get("error")
+                             or task_result.error or "evaluation failed"))
+        publish(outcomes)
 
     with obs.span("serve.compute", points=len(items), scale=scale):
         # decode each relevant trace entry once and hand the planes to
@@ -133,7 +132,13 @@ def _default_compute(server, scale, items, publish):
 
 
 class ServeServer:
-    """Long-running sweep service on a local (unix or tcp) socket."""
+    """Long-running sweep service on a local (unix or tcp) socket.
+
+    ``compute_fn(server, scale, items, publish)`` evaluates one batch of
+    ``(benchmark, DesignPoint, key)`` items on a worker thread: it lands
+    each result in ``server.cache`` and calls ``publish(outcomes)`` with
+    ``(key, blob, error)`` triples, once per finished task.
+    """
 
     def __init__(self, address=None, cache_root=None, state_dir=None,
                  worker_jobs=1, max_pending=8, max_running=2,
@@ -168,17 +173,6 @@ class ServeServer:
         self._trace_ctx = None
         self._loop = None
 
-    # -- stores ---------------------------------------------------------
-
-    def compute_store(self, scale):
-        """The crash-safe worker store for one (scale, code fingerprint).
-
-        Keyed by the same fingerprint as the global cache, so a server
-        restarted across a code change never trusts stale worker blobs.
-        """
-        tag = "%s-%s" % (scale, self.cache.code)
-        return ResultStore(os.path.join(self.state_dir, "compute", tag))
-
     # -- bookkeeping ----------------------------------------------------
 
     def queue_depth(self):
@@ -197,22 +191,21 @@ class ServeServer:
             obs.gauge("serve.pool.busy",
                       sum(1 for w in pool["workers"] if w["busy"]))
 
-    def _publish(self, key, blob, error):
-        """Loop-side landing point for one computed outcome."""
-        if blob is not None:
-            try:
-                self.cache.put(blob["benchmark"], blob["point"]["id"],
-                               blob.get("scale", "?"), blob)
-            except OSError as exc:
-                print("serve: cache write failed (%s)" % exc, file=sys.stderr)
-        delivered = self.flight.resolve(key, blob, error)
-        if delivered:
-            if error is None:
-                self.stats["points_computed"] += 1
-                obs.counter("serve.points.computed")
-            else:
-                self.stats["points_failed"] += 1
-                obs.counter("serve.points.failed")
+    def _publish(self, outcomes):
+        """Loop-side landing point for one finished task's outcomes."""
+        computed = failed = 0
+        for key, blob, error in outcomes:
+            if self.flight.resolve(key, blob, error):
+                if error is None:
+                    computed += 1
+                else:
+                    failed += 1
+        if computed:
+            self.stats["points_computed"] += computed
+            obs.counter("serve.points.computed", computed)
+        if failed:
+            self.stats["points_failed"] += failed
+            obs.counter("serve.points.failed", failed)
         self._update_gauges()
 
     # -- job execution --------------------------------------------------
@@ -221,8 +214,8 @@ class ServeServer:
         """Run one compute batch in a thread; never leave futures hanging."""
         loop = asyncio.get_running_loop()
 
-        def publish(key, blob, error=None):
-            loop.call_soon_threadsafe(self._publish, key, blob, error)
+        def publish(outcomes):
+            loop.call_soon_threadsafe(self._publish, outcomes)
 
         # no serialization here: up to max_running job batches run at
         # once, interleaved fair-share by the warm pool's dispatcher
@@ -233,9 +226,8 @@ class ServeServer:
             # idempotent: anything the compute path already resolved
             # is a no-op here, anything it dropped becomes a failure
             # instead of a future that hangs every waiting job.
-            for _b, _p, key in items:
-                self._publish(key, None,
-                              "compute batch ended without this point")
+            self._publish([(key, None, "compute batch ended without "
+                                       "this point") for _b, _p, key in items])
 
     def _spawn_compute(self, scale, items):
         task = asyncio.get_running_loop().create_task(
@@ -350,7 +342,7 @@ class ServeServer:
         )
 
         records = records_from_dse_store(
-            self.compute_store(job.scale), current_commit(),
+            self.cache.store(job.scale), current_commit(),
             scale=job.scale, names=job.benchmarks)
         return TrajectoryStore(self.trajectory_path).append(records)
 
@@ -598,6 +590,7 @@ class ServeServer:
                 except OSError:
                     pass
             self._update_gauges()
+            self.cache.close()
             root_span.__exit__(None, None, None)
             obs_metrics.flush()
             obs_metrics.set_snapshot_dir(prev_snapshot_dir)

@@ -24,6 +24,18 @@ Writes are atomic (temp file + ``os.replace``), and the ``.npz``
 payload lands before its manifest — a missing manifest means the entry
 does not exist; a torn entry is a miss.  Set ``REPRO_TRACE_CACHE`` to
 relocate the store, or to ``0`` / ``off`` to disable it.
+
+A manifest names the benchmark and scale its trace was first stored
+for, which is what the sweep's shared-memory plane exporter selects
+by.  A trace first stored outside a :func:`repro.obs.profile.run_context`
+names neither; the first hit inside a context that names a benchmark
+fills them in (:meth:`TraceStore.attribute`).
+
+The store also keeps small JSON records beside the traces, one file per
+record under :data:`FLOWS` (never at the top level, where every
+``*.json`` is a trace manifest).  :mod:`repro.dse.evaluate` stores the
+FITS flow's outcome there — the kept budget and synthesized ISA — so a
+warm run rebuilds the FITS image instead of searching for it again.
 """
 
 import hashlib
@@ -43,6 +55,9 @@ from repro.obs import core as obs
 from repro.sim.functional.trace import ExecutionResult, publish_result
 
 SCHEMA = "repro.trace/v3"
+
+#: Subdirectory of the store root that holds the FITS flow records.
+FLOWS = "flows"
 
 PAGE = 4096  # bytes per page of the stored memory delta
 
@@ -309,6 +324,40 @@ class TraceStore:
         _plane_cache_put((os.path.abspath(self.root), key), result)
         return key
 
+    def attribute(self, image, benchmark, scale):
+        """Name ``benchmark``/``scale`` in the manifest of ``image``'s
+        entry when it names no benchmark (one atomic rewrite).
+
+        A manifest that already names a benchmark is never rewritten,
+        so a store read by warm runs stays unwritten.
+        """
+        _npz_path, man_path = self._paths(image_fingerprint(image))
+        manifest = _read_manifest(man_path, warn=False)
+        if manifest is None or manifest.get("benchmark") is not None:
+            return
+        manifest["benchmark"] = benchmark
+        manifest["scale"] = scale
+        _write_atomic(man_path, json.dumps(
+            manifest, indent=1, sort_keys=True).encode())
+
+    def _flow_path(self, key):
+        return os.path.join(self.root, FLOWS, key + ".json")
+
+    def load_flow(self, key):
+        """The flow record stored under ``key``, or None when absent or torn."""
+        try:
+            with open(self._flow_path(key)) as fh:
+                record = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        return record if isinstance(record, dict) else None
+
+    def save_flow(self, key, record):
+        """Persist one flow record (atomic)."""
+        path = self._flow_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _write_atomic(path, json.dumps(record, sort_keys=True).encode())
+
 
 def _write_atomic(path, data):
     """Write ``data`` to ``path`` atomically; a failure leaves no temp file."""
@@ -350,7 +399,8 @@ def cached_run(kind, image, runner):
     ``trace_store.{hit,miss}`` obs counters.  The manifest names the
     benchmark and scale of the enclosing
     :func:`repro.obs.profile.run_context`, the same attribution the
-    block profiler gives the run's records.
+    block profiler gives the run's records; a hit inside a context
+    fills them into a manifest stored without one.
     """
     from repro.obs import profile as obs_profile  # lazy: keeps -m runs clean
 
@@ -366,6 +416,13 @@ def cached_run(kind, image, runner):
         # trace-level counters stay present whether warm or cold, so
         # manifests from cached and fresh runs remain comparable
         publish_result("sim." + kind, result)
+        ctx = obs_profile.current_context()
+        if ctx.get("benchmark") is not None:
+            try:
+                store.attribute(image, ctx["benchmark"], ctx.get("scale"))
+            except OSError as exc:
+                print("trace store: attribution failed (%s)" % exc,
+                      file=sys.stderr)
         return result
     with obs.span("trace_store.fill", kind=kind,
                   image=getattr(image, "name", "?")):

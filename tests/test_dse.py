@@ -22,7 +22,7 @@ from repro.dse.space import (
     PAPER_LABELS,
     preset,
 )
-from repro.dse.store import ResultStore, atomic_write_json
+from repro.dse.store import RESULT_SCHEMA, ResultStore, atomic_write_json
 from repro.fingerprint import RESULT, fingerprint
 
 BENCH = "crc32"
@@ -159,27 +159,94 @@ def test_aggregate_rows_requires_full_coverage():
 # store
 
 
+def _result(point, benchmark=BENCH, code=None, **metrics):
+    return {"schema": RESULT_SCHEMA, "benchmark": benchmark,
+            "scale": "small", "point": point.to_dict(),
+            "fingerprint": code or fingerprint(RESULT),
+            "metrics": metrics or _m(1.0, 1.0, 10), "manifest": {}}
+
+
+def _segments(store, benchmark=BENCH):
+    directory = store.segment_dir(benchmark)
+    return sorted(os.path.join(directory, name)
+                  for name in os.listdir(directory))
+
+
 def test_store_round_trip_and_torn_blob(tmp_path):
     store = ResultStore(str(tmp_path / "s"))
     p = DesignPoint("arm", 8192)
-    blob = {"schema": 1, "benchmark": "crc32", "scale": "small",
-            "point": p.to_dict(), "fingerprint": fingerprint(RESULT),
-            "metrics": _m(1.0, 1.0, 10), "manifest": {}}
+    blob = _result(p)
     assert not store.has("crc32", p.point_id)
     store.save(blob)
     assert store.has("crc32", p.point_id)
     assert store.load("crc32", p.point_id) == blob
     assert store.completed_keys() == {("crc32", p.point_id)}
-    # torn/garbage blobs read as absent, not as crashes
-    with open(store.result_path("crc32", "deadbeef0000"), "w") as fh:
-        fh.write('{"schema": 1, "benchm')
+    # torn/garbage lines read as absent, not as crashes
+    with open(os.path.join(store.segment_dir("crc32"), "dead.jsonl"),
+              "w") as fh:
+        fh.write('{"schema": 2, "benchm\n[1, 2]\n{"schema": 2, "po')
     assert store.load("crc32", "deadbeef0000") is None
     assert store.completed_keys() == {("crc32", p.point_id)}
-    # failures round-trip and are cleared by a later success
+    # failures round-trip and are superseded by a later success
     store.save_failure("crc32", p.point_id, "boom")
+    assert store.failures() == []       # the stored result beats it
+    q = DesignPoint("arm", 16384)
+    store.save_failure("crc32", q.point_id, "boom")
     assert store.failures()[0]["error"] == "boom"
-    store.save(blob)
+    store.save(_result(q))
     assert store.failures() == []
+    # a store writes one segment per writer, never a file per point
+    assert len(_segments(store)) == 2   # this writer's, plus dead.jsonl
+
+
+def test_store_reads_lines_other_writers_append(tmp_path):
+    """Two writers on one directory both land, and a reader's index
+    refreshes to lines appended after it was built."""
+    root = str(tmp_path / "s")
+    a, b, reader = ResultStore(root), ResultStore(root), ResultStore(root)
+    p, q = DesignPoint("arm", 8192), DesignPoint("arm", 16384)
+    a.save(_result(p))
+    assert reader.completed_keys() == {(BENCH, p.point_id)}
+    b.save(_result(q))
+    assert reader.has(BENCH, q.point_id)
+    assert [r["point"]["id"] for r in reader.iter_results()] == sorted(
+        [p.point_id, q.point_id])
+    a.close()
+    b.close()
+    assert len(_segments(reader)) == 2
+
+
+def test_failure_then_result_in_another_segment_is_completed(tmp_path):
+    root = str(tmp_path / "s")
+    first, retry = ResultStore(root), ResultStore(root)
+    p = DesignPoint("fits", 8192)
+    first.save_failure(BENCH, p.point_id, "worker crashed")
+    assert ResultStore(root).failures()[0]["point_id"] == p.point_id
+    retry.save(_result(p))
+    store = ResultStore(root)
+    assert store.completed_keys() == {(BENCH, p.point_id)}
+    assert store.failures() == []
+    assert store.failure(BENCH, p.point_id) is None
+
+
+def test_old_layout_files_are_ignored_and_gc_deletes_them(tmp_path):
+    store = ResultStore(str(tmp_path / "s"))
+    p = DesignPoint("arm", 8192)
+    # per-point files an older version wrote
+    os.makedirs(store.results_dir)
+    os.makedirs(os.path.join(store.root, "failures"))
+    legacy = [os.path.join(store.results_dir, "%s--%s.json" % (BENCH, p.point_id)),
+              os.path.join(store.results_dir, ".tmp-dead.json"),
+              os.path.join(store.root, "failures", "sha--%s.json" % p.point_id)]
+    for path in legacy:
+        with open(path, "w") as fh:
+            json.dump(dict(_result(p), schema=1), fh)
+    assert store.completed_keys() == set()
+    assert list(store.iter_results()) == [] and store.failures() == []
+    report = store.gc()
+    assert report["legacy"] == 3
+    assert not any(os.path.exists(path) for path in legacy)
+    assert not os.path.exists(os.path.join(store.root, "failures"))
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -288,27 +355,34 @@ def test_sweep_completes_and_resumes_with_zero_work(paper_sweep):
 
 def test_resume_reevaluates_blobs_from_other_code(tmp_path):
     """A blob computed by other code (another result fingerprint, or
-    none) is pending on resume: re-evaluated and overwritten, never
-    mixed into the frontier beside current points."""
+    none) is pending on resume: re-evaluated, and the new blob beats
+    it, never mixed into the frontier beside current points."""
     root = str(tmp_path / "store")
     first = sweep(preset("paper4"), [BENCH], scale="small", jobs=1, store=root)
     assert first["evaluated"] == 4
-    store = ResultStore(root)
     point_id = preset("paper4").points[0].point_id
-    path = store.result_path(BENCH, point_id)
-    current = json.load(open(path))["fingerprint"]
+    current = ResultStore(root).load(BENCH, point_id)["fingerprint"]
     for stale in ("0" * 16, None):
-        blob = json.load(open(path))
-        if stale is None:
-            del blob["fingerprint"]
-        else:
-            blob["fingerprint"] = stale
-        atomic_write_json(path, blob)
+        # rewrite the store so the point's only result is from other code
+        for path in _segments(ResultStore(root)):
+            with open(path) as fh:
+                blobs = [json.loads(line) for line in fh]
+            for blob in blobs:
+                if blob["point"]["id"] == point_id:
+                    if stale is None:
+                        del blob["fingerprint"]
+                    else:
+                        blob["fingerprint"] = stale
+            with open(path, "w") as fh:
+                fh.writelines(json.dumps(blob) + "\n" for blob in blobs
+                              if blob["point"]["id"] == point_id
+                              or blob.get("fingerprint") == current)
+        store = ResultStore(root)
         assert not store.has(BENCH, point_id)
         again = sweep(preset("paper4"), [BENCH], scale="small", jobs=1,
                       store=root)
         assert (again["evaluated"], again["skipped"]) == (1, 3)
-        assert json.load(open(path))["fingerprint"] == current
+        assert ResultStore(root).load(BENCH, point_id)["fingerprint"] == current
 
 
 def test_frontier_over_sweep_contains_undominated_paper_point(paper_sweep):
@@ -584,26 +658,23 @@ def test_parallel_sweep_exports_one_parent_linked_trace(tmp_path):
 def test_gc_prunes_killed_sweep_debris(tmp_path):
     from repro.dse.progress import HeartbeatWriter
 
-    store = ResultStore(str(tmp_path / "store"))
+    root = str(tmp_path / "store")
+    store = ResultStore(root)
     point = DesignPoint("arm", 8192)
-    blob = {"schema": 1, "benchmark": BENCH, "scale": "small",
-            "point": point.to_dict(), "fingerprint": fingerprint(RESULT),
-            "metrics": {"ipc": 1.0}, "manifest": {}}
-    store.save(blob)
-
-    # orphaned failure: the point has a valid result, but a kill landed
-    # between the result write and the failure-mark clear
+    blob = _result(point, ipc=1.0)
+    # a failure a retry in another segment fixed, a result re-evaluated
+    # by newer code, and a failure nothing fixed, which must survive
     store.save_failure(BENCH, point.point_id, "killed mid-retry")
-    # a real failure for a point with no result must survive gc
+    store.save(_result(point, code="0" * 16, ipc=0.5))
     store.save_failure(BENCH, "f" * 12, "genuine failure")
-    # torn failure record
-    os.makedirs(store.failures_dir, exist_ok=True)
-    with open(os.path.join(store.failures_dir, "torn--x.json"), "w") as fh:
-        fh.write("{not json")
-    # interrupted atomic writes
-    for d in (store.results_dir, store.failures_dir):
-        with open(os.path.join(d, ".tmp-dead.json"), "w") as fh:
-            fh.write("{}")
+    store.close()
+    retry = ResultStore(root)
+    retry.save(blob)
+    retry.close()
+    # a killed writer's torn tail
+    with open(os.path.join(store.segment_dir(BENCH), "dead.jsonl"),
+              "w") as fh:
+        fh.write(json.dumps(blob)[:50])
     # heartbeats: one stale, one torn, one tmp, one live
     hb = HeartbeatWriter(store.progress_dir, BENCH, total=4)
     stale = os.path.join(store.progress_dir, "w99999.json")
@@ -616,20 +687,25 @@ def test_gc_prunes_killed_sweep_debris(tmp_path):
         fh.write("")
 
     report = store.gc()
-    assert report == {"heartbeats": 3, "failures": 2, "tmp": 2}
+    assert report == {"heartbeats": 3, "torn": 1, "superseded": 2,
+                      "legacy": 0}
     assert os.path.exists(hb.path)                      # live worker kept
     assert not os.path.exists(stale)
-    assert store.load(BENCH, point.point_id) == blob    # results untouched
-    remaining = store.failures()
+    assert len(_segments(store)) == 1                   # compacted
+    after = ResultStore(root)
+    assert after.load(BENCH, point.point_id) == blob    # results untouched
+    remaining = after.failures()
     assert len(remaining) == 1
     assert remaining[0]["error"] == "genuine failure"
     # idempotent: a second pass finds nothing
-    assert store.gc() == {"heartbeats": 0, "failures": 0, "tmp": 0}
+    assert store.gc() == {"heartbeats": 0, "torn": 0, "superseded": 0,
+                          "legacy": 0}
 
 
 def test_gc_on_missing_or_empty_store(tmp_path):
     store = ResultStore(str(tmp_path / "nothing"))
-    assert store.gc() == {"heartbeats": 0, "failures": 0, "tmp": 0}
+    assert store.gc() == {"heartbeats": 0, "torn": 0, "superseded": 0,
+                          "legacy": 0}
 
 
 def test_cli_gc(tmp_path, capsys):
@@ -643,7 +719,8 @@ def test_cli_gc(tmp_path, capsys):
     rc = main(["gc", "--store", store.root, "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report == {"heartbeats": 1, "failures": 0, "tmp": 0}
+    assert report == {"heartbeats": 1, "torn": 0, "superseded": 0,
+                      "legacy": 0}
 
     rc = main(["gc", "--store", str(tmp_path / "missing")])
     assert rc == 1

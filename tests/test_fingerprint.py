@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro import fingerprint as fp
-from repro.fingerprint import RESULT, SIMULATOR, fingerprint
+from repro.fingerprint import FLOW, RESULT, SIMULATOR, fingerprint
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -46,6 +46,7 @@ SETS = {
     "simulator": (SIMULATOR, ("repro.sim.functional.arm_sim",
                               "repro.sim.functional.thumb_sim",
                               "repro.sim.functional.fits_sim")),
+    "flow": (FLOW, ("repro.core.flow",)),
     "result": (RESULT, ("repro.dse.evaluate", "repro.harness.runner")),
 }
 
@@ -135,3 +136,31 @@ def test_editing_a_front_end_source_changes_the_result_fingerprint(
         monkeypatch.undo()
         fingerprint.cache_clear()
     assert (fingerprint(RESULT), fingerprint(SIMULATOR)) == before
+
+
+@pytest.mark.parametrize("relpath, moved", [
+    ("core/flow.py", ("flow", "result")),
+    ("core/translator.py", ("flow", "result")),
+    ("sim/functional/semantics.py", ("simulator", "flow", "result")),
+    ("sim/pipeline/timing.py", ("result",)),
+])
+def test_an_edit_moves_exactly_the_fingerprints_covering_it(
+        relpath, moved, tmp_path, monkeypatch):
+    """Stored FITS flow records are keyed by the flow fingerprint: an
+    edit to the front end or the simulators invalidates them, an edit
+    to the timing model does not."""
+    copy = str(tmp_path / "repro")
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    sets = {"simulator": SIMULATOR, "flow": FLOW, "result": RESULT}
+    monkeypatch.setattr(fp, "_PACKAGE_DIR", copy)
+    fingerprint.cache_clear()
+    try:
+        before = {name: fingerprint(roots) for name, roots in sets.items()}
+        with open(os.path.join(copy, relpath), "a") as fh:
+            fh.write("\n# edited\n")
+        fingerprint.cache_clear()
+        after = {name: fingerprint(roots) for name, roots in sets.items()}
+    finally:
+        monkeypatch.undo()
+        fingerprint.cache_clear()
+    assert sorted(n for n in sets if after[n] != before[n]) == sorted(moved)

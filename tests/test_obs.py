@@ -208,14 +208,17 @@ def test_cache_stats_and_publish():
 
 @pytest.fixture()
 def cache_env(tmp_path, monkeypatch):
-    """An empty summary cache and a cold in-process functional memo, so
-    a run's manifest covers every stage whatever ran before it."""
+    """An empty summary cache, a cold in-process functional memo and no
+    stored FITS flow records, so a run's manifest covers every stage
+    whatever ran before it (a replayed flow record skips synthesis)."""
     from collections import OrderedDict
 
     from repro.dse import evaluate
+    from repro.sim.functional.store import TraceStore
 
     monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
     monkeypatch.setattr(evaluate, "_FUNC_GROUPS", OrderedDict())
+    monkeypatch.setattr(TraceStore, "load_flow", lambda self, key: None)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     return tmp_path
 
@@ -437,12 +440,12 @@ def test_report_cli_empty_cache_and_dse(tmp_path, capsys):
 
 def test_report_cli_dse_warns_on_failed_points(tmp_path, capsys):
     from repro.dse.space import DesignPoint
-    from repro.dse.store import ResultStore
+    from repro.dse.store import RESULT_SCHEMA, ResultStore
 
     store = ResultStore(str(tmp_path / "dse"))
     point = DesignPoint("arm", 8192)
     store.save({
-        "schema": 1, "benchmark": "crc32", "scale": "small",
+        "schema": RESULT_SCHEMA, "benchmark": "crc32", "scale": "small",
         "point": point.to_dict(),
         "metrics": {"ipc": 0.9},
         "manifest": {"label": point.label, "wall_seconds": 0.4,

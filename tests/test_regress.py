@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs
 from repro.dse.space import DesignPoint
-from repro.dse.store import ResultStore
+from repro.dse.store import RESULT_SCHEMA, ResultStore
 from repro.obs import golden
 from repro.obs.regress import (
     TRAJECTORY_SCHEMA,
@@ -149,7 +149,7 @@ def test_dse_bridge(tmp_path):
     store = ResultStore(str(tmp_path / "dse"))
     point = DesignPoint("fits", 16 * 1024)
     store.save({
-        "schema": 1, "benchmark": "crc32", "scale": "small",
+        "schema": RESULT_SCHEMA, "benchmark": "crc32", "scale": "small",
         "point": point.to_dict(),
         "metrics": {"ipc": 0.9, "switching_w": 0.5},
         "manifest": {"label": point.label, "wall_seconds": 0.7,

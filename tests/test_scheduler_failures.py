@@ -289,3 +289,53 @@ def test_point_failure_is_recorded_and_survives_retries(tmp_path,
     failures = store.failures()
     assert len(failures) == 1
     assert "this point always fails" in failures[0]["error"]
+
+
+_TORN_WRITER = """
+import json, os, signal, sys
+from repro.dse.space import DesignPoint, preset
+from repro.dse.store import RESULT_SCHEMA, ResultStore
+from repro.fingerprint import RESULT, fingerprint
+
+store = ResultStore(sys.argv[1])
+blobs = [{"schema": RESULT_SCHEMA, "benchmark": "crc32", "scale": "small",
+          "point": p.to_dict(), "fingerprint": fingerprint(RESULT),
+          "metrics": {"icache_energy_j": 1.0}, "manifest": {}}
+         for p in preset("paper4")]
+for blob in blobs[:-1]:
+    store.save(blob)
+(segment,) = os.listdir(store.segment_dir("crc32"))
+with open(os.path.join(store.segment_dir("crc32"), segment), "ab") as fh:
+    line = json.dumps(blobs[-1]).encode()
+    fh.write(line[:len(line) // 2])
+    fh.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_sigkilled_writer_torn_line_is_skipped_and_only_it_reruns(
+        tmp_path, monkeypatch):
+    """A writer killed mid-line leaves a torn last line in its segment:
+    readers skip it, and a resumed sweep re-evaluates only that point."""
+    import subprocess
+
+    root = str(tmp_path / "store")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _TORN_WRITER, root],
+                          env=env, timeout=60)
+    assert proc.returncode == -9
+    space = preset("paper4")
+    torn = space.points[-1].point_id
+    store = ResultStore(root)
+    assert store.completed_keys() == {(BENCH, p.point_id)
+                                      for p in space.points[:-1]}
+    assert store.load(BENCH, torn) is None and store.failures() == []
+
+    log = []
+    monkeypatch.setattr(scheduler, "evaluate_points",
+                        _scripted_evaluator(log))
+    summary = sweep(space, [BENCH], jobs=1, store=root)
+    assert (summary["evaluated"], summary["skipped"]) == (1, 3)
+    assert log == [torn]
+    assert ResultStore(root).completed_keys() == {(BENCH, p.point_id)
+                                                  for p in space}

@@ -16,9 +16,10 @@ import time
 import pytest
 
 from repro.dse.space import DesignPoint, DesignSpace, preset
+from repro.dse.store import RESULT_SCHEMA
 from repro.fingerprint import RESULT, fingerprint
 from repro.serve import api, protocol
-from repro.serve.cache import CACHE_SCHEMA, GlobalResultCache, SingleFlight
+from repro.serve.cache import GlobalResultCache, SingleFlight
 from repro.serve.client import ServeClient, ServeError, backoff_seconds
 from repro.serve.protocol import ProtocolError, parse_address
 from repro.serve.server import ServeServer
@@ -35,7 +36,7 @@ def tiny_space(name="tiny", sizes=(8192, 16384)):
 def make_blob(benchmark, point, scale, energy=1.0):
     """A result blob shaped like ``repro.dse.evaluate.evaluate_point``."""
     return {
-        "schema": 1,
+        "schema": RESULT_SCHEMA,
         "benchmark": benchmark,
         "scale": scale,
         "point": point.to_dict(),
@@ -46,10 +47,17 @@ def make_blob(benchmark, point, scale, energy=1.0):
     }
 
 
+def computed(server, scale, benchmark, point, key):
+    """One point's outcome as the worker pool lands it: the blob is in
+    the cache before the server hears of it."""
+    blob = make_blob(benchmark, point, scale)
+    server.cache.put(benchmark, point.point_id, scale, blob)
+    return key, blob, None
+
+
 def fake_compute(server, scale, items, publish):
     """Deterministic stand-in for the DSE worker pool."""
-    for benchmark, point, key in items:
-        publish(key, make_blob(benchmark, point, scale), None)
+    publish([computed(server, scale, *item) for item in items])
 
 
 class ServerThread:
@@ -113,11 +121,14 @@ def test_cache_roundtrip_and_misses(tmp_path):
     assert cache.get("crc32", point.point_id, "small") == blob
     assert cache.entries() == 1
 
-    # a torn/truncated entry reads as a miss, never an exception
-    key = cache.key("crc32", point.point_id, "small")
-    with open(cache.path(key), "w") as fh:
-        fh.write('{"schema": "' + CACHE_SCHEMA)
-    assert cache.get("crc32", point.point_id, "small") is None
+    # a torn/truncated line reads as a miss, never an exception
+    other = DesignPoint("arm", 16384)
+    segment = os.path.join(cache.store("small").segment_dir("crc32"),
+                           "torn.jsonl")
+    with open(segment, "w") as fh:
+        fh.write(json.dumps(make_blob("crc32", other, "small"))[:40])
+    assert cache.get("crc32", other.point_id, "small") is None
+    assert cache.get("crc32", point.point_id, "small") == blob
 
     # a fingerprint change (code change) invalidates without deleting
     cache.put("crc32", point.point_id, "small", blob)
@@ -319,6 +330,12 @@ def test_concurrent_jobs_coalesce_in_flight_points(tmp_path):
         ja = client.submit(space.to_dict(), ["crc32"])
         assert entered.wait(10)
         jb = client.submit(space.to_dict(), ["crc32"])  # same keys, in flight
+        # the batch writes its points to the cache as soon as it runs:
+        # release it only once job B has claimed its keys
+        deadline = time.time() + 10
+        while server.stats["coalesced"] < len(space):
+            assert time.time() < deadline, "job B never coalesced"
+            time.sleep(0.01)
         release.set()
         sa = client.wait(ja["id"])["summary"]
         sb = client.wait(jb["id"])["summary"]
@@ -335,12 +352,10 @@ def test_two_jobs_interleave_running_points(tmp_path):
     release = threading.Event()
 
     def lockstep_compute(server, scale, items, publish):
-        benchmark, point, key = items[0]
-        publish(key, make_blob(benchmark, point, scale), None)
+        publish([computed(server, scale, *items[0])])
         lockstep.wait()         # requires BOTH batches in flight at once
         release.wait(15)
-        for benchmark, point, key in items[1:]:
-            publish(key, make_blob(benchmark, point, scale), None)
+        publish([computed(server, scale, *item) for item in items[1:]])
 
     space = tiny_space()
     with ServerThread(tmp_path, "ilv", compute_fn=lockstep_compute,
@@ -406,11 +421,10 @@ def test_compute_failure_fails_job_but_not_server(tmp_path):
     def half_broken(server, scale, items, publish):
         first_batch = not batches
         batches.append(len(items))
-        for i, (benchmark, point, key) in enumerate(items):
-            if i == 0 and first_batch:
-                publish(key, None, "synthetic worker crash")
-            else:
-                publish(key, make_blob(benchmark, point, scale), None)
+        publish([(item[2], None, "synthetic worker crash")
+                 if i == 0 and first_batch
+                 else computed(server, scale, *item)
+                 for i, item in enumerate(items)])
 
     space = tiny_space()
     with ServerThread(tmp_path, "fail", compute_fn=half_broken) as server:
@@ -496,6 +510,65 @@ def test_real_compute_path_matches_direct_evaluation(tmp_path):
         served = client.results(job["id"])[0]["metrics"]
     direct = evaluate_point("crc32", DesignPoint("arm", 8192), "small")
     assert served == direct["metrics"]   # bit-identical to the one-shot CLI
+
+
+#: The sweep grid of one served job, per kernel: 3 ISAs x 4 sizes x
+#: 4 associativities x 3 block sizes.
+GRID = DesignSpace.grid("grid", isas=("arm", "thumb", "fits"),
+                        sizes=(4096, 8192, 16384, 32768),
+                        assocs=(1, 2, 4, 32), blocks=(16, 32, 64))
+
+
+def test_grid_job_appends_one_segment_per_unit_task(tmp_path, monkeypatch):
+    """The workers write the served points straight into the cache: one
+    segment per (benchmark, ISA) task, and no file created per point."""
+    import tempfile
+
+    from repro.dse import evaluate
+
+    names = ["crc32", "sha"]
+    for name in names:      # a warm trace store and flow records
+        for isa in ("arm", "thumb", "fits"):
+            evaluate._functional(name, "small", isa)
+    calls = {"mkstemp": 0, "replace": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    with ServerThread(tmp_path, "grid", compute_fn=None) as server:
+        client = client_for(server, timeout=300.0)
+        monkeypatch.setattr(tempfile, "mkstemp",
+                            counted("mkstemp", tempfile.mkstemp))
+        monkeypatch.setattr(os, "replace", counted("replace", os.replace))
+        job = client.submit(GRID.to_dict(), names, scale="small")
+        summary = client.wait(job["id"])["summary"]
+        monkeypatch.undo()
+        assert summary["status"] == "done"
+        assert summary["computed"] == 2 * len(GRID) == 288
+        store = server.cache.store("small")
+        segments = {name: os.listdir(store.segment_dir(name))
+                    for name in names}
+    assert calls == {"mkstemp": 0, "replace": 0}
+    assert {name: len(found) for name, found in segments.items()} == {
+        "crc32": 3, "sha": 3}
+    assert len(list(store.iter_results())) == 288
+
+
+def test_second_server_on_the_same_cache_serves_hits(tmp_path):
+    space = tiny_space()
+    cache = str(tmp_path / "shared-cache")
+    with ServerThread(tmp_path, "first", cache_root=cache) as server:
+        client = client_for(server)
+        first = client.wait(client.submit(space.to_dict(), ["crc32"])["id"])
+        assert first["summary"]["computed"] == len(space)
+    with ServerThread(tmp_path, "second", cache_root=cache) as server:
+        client = client_for(server)
+        second = client.wait(client.submit(space.to_dict(), ["crc32"])["id"])
+        assert second["summary"]["cache_hits"] == len(space)
+        assert server.stats["points_computed"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -625,3 +698,56 @@ def test_job_event_buffer_invariants():
         assert job.terminal
 
     asyncio.run(scenario())
+
+
+def test_final_gauges_and_counters_after_jobs(tmp_path, monkeypatch):
+    """One gauge refresh per finished task, not per point; after the
+    jobs, ``status`` and the ``metrics`` op report the final state."""
+    from repro.obs import metrics as metrics_mod
+
+    # the server is a coordinator, whose snapshot carries its gauges,
+    # whatever worker setup an earlier test applied to this process
+    monkeypatch.setattr(metrics_mod, "_is_child", False)
+    space = DesignSpace.grid("wide", isas=("arm",),
+                             sizes=(4096, 8192, 16384, 32768),
+                             assocs=(1, 2, 4, 32))
+    with ServerThread(tmp_path, "gauges") as server:
+        refreshes = []
+        update = server._update_gauges
+
+        def counted():
+            refreshes.append(1)
+            update()
+
+        server._update_gauges = counted
+        client = client_for(server)
+        before = _counters(client.metrics()["snapshot"])
+        first = client.wait(client.submit(space.to_dict(), ["crc32"])["id"])
+        assert len(refreshes) < len(space)
+        second = client.wait(client.submit(space.to_dict(), ["crc32"])["id"])
+        snapshot = client.metrics()["snapshot"]
+        status = client.status()["server"]
+
+    assert first["summary"]["computed"] == len(space)
+    assert second["summary"]["cache_hits"] == len(space)
+    stats = status["stats"]
+    assert (stats["jobs_completed"], stats["points_computed"],
+            stats["points_failed"], stats["cache_hits"],
+            stats["cache_misses"]) == (2, len(space), 0, len(space),
+                                       len(space))
+    assert status["cache"]["hit_ratio"] == 0.5
+    assert status["cache"]["entries"] == len(space)
+    assert status["queue_depth"] == 0 and status["inflight_points"] == 0
+    gauges = snapshot["gauges"]
+    assert gauges["serve.queue.depth"] == 0
+    assert gauges["serve.points.inflight"] == 0
+    assert gauges["serve.cache.hit_ratio"] == 0.5
+    after = _counters(snapshot)
+    delta = {name: after.get(name, 0) - before.get(name, 0) for name in (
+        "serve.points.computed", "serve.points.failed", "serve.cache.hit",
+        "serve.cache.miss", "serve.jobs.completed")}
+    assert delta == {"serve.points.computed": len(space),
+                     "serve.points.failed": 0,
+                     "serve.cache.hit": len(space),
+                     "serve.cache.miss": len(space),
+                     "serve.jobs.completed": 2}
