@@ -192,7 +192,7 @@ def flow_record(flow):
     }
 
 
-def replay_flow(module, record, entry="main"):
+def replay_flow(module, record):
     """Rebuild and run the FITS image a :func:`flow_record` describes.
 
     Compiles ``module`` once at the kept budget and translates it with
@@ -202,7 +202,7 @@ def replay_flow(module, record, entry="main"):
     compile, and the caller re-runs :func:`fits_flow`.
     """
     budget = record["budget"]
-    arm_image = link_arm(module, entry=entry,
+    arm_image = link_arm(module,
                          callee_saved=tuple(budget) if budget else None)
     image = translate(arm_image, FitsIsa.from_dict(record["isa"]),
                       uses=ArmProfile.static_only(arm_image).uses)

@@ -153,8 +153,10 @@ def _evaluate_task(store, payload):
         from repro.sim.functional import planes
 
         planes.attach(payload["planes"])
+    # resume check: the first lookup reads the benchmark's segments
+    # once; the rest are index lookups
     pending = [p for p in payload["points"]
-               if not store.has(benchmark, p["id"])]  # resume check
+               if not store.has(benchmark, p["id"])]
     heartbeat = None
     if payload.get("progress_dir"):
         heartbeat = progress_mod.HeartbeatWriter(

@@ -12,43 +12,50 @@ per scale and result fingerprint)::
 
 A writer is one sweep task (or one cache ``put`` caller): it opens its
 own segment, named by its pid and a random token, on its first write,
-appends one JSON line per evaluated point (a result blob, or a failure
-record ``{"schema", "benchmark", "point_id", "error"}``), flushes each
-line and closes the segment when the task ends.  No point creates a
-file of its own, and no two writers ever append to the same file, so
-several sweeps or servers may share one store.
+appends and flushes one JSON line per evaluated point, and closes the
+segment when the task ends.  A line is ``[schema, point_id,
+fingerprint, record]``: a result blob with its result fingerprint, or a
+failure record ``{"schema", "benchmark", "point_id", "error"}`` with
+``null``.  No point creates a file of its own, and no two writers
+append to one file, so several sweeps or servers may share a store.
 
-Readers keep a per-benchmark index of complete lines, refreshed
-incrementally (a consumed byte offset per segment).  A line without its
-newline — the torn tail a killed writer leaves — is skipped until it is
-completed, which for a dead writer is never.  Results are keyed by
-``(benchmark, point_id)`` where the point id is the point's content
-hash, so resume skips everything already stored regardless of task
-order, crashes, or how the space was re-declared.  Each blob records
-the result fingerprint of the code that computed it
-(:mod:`repro.fingerprint`); resume treats a blob from other code as
-pending and re-evaluates it.  Per point, a result from the current code
-beats any other line, so a retry in another segment supersedes a
-failure without rewriting it.
-
-:meth:`ResultStore.gc` compacts each benchmark's segments into one,
-dropping torn lines and superseded lines, and deletes the per-point
-files of the previous layout (``results/<bench>--<id>.json``,
-``failures/``), which no reader opens.
+Readers keep a per-benchmark index of where each point's winning line
+sits, built from the lines' heads alone (about 4 microseconds a line);
+a record is parsed only when it is read.  The index is built on a
+benchmark's first lookup and refreshed incrementally, by a consumed
+byte offset per segment: whole-store reads refresh first, point lookups
+see other writers' later lines after :meth:`ResultStore.refresh`, and a
+store sees its own writes at once.  A line without its newline — the
+torn tail of a killed writer — is skipped.  Results are keyed by
+``(benchmark, point_id)``, the point id being the point's content hash,
+so resume skips everything already stored regardless of task order,
+crashes, or how the space was re-declared.  A blob computed by other
+code (another :mod:`repro.fingerprint` result fingerprint) counts as
+pending; per point, a current-code result beats any other line, so a
+retry in another segment supersedes a failure without rewriting it.
+:meth:`ResultStore.gc` compacts each benchmark's segments into one and
+deletes the per-point files of the previous layout
+(``results/<bench>--<id>.json``, ``failures/``), which no reader opens.
 """
 
 import json
 import os
+import re
 import tempfile
 import threading
 
 from repro.fingerprint import RESULT, fingerprint
 
-#: Bump when the result-blob layout changes; stale blobs are skipped
-#: (and re-evaluated) rather than misread.
+#: Bump when the segment line layout changes; lines of another schema
+#: are skipped (and their points re-evaluated) rather than misread.
 RESULT_SCHEMA = 2
 
 SEGMENT_SUFFIX = ".jsonl"
+
+#: The head of a segment line as ``json.dumps`` writes it: schema,
+#: point id, and the result fingerprint (``null`` for a failure).  Point
+#: ids and fingerprints are hex digests, which JSON never escapes.
+_HEAD = re.compile(rb'\[%d, "(\w+)", (?:"(\w*)"|null), ' % RESULT_SCHEMA)
 
 
 def atomic_write_json(path, data):
@@ -68,10 +75,6 @@ def atomic_write_json(path, data):
         raise
 
 
-def _current(blob):
-    return blob is not None and blob.get("fingerprint") == fingerprint(RESULT)
-
-
 def _listdir(path):
     try:
         return os.listdir(path)
@@ -80,47 +83,59 @@ def _listdir(path):
 
 
 class _Index:
-    """What one benchmark's segments hold: the winning line per point."""
+    """Where one benchmark's winning line per point sits."""
 
-    __slots__ = ("offsets", "results", "failures", "torn", "superseded")
+    __slots__ = ("code", "offsets", "results", "failures", "torn",
+                 "superseded")
 
-    def __init__(self):
+    def __init__(self, code):
+        self.code = code        # the current result fingerprint
         self.offsets = {}       # segment name -> bytes consumed
-        self.results = {}       # point id -> result blob
-        self.failures = {}      # point id -> failure record
-        self.torn = 0           # complete lines that did not parse
+        self.results = {}       # point id -> (current, segment, offset, length)
+        self.failures = {}      # point id -> (segment, offset, length)
+        self.torn = 0           # complete lines without this schema's head
         self.superseded = 0     # lines a later or current line replaced
 
-    def consume(self, line):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            self.torn += 1
-            return
-        if not isinstance(record, dict) or record.get("schema") != RESULT_SCHEMA:
-            self.torn += 1
-            return
-        failed = "error" in record
-        point_id = (record.get("point_id") if failed
-                    else (record.get("point") or {}).get("id"))
-        if not isinstance(point_id, str):
-            self.torn += 1
-            return
-        if failed:
+    def add(self, point_id, code, where):
+        if code is None:
             if point_id in self.failures:
                 self.superseded += 1
-            self.failures[point_id] = record
+            self.failures[point_id] = where
             return
+        current = code == self.code
         old = self.results.get(point_id)
         if old is not None:
             self.superseded += 1
-            if _current(old) and not _current(record):
+            if old[0] and not current:
                 return
-        self.results[point_id] = record
+        self.results[point_id] = (current,) + where
+
+    def consume(self, segment, offset, data):
+        """Index the complete lines of ``data``, read from ``segment`` at
+        ``offset``; returns how many bytes they span."""
+        end = data.rfind(b"\n") + 1
+        start = 0
+        while start < end:
+            stop = data.index(b"\n", start)
+            head = _HEAD.match(data, start, stop)
+            if head is None:
+                self.torn += 1
+            else:
+                point_id, code = head.groups()
+                self.add(point_id.decode(),
+                         code if code is None else code.decode(),
+                         (segment, offset + start, stop - start))
+            start = stop + 1
+        return end
+
+    def current(self, point_id):
+        where = self.results.get(point_id)
+        return where is not None and where[0]
 
     def failure(self, point_id):
-        """The failure record of a point no current result supersedes."""
-        if _current(self.results.get(point_id)):
+        """Where the failure line of a point no current result
+        supersedes sits, or None."""
+        if self.current(point_id):
             return None
         return self.failures.get(point_id)
 
@@ -130,7 +145,7 @@ class ResultStore:
 
     Thread-safe: a server's event loop and compute threads share one
     instance.  Indexes are built lazily, on the first read of a
-    benchmark.
+    benchmark, and hold no records.
     """
 
     def __init__(self, root):
@@ -168,15 +183,17 @@ class ResultStore:
 
     def save(self, result):
         """Append one evaluation blob to this writer's segment."""
-        self._append(result["benchmark"], result)
+        self._append(result["benchmark"], result["point"]["id"],
+                     result.get("fingerprint") or "", result)
 
     def save_failure(self, benchmark, point_id, error):
-        self._append(benchmark, {"schema": RESULT_SCHEMA,
-                                 "benchmark": benchmark,
-                                 "point_id": point_id, "error": str(error)})
+        self._append(benchmark, point_id, None,
+                     {"schema": RESULT_SCHEMA, "benchmark": benchmark,
+                      "point_id": point_id, "error": str(error)})
 
-    def _append(self, benchmark, record):
-        line = (json.dumps(record) + "\n").encode()
+    def _append(self, benchmark, point_id, code, record):
+        line = (json.dumps([RESULT_SCHEMA, point_id, code, record])
+                + "\n").encode()
         with self._lock:
             segment = self._segments.get(benchmark)
             if segment is None:
@@ -186,8 +203,15 @@ class ResultStore:
                 segment = open(os.path.join(self.segment_dir(benchmark),
                                             self._writer + SEGMENT_SUFFIX), "ab")
                 self._segments[benchmark] = segment
+            offset = segment.tell()
             segment.write(line)
             segment.flush()
+            index = self._index.get(benchmark)
+            if index is not None:
+                # this writer's own lines need no refresh to be seen
+                name = self._writer + SEGMENT_SUFFIX
+                index.add(point_id, code, (name, offset, len(line) - 1))
+                index.offsets[name] = offset + len(line)
 
     def close(self):
         """Close this writer's segments (a later write opens new ones)."""
@@ -199,12 +223,17 @@ class ResultStore:
 
     # -- reading --------------------------------------------------------
 
+    def refresh(self, benchmark):
+        """Index the complete lines appended to ``benchmark``'s segments
+        since the last refresh (by other writers, or other stores)."""
+        with self._lock:
+            self._refresh(benchmark)
+
     def _refresh(self, benchmark):
-        """Consume every complete line appended since the last refresh;
-        the caller holds the lock."""
+        """:meth:`refresh` with the lock held; returns the index."""
         index = self._index.get(benchmark)
         if index is None:
-            index = self._index[benchmark] = _Index()
+            index = self._index[benchmark] = _Index(fingerprint(RESULT))
         try:
             entries = sorted(os.scandir(self.segment_dir(benchmark)),
                              key=lambda entry: entry.name)
@@ -222,11 +251,14 @@ class ResultStore:
                     data = fh.read()
             except OSError:
                 continue
-            end = data.rfind(b"\n") + 1
-            for line in data[:end].splitlines():
-                index.consume(line)
-            index.offsets[entry.name] = done + end
+            index.offsets[entry.name] = done + index.consume(
+                entry.name, done, data)
         return index
+
+    def _indexed(self, benchmark):
+        """The benchmark's index, built on first use; the lock is held."""
+        index = self._index.get(benchmark)
+        return index if index is not None else self._refresh(benchmark)
 
     def _benchmarks(self):
         try:
@@ -236,49 +268,60 @@ class ResultStore:
             return []
 
     def _indexes(self):
-        """Every benchmark's index, refreshed, in benchmark order; the
-        caller holds the lock."""
-        return [self._refresh(benchmark) for benchmark in self._benchmarks()]
+        """``(benchmark, index)`` for every benchmark, refreshed, in
+        benchmark order; the lock is held."""
+        return [(benchmark, self._refresh(benchmark))
+                for benchmark in self._benchmarks()]
+
+    def _read(self, benchmark, where):
+        """The record of the line at ``where`` (segment, offset,
+        length), or None when it cannot be read back."""
+        segment, offset, length = where
+        try:
+            with open(os.path.join(self.segment_dir(benchmark), segment),
+                      "rb") as fh:
+                fh.seek(offset)
+                return json.loads(fh.read(length))[3]
+        except (OSError, ValueError):
+            return None
 
     def has(self, benchmark, point_id):
         """True when the point has a result computed by the current code."""
-        return _current(self.load(benchmark, point_id))
+        with self._lock:
+            return self._indexed(benchmark).current(point_id)
 
     def load(self, benchmark, point_id):
-        """One result blob (current code when there is one), or None.
-
-        An index lookup; when the index holds no current result for the
-        point it is refreshed once, which reads what other writers have
-        appended since.
-        """
+        """One result blob (current code when there is one), or None."""
         with self._lock:
-            index = self._index.get(benchmark)
-            blob = index.results.get(point_id) if index is not None else None
-            if not _current(blob):
-                blob = self._refresh(benchmark).results.get(point_id)
-            return blob
+            where = self._indexed(benchmark).results.get(point_id)
+        return None if where is None else self._read(benchmark, where[1:])
 
     def failure(self, benchmark, point_id):
         """The point's failure record, or None when it has none or a
         current-code result supersedes it."""
         with self._lock:
-            return self._refresh(benchmark).failure(point_id)
+            where = self._indexed(benchmark).failure(point_id)
+        return None if where is None else self._read(benchmark, where)
 
     def iter_results(self):
         """Yield one valid result blob per point, sorted by benchmark and
         point id."""
         with self._lock:
-            blobs = [index.results[point_id] for index in self._indexes()
-                     for point_id in sorted(index.results)]
-        yield from blobs
+            located = [(benchmark, index.results[point_id][1:])
+                       for benchmark, index in self._indexes()
+                       for point_id in sorted(index.results)]
+        for benchmark, where in located:
+            blob = self._read(benchmark, where)
+            if blob is not None:
+                yield blob
 
     def completed_keys(self):
         """``(benchmark, point_id)`` pairs with a current-code result."""
         with self._lock:
-            return {(blob["benchmark"], point_id)
-                    for index in self._indexes()
-                    for point_id, blob in index.results.items()
-                    if _current(blob)}
+            return {(benchmark, point_id)
+                    for benchmark, index in self._indexes()
+                    for point_id, where in index.results.items()
+                    if where[0]}
 
     def to_trajectory_records(self, commit=None, scale=None, names=None):
         """Bridge this sweep's results into metrics-trajectory records.
@@ -299,9 +342,12 @@ class ResultStore:
     def failures(self):
         """Failure records of points no current result supersedes."""
         with self._lock:
-            return [record for index in self._indexes()
-                    for record in map(index.failure, sorted(index.failures))
-                    if record is not None]
+            located = [(benchmark, where)
+                       for benchmark, index in self._indexes()
+                       for where in map(index.failure, sorted(index.failures))
+                       if where is not None]
+        records = (self._read(benchmark, where) for benchmark, where in located)
+        return [record for record in records if record is not None]
 
     # -- garbage collection ---------------------------------------------
 
@@ -358,12 +404,18 @@ class ResultStore:
         report["superseded"] += superseded
         if len(segments) <= 1 and not (torn or superseded):
             return
-        kept = [index.results[p] for p in sorted(index.results)]
-        kept += [record for record in failures if record is not None]
+        kept = [index.results[p][1:] for p in sorted(index.results)]
+        kept += [where for where in failures if where is not None]
+        data = {}
+        for name in segments:
+            with open(os.path.join(directory, name), "rb") as fh:
+                data[name] = fh.read()
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gc-",
                                    suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(json.dumps(record) + "\n" for record in kept)
+        with os.fdopen(fd, "wb") as fh:
+            # the winning lines, byte for byte
+            fh.writelines(data[name][offset:offset + length] + b"\n"
+                          for name, offset, length in kept)
         os.replace(tmp, os.path.join(
             directory, "gc-%d-%s%s" % (os.getpid(), os.urandom(4).hex(),
                                        SEGMENT_SUFFIX)))

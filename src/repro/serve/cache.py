@@ -15,10 +15,14 @@ the whole cache rather than serving stale numbers.
 The cache is a view on one :class:`~repro.dse.store.ResultStore` per
 scale and fingerprint, ``<cache>/<scale>-<fingerprint>/``.  The sweep
 workers write their points straight into it, one segment per task, so a
-computed point is encoded once and creates no file of its own; a lookup
-is an index hit, and a miss refreshes the index once, which picks up
-what other servers sharing the directory wrote.  Each writer appends to
-a segment of its own, so many server processes may share one cache
+computed point is encoded once and creates no file of its own.  A
+lookup consults the store's index, which records where each point's
+line sits and holds no blobs; a hit reads and parses that one line.
+The index sees other writers' lines once the store is refreshed: the
+server refreshes a job's benchmarks when the job starts (picking up
+what other servers sharing the directory wrote) and a task's benchmark
+when the task's points are published.  Each writer appends to a
+segment of its own, so many server processes may share one cache
 directory.
 
 :class:`SingleFlight` closes the remaining window: within one server,
@@ -65,7 +69,11 @@ class GlobalResultCache:
             return store
 
     def get(self, benchmark, point_id, scale):
-        """The cached result blob, or None when absent/torn/stale."""
+        """The cached result blob, or None when absent/torn/stale.
+
+        Lines other writers appended since the store's last
+        :meth:`~repro.dse.store.ResultStore.refresh` are not seen.
+        """
         if not obs_core.enabled:
             return self._get(benchmark, point_id, scale)
         with obs_metrics.timer("serve.cache.lookup_seconds"):
@@ -86,14 +94,14 @@ class GlobalResultCache:
 
     def entries(self):
         """Number of points the current code's entries cover, over every
-        scale."""
+        scale; counted from the stores' indexes, no blob is parsed."""
         suffix = "-" + self.code
         try:
             names = os.listdir(self.root)
         except OSError:
             return 0
-        return sum(1 for name in names if name.endswith(suffix)
-                   for _blob in self.store(name[:-len(suffix)]).iter_results())
+        return sum(len(self.store(name[:-len(suffix)]).completed_keys())
+                   for name in names if name.endswith(suffix))
 
     def close(self):
         """Close the segments :meth:`put` appended to."""

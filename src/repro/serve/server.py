@@ -27,9 +27,11 @@ backpressure, the global content-addressed cache, and single-flight so
 two concurrent jobs never compute the same design point twice.  The
 workers write their points straight into the global cache's result
 store (:mod:`repro.serve.cache`), so a computed point is written once;
-when a task finishes the server reads its points from the store's
-index and resolves them.  ``--state`` holds only the worker metric
-snapshots.
+when a task finishes the server refreshes the store's index for the
+task's benchmark, reads its points' lines and resolves them.  A job
+refreshes the index for each of its benchmarks once, when it starts,
+which is when the points other servers sharing the cache wrote become
+hits.  ``--state`` holds only the worker metric snapshots.
 
 Up to ``max_running`` compute batches run **concurrently**: each batch
 registers its own task group on the persistent warm worker pool
@@ -106,6 +108,7 @@ def _default_compute(server, scale, items, publish):
 
     def flush(task_result):
         benchmark = task_result.payload["benchmark"]
+        store.refresh(benchmark)    # the lines the task's worker wrote
         outcomes = []
         for pdict in task_result.payload["points"]:
             key = keymap[(benchmark, pdict["id"])]
@@ -245,7 +248,11 @@ class ServeServer:
             job_t0 = time.perf_counter()
             loop = asyncio.get_running_loop()
             waits, owned = [], []
+            store = self.cache.store(job.scale)
             for benchmark in job.benchmarks:
+                # once per job: what other servers sharing the cache
+                # wrote since this server last looked
+                store.refresh(benchmark)
                 for point in job.space:
                     key = self.cache.key(benchmark, point.point_id, job.scale)
                     blob = self.cache.get(benchmark, point.point_id, job.scale)

@@ -29,7 +29,7 @@ A manifest names the benchmark and scale its trace was first stored
 for, which is what the sweep's shared-memory plane exporter selects
 by.  A trace first stored outside a :func:`repro.obs.profile.run_context`
 names neither; the first hit inside a context that names a benchmark
-fills them in (:meth:`TraceStore.attribute`).
+fills them in (:meth:`TraceStore.load`).
 
 The store also keeps small JSON records beside the traces, one file per
 record under :data:`FLOWS` (never at the top level, where every
@@ -238,7 +238,7 @@ class TraceStore:
         return (os.path.join(self.root, key + ".npz"),
                 os.path.join(self.root, key + ".json"))
 
-    def load(self, image):
+    def load(self, image, benchmark=None, scale=None):
         """The stored :class:`ExecutionResult` for ``image``, or None.
 
         Returns None when the entry is absent or was produced under a
@@ -246,6 +246,11 @@ class TraceStore:
         planes come from, in order: the in-process plane cache, an
         attached shared-memory plane segment published by the sweep
         coordinator, and finally the ``.npz`` on disk.
+
+        An entry whose manifest names no benchmark is attributed to
+        ``benchmark``/``scale`` when a benchmark is given (one atomic
+        manifest rewrite).  A manifest that already names a benchmark is
+        never rewritten, so a store read by warm runs stays unwritten.
         """
         key = image_fingerprint(image)
         npz_path, man_path = self._paths(key)
@@ -255,6 +260,14 @@ class TraceStore:
         manifest = _read_manifest(man_path)
         if manifest is None:
             return None
+        if benchmark is not None and manifest.get("benchmark") is None:
+            manifest.update(benchmark=benchmark, scale=scale)
+            try:
+                _write_atomic(man_path, json.dumps(
+                    manifest, indent=1, sort_keys=True).encode())
+            except OSError as exc:
+                print("trace store: attribution failed (%s)" % exc,
+                      file=sys.stderr)
         cache_key = (os.path.abspath(self.root), key)
         cached = _plane_cache_get(cache_key)
         if cached is not None:
@@ -324,22 +337,6 @@ class TraceStore:
         _plane_cache_put((os.path.abspath(self.root), key), result)
         return key
 
-    def attribute(self, image, benchmark, scale):
-        """Name ``benchmark``/``scale`` in the manifest of ``image``'s
-        entry when it names no benchmark (one atomic rewrite).
-
-        A manifest that already names a benchmark is never rewritten,
-        so a store read by warm runs stays unwritten.
-        """
-        _npz_path, man_path = self._paths(image_fingerprint(image))
-        manifest = _read_manifest(man_path, warn=False)
-        if manifest is None or manifest.get("benchmark") is not None:
-            return
-        manifest["benchmark"] = benchmark
-        manifest["scale"] = scale
-        _write_atomic(man_path, json.dumps(
-            manifest, indent=1, sort_keys=True).encode())
-
     def _flow_path(self, key):
         return os.path.join(self.root, FLOWS, key + ".json")
 
@@ -407,8 +404,9 @@ def cached_run(kind, image, runner):
     store = get_store()
     if store is None:
         return runner()
+    ctx = obs_profile.current_context()
     t_load = time.perf_counter()
-    result = store.load(image)
+    result = store.load(image, ctx.get("benchmark"), ctx.get("scale"))
     if result is not None:
         _observe_seconds("trace_store.load_seconds", t_load)
         obs.counter("trace_store.hit")
@@ -416,20 +414,12 @@ def cached_run(kind, image, runner):
         # trace-level counters stay present whether warm or cold, so
         # manifests from cached and fresh runs remain comparable
         publish_result("sim." + kind, result)
-        ctx = obs_profile.current_context()
-        if ctx.get("benchmark") is not None:
-            try:
-                store.attribute(image, ctx["benchmark"], ctx.get("scale"))
-            except OSError as exc:
-                print("trace store: attribution failed (%s)" % exc,
-                      file=sys.stderr)
         return result
     with obs.span("trace_store.fill", kind=kind,
                   image=getattr(image, "name", "?")):
         result = runner()
     obs.counter("trace_store.miss")
     obs.counter("trace_store.miss.%s" % kind)
-    ctx = obs_profile.current_context()
     t_save = time.perf_counter()
     try:
         with obs.span("trace_store.encode", kind=kind):

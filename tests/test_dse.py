@@ -9,6 +9,7 @@ from other code, failure isolation, per-task timeout) and the CLI.
 
 import json
 import os
+import shutil
 import time
 
 import pytest
@@ -201,19 +202,45 @@ def test_store_round_trip_and_torn_blob(tmp_path):
 
 def test_store_reads_lines_other_writers_append(tmp_path):
     """Two writers on one directory both land, and a reader's index
-    refreshes to lines appended after it was built."""
+    refreshes to lines appended after it was built: point lookups after
+    an explicit refresh, whole-store reads always."""
     root = str(tmp_path / "s")
     a, b, reader = ResultStore(root), ResultStore(root), ResultStore(root)
     p, q = DesignPoint("arm", 8192), DesignPoint("arm", 16384)
     a.save(_result(p))
     assert reader.completed_keys() == {(BENCH, p.point_id)}
     b.save(_result(q))
+    assert not reader.has(BENCH, q.point_id)    # not refreshed yet
+    reader.refresh(BENCH)
     assert reader.has(BENCH, q.point_id)
+    assert reader.load(BENCH, q.point_id) == _result(q)
     assert [r["point"]["id"] for r in reader.iter_results()] == sorted(
         [p.point_id, q.point_id])
     a.close()
     b.close()
     assert len(_segments(reader)) == 2
+
+
+def test_point_lookups_read_the_segments_once(tmp_path, monkeypatch):
+    """A store reads a benchmark's segments on its first lookup; later
+    lookups, hits and misses alike, rescan nothing."""
+    root = str(tmp_path / "s")
+    writer = ResultStore(root)
+    points = [DesignPoint("arm", size) for size in (4096, 8192, 16384)]
+    for p in points:
+        writer.save(_result(p))
+    writer.close()
+    store = ResultStore(root)
+    scans = []
+    scandir = os.scandir
+    monkeypatch.setattr(os, "scandir",
+                        lambda path: scans.append(path) or scandir(path))
+    assert store.has(BENCH, points[0].point_id)
+    for _ in range(10):
+        assert not store.has(BENCH, "f" * 12)
+        assert store.load(BENCH, "f" * 12) is None
+    assert store.load(BENCH, points[1].point_id) == _result(points[1])
+    assert scans == [store.segment_dir(BENCH)]
 
 
 def test_failure_then_result_in_another_segment_is_completed(tmp_path):
@@ -364,19 +391,17 @@ def test_resume_reevaluates_blobs_from_other_code(tmp_path):
     current = ResultStore(root).load(BENCH, point_id)["fingerprint"]
     for stale in ("0" * 16, None):
         # rewrite the store so the point's only result is from other code
-        for path in _segments(ResultStore(root)):
-            with open(path) as fh:
-                blobs = [json.loads(line) for line in fh]
-            for blob in blobs:
-                if blob["point"]["id"] == point_id:
-                    if stale is None:
-                        del blob["fingerprint"]
-                    else:
-                        blob["fingerprint"] = stale
-            with open(path, "w") as fh:
-                fh.writelines(json.dumps(blob) + "\n" for blob in blobs
-                              if blob["point"]["id"] == point_id
-                              or blob.get("fingerprint") == current)
+        blobs = list(ResultStore(root).iter_results())
+        shutil.rmtree(ResultStore(root).segment_dir(BENCH))
+        writer = ResultStore(root)
+        for blob in blobs:
+            if blob["point"]["id"] == point_id:
+                if stale is None:
+                    del blob["fingerprint"]
+                else:
+                    blob["fingerprint"] = stale
+            writer.save(blob)
+        writer.close()
         store = ResultStore(root)
         assert not store.has(BENCH, point_id)
         again = sweep(preset("paper4"), [BENCH], scale="small", jobs=1,

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.dse.space import DesignPoint, DesignSpace, preset
-from repro.dse.store import RESULT_SCHEMA
+from repro.dse.store import RESULT_SCHEMA, ResultStore
 from repro.fingerprint import RESULT, fingerprint
 from repro.serve import api, protocol
 from repro.serve.cache import GlobalResultCache, SingleFlight
@@ -112,14 +112,17 @@ def test_cache_key_covers_every_input(tmp_path):
     assert GlobalResultCache(str(tmp_path)).code == fingerprint(RESULT)
 
 
-def test_cache_roundtrip_and_misses(tmp_path):
+def test_cache_roundtrip_and_misses(tmp_path, monkeypatch):
     cache = GlobalResultCache(str(tmp_path / "c"))
     point = DesignPoint("arm", 8192)
     blob = make_blob("crc32", point, "small")
     assert cache.get("crc32", point.point_id, "small") is None
     cache.put("crc32", point.point_id, "small", blob)
     assert cache.get("crc32", point.point_id, "small") == blob
-    assert cache.entries() == 1
+    with monkeypatch.context() as patch:
+        # counting entries reads the index, never a blob
+        patch.setattr(ResultStore, "_read", None)
+        assert cache.entries() == 1
 
     # a torn/truncated line reads as a miss, never an exception
     other = DesignPoint("arm", 16384)
@@ -538,11 +541,14 @@ def test_grid_job_appends_one_segment_per_unit_task(tmp_path, monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
+    calls["refresh"] = 0
     with ServerThread(tmp_path, "grid", compute_fn=None) as server:
         client = client_for(server, timeout=300.0)
         monkeypatch.setattr(tempfile, "mkstemp",
                             counted("mkstemp", tempfile.mkstemp))
         monkeypatch.setattr(os, "replace", counted("replace", os.replace))
+        monkeypatch.setattr(ResultStore, "_refresh",
+                            counted("refresh", ResultStore._refresh))
         job = client.submit(GRID.to_dict(), names, scale="small")
         summary = client.wait(job["id"])["summary"]
         monkeypatch.undo()
@@ -551,7 +557,9 @@ def test_grid_job_appends_one_segment_per_unit_task(tmp_path, monkeypatch):
         store = server.cache.store("small")
         segments = {name: os.listdir(store.segment_dir(name))
                     for name in names}
-    assert calls == {"mkstemp": 0, "replace": 0}
+    # the segments are read once per job benchmark, and once per task
+    # for its worker's resume check and once for its flush: never per point
+    assert calls == {"mkstemp": 0, "replace": 0, "refresh": 2 + 2 * 6}
     assert {name: len(found) for name, found in segments.items()} == {
         "crc32": 3, "sha": 3}
     assert len(list(store.iter_results())) == 288
