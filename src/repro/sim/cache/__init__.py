@@ -6,17 +6,11 @@ every ``(size, associativity)`` pair sharing a block size in one pass.
 """
 
 from repro.sim.cache.model import CacheGeometry, SetAssociativeCache, publish_stats
-from repro.sim.cache.stack import (
-    StackDistanceProfile,
-    expand_line_spans,
-    profile_lines,
-)
+from repro.sim.cache.stack import StackDistanceProfile
 
 __all__ = [
     "CacheGeometry",
     "SetAssociativeCache",
     "StackDistanceProfile",
-    "expand_line_spans",
-    "profile_lines",
     "publish_stats",
 ]

@@ -18,31 +18,30 @@ set-associative bit-selection caches by Hill & Smith 1989):
   ``associativity`` of them intervened.
 * First touches are compulsory misses in every geometry.
 
-One stack walk per access yields the conflict count for every set count
-at once — per stack entry ``y`` we histogram the number of trailing
-bits in which ``y`` agrees with ``x``; a suffix sum over that histogram
-is the conflict count for every ``k``.  Evictions fall out analytically:
-occupancy of a set only ever grows, so the fills that do *not* evict are
-exactly the first ``min(distinct lines mapping to the set, assoc)``
-fills, and ``evictions = misses - Σ_s min(D_s, assoc)``.
+Per intervening line ``y`` the number of trailing bits in which ``y``
+agrees with ``x`` says at which set counts it conflicts; a suffix sum
+over those agreements is the conflict count for every ``k`` at once.
+Evictions fall out analytically: occupancy of a set only ever grows,
+so the fills that do *not* evict are exactly the first ``min(distinct
+lines mapping to the set, assoc)`` fills, and ``evictions = misses -
+Σ_s min(D_s, assoc)``.
 
 Equivalence conditions (all guaranteed by
 :class:`~repro.sim.cache.model.CacheGeometry` and asserted bit-identical
-against the reference model by ``tests/test_stack.py``): power-of-two
-set counts with bit-selection indexing, true LRU replacement, no
-invalidations, and a shared block size.
+against the reference model by ``tests/test_stack.py`` and
+``tests/test_trace_rle.py``): power-of-two set counts with
+bit-selection indexing, true LRU replacement, no invalidations, and a
+shared block size.
 
-The trace-side helpers are vectorized with numpy (span expansion,
-consecutive-duplicate folding, final per-geometry tallies); the stack
-walk itself is a tight pure-Python loop whose cost is the reuse depth —
-for instruction streams that depth is small, and the pass replaces one
-full LRU simulation *per geometry* with a single shared one.
+:func:`profile_spans_rle` reads the columnar trace directly.  A Python
+walk finds which LRU-stack transitions the stream takes and how often
+each fires; every reused line those transitions touch is then scored
+in vectorized numpy slabs.
 """
 
 import numpy as np
 
 from repro.obs import core as obs
-from repro.sim.cache.model import CacheGeometry
 
 
 def expand_line_spans(start_lines, end_lines):
@@ -67,7 +66,7 @@ def expand_line_spans(start_lines, end_lines):
 class StackDistanceProfile:
     """Exact LRU event counts for every profiled ``(size, assoc)`` pair.
 
-    Produced by :func:`profile_lines`; :meth:`stats` answers any
+    Produced by :func:`profile_spans_rle`; :meth:`stats` answers any
     geometry whose set count and associativity were covered by the
     profiling pass with the same dict
     :meth:`~repro.sim.cache.model.SetAssociativeCache.stats` returns.
@@ -130,193 +129,103 @@ class StackDistanceProfile:
             self.accesses, self.compulsory_misses, self.block_bytes)
 
 
-def _trailing_agreement(xor, cap):
-    """Trailing bits in which two distinct lines agree (capped)."""
-    t = (xor & -xor).bit_length() - 1
-    return t if t < cap else cap
+#: Upper bound on the (reuse, intervening line) pairs one numpy scoring
+#: slab holds, so the scoring pass's memory stays flat however many
+#: transitions fire; a single transition wider than this scores alone.
+_SLAB = 1 << 14
 
 
-def profile_lines(lines, geometries):
-    """One stack-distance pass answering every geometry at once.
+class _Scorer:
+    """Scores reuse queries into per-geometry conflict histograms.
 
-    Args:
-        lines: line-number sequence (any int sequence / numpy array).
-        geometries: :class:`CacheGeometry` instances sharing one block
-            size; their set counts and associativities bound what the
-            returned profile can answer.
-
-    Returns:
-        :class:`StackDistanceProfile`.
+    A query is one reuse of line ``x = stack[d]`` by a block whose span
+    starts at line ``s``, fired ``w`` times.  Its intervening lines are
+    the lines above ``x`` on ``stack`` (``stack[:d]``, top first) plus
+    the span's earlier lines ``s .. x - 1``, which the block has just
+    moved above ``x``; a span line already above ``x`` counts once.
+    Queries are buffered per stack and scored a slab at a time.
     """
-    geometries = list(geometries)
-    if not geometries:
-        raise ValueError("profile_lines needs at least one geometry")
-    block = geometries[0].block_bytes
-    for g in geometries:
-        if g.block_bytes != block:
-            raise ValueError(
-                "geometries mix block sizes (%d vs %d): stack-distance "
-                "profiles are exact only at a fixed block size"
-                % (block, g.block_bytes)
-            )
-    ks = sorted({g.num_sets.bit_length() - 1 for g in geometries})
-    kmax = ks[-1]
-    amax = max(g.associativity for g in geometries)
 
-    arr = np.asarray(lines, dtype=np.int64)
-    accesses = len(arr)
-    if accesses and int(arr.min()) < 0:
-        raise ValueError("line numbers must be non-negative")
-    # Consecutive repeats of one line hit in every geometry (zero
-    # intervening lines) and leave the LRU stack unchanged — fold them
-    # out vectorized before the Python walk.
-    if accesses > 1:
-        keep = np.empty(accesses, dtype=bool)
-        keep[0] = True
-        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-        folded = accesses - int(keep.sum())
-        if folded:
-            arr = arr[keep]
-    else:
-        folded = 0
+    def __init__(self, ks, amax):
+        self.nk = len(ks)
+        self.kmax = ks[-1]
+        self.amax = amax
+        # tmap[t]: how many of the queried ks an intervening line with
+        # trailing agreement t conflicts at (ks is ascending, so they
+        # form a prefix)
+        self.tmap = np.asarray(
+            [sum(1 for k in ks if k <= t) for t in range(self.kmax + 1)],
+            dtype=np.intp)
+        self.rows = np.zeros((self.nk, amax + 1), dtype=np.int64)
+        self._reset()
 
-    # counts[i][c]: accesses whose conflict count at 2^ks[i] sets is c
-    # (capped at amax — every queried associativity is <= amax, so the
-    # cap never changes a hit/miss verdict).
-    rows = [[0] * (amax + 1) for _ in ks]
-    nk = len(ks)
-    # tmap[t]: how many of the queried ks an entry with trailing
-    # agreement t conflicts at (ks is ascending, so they form a prefix)
-    tmap = [sum(1 for k in ks if k <= t) for t in range(kmax + 1)]
-    cnts = [0] * nk  # reused per-access buffer: cnts[j-1] += 1 means
-    #                  "one more entry conflicting at the first j ks"
+    def _reset(self):
+        self._lines = []    # stack prefixes, concatenated
+        self._base = []     # per stack: its prefix's offset in _lines
+        self._nq = []       # per stack: its number of queries
+        self._depths = []   # per query: depth of x on its stack
+        self._starts = []   # per stack: span start s
+        self._weights = []  # per stack: times fired
+        self._pairs = 0
 
-    stack = []   # LRU stack, top at the end; -1 = tombstone
-    pos = {}     # line -> current index in ``stack``
-    tombs = 0
-    # reuse depths are tiny for loop traces (the common case) but a few
-    # accesses walk thousands of entries — those switch to numpy
-    _VEC_DEPTH = 48
-    with obs.span("cache.stack.pass", accesses=accesses,
-                  geometries=len(geometries)):
-        for x in arr.tolist():
-            p = pos.get(x)
-            if p is None:  # first touch: compulsory in every geometry
-                pos[x] = len(stack)
-                stack.append(x)
-                continue
-            i = len(stack) - 1
-            if i - p <= _VEC_DEPTH:
-                while i > p:
-                    y = stack[i]
-                    if y >= 0:
-                        xor = x ^ y
-                        t = (xor & -xor).bit_length() - 1
-                        j = tmap[t] if t < kmax else nk
-                        if j:
-                            cnts[j - 1] += 1
-                    i -= 1
-            else:
-                seg = np.asarray(stack[p + 1:], dtype=np.int64)
-                seg = seg[seg >= 0]
-                if len(seg):
-                    xor = seg ^ x
-                    t = np.bitwise_count((xor & -xor) - 1)  # trailing zeros
-                    np.minimum(t, kmax, out=t, casting="unsafe")
-                    jhist = np.bincount(
-                        np.take(tmap, t), minlength=nk + 1)
-                    for j in range(1, nk + 1):
-                        if jhist[j]:
-                            cnts[j - 1] += int(jhist[j])
-            # suffix-accumulate: conflicts at ks[j] = entries agreeing
-            # with x in >= ks[j] trailing bits
-            run = 0
-            for j in range(nk - 1, -1, -1):
-                run += cnts[j]
-                cnts[j] = 0
-                rows[j][run if run < amax else amax] += 1
-            stack[p] = -1
-            tombs += 1
-            pos[x] = len(stack)
-            stack.append(x)
-            if tombs > (len(stack) >> 1) and len(stack) > 512:
-                stack = [y for y in stack if y >= 0]
-                pos = {y: i for i, y in enumerate(stack)}
-                tombs = 0
+    def add(self, stack, depths, start, end, weight):
+        """Queue ``stack[d]`` reused by the span ``start .. end`` for
+        every ``d`` in ``depths``, ``weight`` times each."""
+        self._base.append(len(self._lines))
+        self._lines += stack[:max(depths) + 1]
+        self._nq.append(len(depths))
+        self._depths += depths
+        self._starts.append(start)
+        self._weights.append(weight)
+        # above-x lines plus an upper bound on the span's earlier lines
+        self._pairs += sum(depths) + len(depths) * (end - start)
+        if self._pairs >= _SLAB:
+            self.flush()
 
-    # folded duplicates are conflict-count-0 accesses in every geometry
-    if folded:
-        for row in rows:
-            row[0] += folded
+    def flush(self):
+        if not self._nq:
+            return
+        lines = np.asarray(self._lines, dtype=np.int64)
+        depths = np.asarray(self._depths, dtype=np.int64)
+        owner = np.repeat(np.arange(len(self._nq)), self._nq)
+        base = np.asarray(self._base, dtype=np.int64)[owner]
+        x = lines[base + depths]
+        start = np.asarray(self._starts, dtype=np.int64)[owner]
+        weight = np.asarray(self._weights, dtype=np.int64)[owner]
+        self._reset()
+        nq = len(depths)
+        qid = np.arange(nq)
 
-    distinct = np.fromiter(pos.keys(), dtype=np.int64, count=len(pos))
-    counts_by_k = {k: np.asarray(row, dtype=np.int64)
-                   for k, row in zip(ks, rows)}
-    if obs.enabled:
-        obs.counter("cache.stack.passes")
-        obs.counter("cache.stack.accesses", accesses)
-        obs.counter("cache.stack.folded_repeats", folded)
-        obs.counter("cache.stack.distinct_lines", len(pos))
-        obs.counter("cache.stack.geometries", len(geometries))
-    return StackDistanceProfile(block, accesses, distinct, counts_by_k, amax)
-
-
-def profile_for_sizes(lines, sizes, associativity=32, block_bytes=32):
-    """Convenience wrapper: profile one assoc across many sizes."""
-    geoms = [CacheGeometry(size, block_bytes, associativity) for size in sizes]
-    return profile_lines(lines, geoms)
-
-
-# ----------------------------------------------------------------------
-# run-length replay: stack distances straight off the columnar trace
-
-
-#: Transition-memo safety valve: beyond this many distinct
-#: ``(recency-state, block)`` pairs the kernel stops caching and just
-#: computes each transition directly (still exact, only slower).  Real
-#: traces are loop-structured and stay orders of magnitude below this.
-_RLE_MEMO_CAP = 1 << 16
-
-
-def _reuse_walk(stack, pos, lines, tmap, nk, kmax, amax, inc):
-    """The reference capture walk of :func:`profile_lines`, applied to a
-    reconstructed mini-stack.  Mutates ``stack``/``pos`` exactly like
-    the event-path walk (move-to-top with tombstones) and accumulates
-    per-geometry conflict-bucket increments into the ``inc`` dict as
-    ``{(k_index, bucket): count}``.  First touches push without
-    incrementing — compulsory misses are accounted globally from the
-    union of executed block footprints."""
-    cnts = [0] * nk
-    for x in lines:
-        p = pos.get(x)
-        if p is None:
-            pos[x] = len(stack)
-            stack.append(x)
-            continue
-        i = len(stack) - 1
-        while i > p:
-            y = stack[i]
-            if y >= 0:
-                xor = x ^ y
-                t = (xor & -xor).bit_length() - 1
-                j = tmap[t] if t < kmax else nk
-                if j:
-                    cnts[j - 1] += 1
-            i -= 1
-        run = 0
-        for j in range(nk - 1, -1, -1):
-            run += cnts[j]
-            cnts[j] = 0
-            key = (j, run if run < amax else amax)
-            inc[key] = inc.get(key, 0) + 1
-        stack[p] = -1
-        pos[x] = len(stack)
-        stack.append(x)
+        # the lines above x on its stack ...
+        above_q = np.repeat(qid, depths)
+        above = lines[np.arange(len(above_q))
+                      + np.repeat(base - (np.cumsum(depths) - depths), depths)]
+        # ... minus the span lines before x, counted next ...
+        keep = (above < start[above_q]) | (above > x[above_q])
+        # ... as the span's lines s .. x - 1
+        span_len = x - start
+        span_q = np.repeat(qid, span_len)
+        span = (np.arange(len(span_q))
+                + np.repeat(start - (np.cumsum(span_len) - span_len), span_len))
+        q = np.concatenate((above_q[keep], span_q))
+        xor = x[q] ^ np.concatenate((above[keep], span))
+        # trailing agreement capped at kmax: the bit kmax stops the count
+        xor |= 1 << self.kmax
+        t = np.bitwise_count((xor & -xor) - 1)
+        hist = np.bincount(q * (self.nk + 1) + self.tmap[t],
+                           minlength=nq * (self.nk + 1)).reshape(nq, self.nk + 1)
+        # suffix sum: conflicts at ks[i] are the lines agreeing with x in
+        # >= ks[i] trailing bits (tmap > i), capped at amax, which
+        # changes no verdict at any queried associativity
+        conflicts = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
+        np.minimum(conflicts, self.amax, out=conflicts)
+        cells = conflicts + np.arange(self.nk) * (self.amax + 1)
+        np.add.at(self.rows.reshape(-1), cells, weight[:, None])
 
 
 def profile_spans_rle(line_starts, line_ends, seg_ids, seg_counts,
                       geometries):
-    """:func:`profile_lines` over the columnar trace, without expanding.
+    """One stack-distance pass over the columnar trace, never expanded.
 
     Args:
         line_starts / line_ends: per-superblock inclusive line spans —
@@ -324,29 +233,34 @@ def profile_spans_rle(line_starts, line_ends, seg_ids, seg_counts,
             ``line_starts[b] .. line_ends[b]`` in ascending order on
             every iteration.
         seg_ids / seg_counts: the run-length execution stream.
-        geometries: as for :func:`profile_lines`.
+        geometries: :class:`~repro.sim.cache.model.CacheGeometry`
+            instances sharing one block size; their set counts and
+            associativities bound what the returned profile answers.
 
     Returns a :class:`StackDistanceProfile` whose :meth:`stats` are
-    bit-identical to profiling the expanded per-access line sequence
-    (``expand_line_spans`` over the per-run spans) — property-tested in
+    bit-identical to a per-access LRU walk of the expanded line
+    sequence (``expand_line_spans`` over the per-run spans) —
+    property-tested against ``tests/oracles.profile_lines`` in
     ``tests/test_trace_rle.py``.
 
     Exactness rests on one structural invariant: executing a block
     leaves its span lines on top of the LRU stack in span order, so the
     stack contents after any prefix of the stream are a pure function
     of the distinct-block execution order.  The kernel runs a DFA whose
-    states are the interned stack tuples: the first iteration of a
-    segment is a pure function of ``(stack, block)`` — memoized as a
-    transition carrying the per-geometry increment vector — and
-    iterations 2..n of a segment are a fixed per-block increment
-    vector computed once and weighted by the iteration count.  Periodic
-    regions of the stream (tight multi-block loops) are detected up
-    front and folded: one full cycle drives the stack to the cycle's
-    fixed point, so cycle 2's transitions stand in for all later
-    cycles, bulk-weighted.  Consecutive-duplicate folding (the event
-    path folds them before walking) happens exactly at two places:
-    one-line blocks repeating (all of iterations 2..n), and a segment
-    whose first line equals the previous segment's last line.
+    states are the interned stack tuples (top first): the first
+    iteration of a segment is a pure function of ``(stack, block)``,
+    memoized as a transition that records the successor state and the
+    depth of each span line the block reuses, and iterations 2..n of a
+    segment reuse the block's own span, a fixed set of queries
+    weighted by the iteration count.  Loop bodies re-enter from the
+    same state, so aligned 8-segment windows of the stream are memoized
+    whole by ``(entry state, chunk)``.  The walk only counts how often
+    each transition fires; every (transition, reused line) query is
+    then scored once, weighted, by :class:`_Scorer`.
+    Consecutive-duplicate folding (the event path folds them before
+    walking) happens exactly at two places: one-line blocks repeating
+    (all of iterations 2..n), and a segment whose first line equals the
+    previous segment's last line.
     """
     geometries = list(geometries)
     if not geometries:
@@ -360,10 +274,7 @@ def profile_spans_rle(line_starts, line_ends, seg_ids, seg_counts,
                 % (block, g.block_bytes)
             )
     ks = sorted({g.num_sets.bit_length() - 1 for g in geometries})
-    kmax = ks[-1]
     amax = max(g.associativity for g in geometries)
-    nk = len(ks)
-    tmap = [sum(1 for k in ks if k <= t) for t in range(kmax + 1)]
 
     sl = np.asarray(line_starts, dtype=np.int64)
     el = np.asarray(line_ends, dtype=np.int64)
@@ -379,144 +290,130 @@ def profile_spans_rle(line_starts, line_ends, seg_ids, seg_counts,
     else:
         distinct = np.zeros(0, dtype=np.int64)
 
-    rows = np.zeros((nk, amax + 1), dtype=np.int64)
-    folded = 0
-
     # DFA over LRU states: a state is the interned full stack content
-    # (line tuple, bottom to top) — the complete replacement state, so
-    # two histories reaching the same stack share all future
-    # transitions.  Transitions are keyed by state_id * n_blocks +
-    # block and carry the first-iteration increment vector.
+    # (line tuple, top first) — the complete replacement state, so two
+    # histories reaching the same stack share all future transitions.
+    # Transitions are keyed by state_id * n_blocks + block.
     nblocks = len(sl)
+    starts = sl.tolist()
+    ends = el.tolist()
+    tops = [None] * nblocks  # block -> its span, top first
     state_ids = {(): 0}
     state_stacks = [()]
-    trans = {}        # state_id * n_blocks + block -> (next, inc, folded1)
-    fired = {}        # state_id * n_blocks + block -> times taken
-    direct_inc = {}   # applied immediately when the memo cap is hit
-    state = 0
+    trans = {}    # key -> next state
+    reuses = {}   # key -> (folded first line, depths of the reused lines)
 
-    seg_b = sid.tolist()
-    n_seg = len(seg_b)
-
-    # Iterations 2..n of a segment contribute a fixed per-block
-    # increment vector regardless of where in the stream the segment
-    # sits, so their totals are a pure reduction over the run-length
-    # stream — no walking involved.
-    steady_totals = np.zeros(nblocks, dtype=np.int64)
-    if n_seg:
-        np.add.at(steady_totals, sid, cnt - 1)
-
-    def step(b):
-        """First iteration of one segment of block ``b``; returns the
-        transition key (None when the memo cap forced the direct
-        path)."""
-        nonlocal state, folded
-        key = state * nblocks + b
-        hit = trans.get(key)
-        if hit is None:
-            parent = state_stacks[state]
-            b_sl = int(sl[b])
-            b_el = int(el[b])
-            stack = list(parent)
-            pos = {l: i for i, l in enumerate(stack)}
-            lines = list(range(b_sl, b_el + 1))
-            folded1 = 0
-            if stack and stack[-1] == b_sl:
-                # consecutive duplicate across the segment join — the
-                # event path folds it before walking
-                folded1 = 1
-                lines = lines[1:]
-            inc = {}
-            _reuse_walk(stack, pos, lines, tmap, nk, kmax, amax, inc)
-            # successor stack: span(b) moves to the top in span order;
-            # tombstones never persist across transitions
-            child = (tuple(x for x in parent if not b_sl <= x <= b_el)
-                     + tuple(range(b_sl, b_el + 1)))
-            nstate = state_ids.get(child)
-            if nstate is None:
-                nstate = len(state_stacks)
-                state_stacks.append(child)
-                state_ids[child] = nstate
-            hit = (nstate, inc, folded1)
-            if len(trans) < _RLE_MEMO_CAP:
-                trans[key] = hit
-            else:
-                folded += folded1
-                for jb, c in inc.items():
-                    direct_inc[jb] = direct_inc.get(jb, 0) + c
-                state = nstate
-                return None
-        state = hit[0]
-        fired[key] = fired.get(key, 0) + 1
-        return key
+    def transition(key):
+        """Successor state of one transition, recording its reuses:
+        span lines found on the parent stack are reuses, the rest first
+        touches (compulsory misses, counted globally from the union of
+        executed block footprints)."""
+        p, b = divmod(key, nblocks)
+        parent = state_stacks[p]
+        s = starts[b]
+        top = tops[b]
+        if top is None:
+            top = tops[b] = tuple(range(ends[b], s - 1, -1))
+        # consecutive duplicate across the segment join: the event
+        # path folds it before walking
+        folded1 = 1 if parent and parent[0] == s else 0
+        find = parent.index
+        depths = []
+        for x in range(s + folded1, ends[b] + 1):
+            try:
+                depths.append(find(x))
+            except ValueError:
+                pass
+        reuses[key] = folded1, tuple(depths)
+        # successor: the span moves to the top in span order
+        out = list(top)
+        prev = 0
+        for c in sorted(depths + [0] if folded1 else depths):
+            out += parent[prev:c]
+            prev = c + 1
+        out += parent[prev:]
+        child = tuple(out)
+        nstate = state_ids.get(child)
+        if nstate is None:
+            nstate = state_ids[child] = len(state_stacks)
+            state_stacks.append(child)
+        trans[key] = nstate
+        return nstate
 
     # Chunked walk: the DFA chain revisits the same short block
     # sequences constantly (loop bodies re-entered from the same
     # state), so aligned CH-segment windows are memoized whole by
     # ``(entry state, raw chunk bytes)``.  A chunk hit replaces CH
-    # dict-per-segment steps with one lookup; its per-transition fired
-    # bumps are tallied once per distinct chunk at the end.  Chunks
-    # containing a direct-path (memo-cap overflow) step are never
-    # cached — they re-step, which stays exact.
+    # dict-per-segment steps with one lookup and one count; a walked
+    # chunk appends its transitions to ``path``, and every transition's
+    # fire count is tallied from ``path`` and the chunk hits at the end.
     _CH = 8
-    _MISS = object()
+    seg_b = sid.tolist()
+    n_seg = len(seg_b)
     cell = np.int16 if nblocks <= 0x7FFF else np.int64
     raw = sid.astype(cell).tobytes()
     isz = np.dtype(cell).itemsize
-    chunks = {}   # (state, chunk bytes) -> (end state, fired keys) | None
-    occ = {}      # chunk key -> hits beyond the first walk
-
+    chunks = {}   # (state, chunk bytes) -> [end state, path offset, hits]
+    path = []     # transition key of every walked segment
+    state = 0
     with obs.span("cache.stack.rle_pass", segments=len(sid),
                   geometries=len(geometries)):
-        i = 0
-        main_end = n_seg - (n_seg % _CH)
-        while i < main_end:
+        for i in range(0, n_seg, _CH):
             ck = (state, raw[i * isz:(i + _CH) * isz])
-            hit = chunks.get(ck, _MISS)
-            if hit is not None and hit is not _MISS:
+            hit = chunks.get(ck)
+            if hit is not None:
                 state = hit[0]
-                occ[ck] = occ.get(ck, 0) + 1
-                i += _CH
+                hit[2] += 1
                 continue
-            keys = [step(b) for b in seg_b[i:i + _CH]]
-            if hit is _MISS:
-                chunks[ck] = ((state, tuple(keys))
-                              if None not in keys else None)
-            i += _CH
-        for b in seg_b[main_end:]:
-            step(b)
-    for ck, times in occ.items():
-        for key in chunks[ck][1]:
-            fired[key] = fired.get(key, 0) + times
+            offset = len(path)
+            for b in seg_b[i:i + _CH]:
+                key = state * nblocks + b
+                state = trans.get(key)
+                if state is None:
+                    state = transition(key)
+                path.append(key)
+            chunks[ck] = [state, offset, 0]
 
-    # fold in the memoized first-iteration increments, weighted
-    for key, times in fired.items():
-        _nstate, inc, folded1 = trans[key]
-        folded += folded1 * times
-        for (j, bucket), c in inc.items():
-            rows[j][bucket] += c * times
-    for (j, bucket), c in direct_inc.items():
-        rows[j][bucket] += c
+    # fire counts: once per walked segment, plus each chunk's hits for
+    # its CH transitions (only the last chunk is shorter, and it is
+    # never hit: no earlier key has its length)
+    path = np.asarray(path, dtype=np.int64)
+    times = np.ones(len(path), dtype=np.int64)
+    hits = [(c[1], c[2]) for c in chunks.values() if c[2]]
+    if hits:
+        offset, extra = np.asarray(hits, dtype=np.int64).T
+        np.add.at(times, (offset[:, None] + np.arange(_CH)).ravel(),
+                  np.repeat(extra, _CH))
+    keys, which = np.unique(path, return_inverse=True)
+    fired = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(fired, which, times)
 
+    scorer = _Scorer(ks, amax)
+    folded = 0
+    # first iterations: each fired transition's reuses, weighted
+    for key, n in zip(keys.tolist(), fired.tolist()):
+        folded1, depths = reuses[key]
+        folded += folded1 * n
+        if depths:
+            p, b = divmod(key, nblocks)
+            scorer.add(state_stacks[p], depths, starts[b], ends[b], n)
     # iterations 2..n of every segment: the stack top is exactly the
-    # block's own span, so the per-iteration increments are a fixed
-    # function of the block — computed once, weighted by the totals
-    for b in np.flatnonzero(steady_totals).tolist():
-        total = int(steady_totals[b])
-        b_sl = int(sl[b])
-        b_el = int(el[b])
-        if b_el == b_sl:
+    # block's own span, so each line's intervening lines are the rest
+    # of the span — one query per line, weighted by the totals
+    steady = np.zeros(nblocks, dtype=np.int64)
+    if n_seg:
+        np.add.at(steady, sid, cnt - 1)
+    for b in np.flatnonzero(steady).tolist():
+        total = int(steady[b])
+        if ends[b] == starts[b]:
             # one-line block: every extra iteration is a consecutive
             # duplicate, folded by the event path
             folded += total
             continue
-        lines = list(range(b_sl, b_el + 1))
-        stack = list(lines)
-        pos = {l: i for i, l in enumerate(stack)}
-        inc = {}
-        _reuse_walk(stack, pos, lines, tmap, nk, kmax, amax, inc)
-        for (j, bucket), c in inc.items():
-            rows[j][bucket] += c * total
+        top = tops[b]
+        scorer.add(top, tuple(range(len(top))), starts[b], ends[b], total)
+    scorer.flush()
+    rows = scorer.rows
 
     # folded duplicates are conflict-count-0 accesses in every geometry
     if folded:

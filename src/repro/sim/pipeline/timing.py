@@ -12,8 +12,8 @@ stretches between taken control transfers).  Timing is computed as:
   static predictor (taken-branch redirect bubble, mispredict penalty,
   indirect-return penalty);
 * **cache penalties** from line-granular I-cache simulation over each
-  run's address span and per-access D-cache simulation of the memory
-  trace.
+  run's address span and the D-cache event counts of the memory trace
+  (counted per set; only sets that can evict are simulated).
 
 The same walk produces what the power model needs: fetch-word request
 counts and Hamming toggles on the instruction bus (real encodings).
@@ -213,6 +213,44 @@ def _run_cycles(start, end, meta, issue_width):
     return cycle
 
 
+def _dcache_stats(mem_addrs, geometry):
+    """Exact LRU event counts of the D-cache over one access stream.
+
+    LRU sets are independent, so a set that never holds more distinct
+    lines than it has ways misses once per distinct line and never
+    evicts: those sets are counted, and only the accesses of sets over
+    that limit are walked through :class:`SetAssociativeCache`.
+    Consecutive accesses to one line are hits that leave the LRU order
+    as it is, so they are folded out of the walk.
+    """
+    lines = (mem_addrs >> np.uint32(geometry.block_shift)).astype(np.int64)
+    accesses = len(lines)
+    if accesses > 1:
+        lines = lines[np.concatenate(([True], lines[1:] != lines[:-1]))]
+    distinct = np.unique(lines)
+    per_set = np.bincount(distinct & geometry.set_mask,
+                          minlength=geometry.num_sets)
+    over = per_set > geometry.associativity
+    misses = len(distinct)
+    evictions = 0
+    if over.any():
+        walked = lines[over[lines & geometry.set_mask]]
+        dcache = SetAssociativeCache(geometry)
+        access = dcache.access_line
+        for line in walked.tolist():
+            access(line)
+        misses += dcache.misses - dcache.compulsory_misses
+        evictions = dcache.evictions
+    return {
+        "accesses": accesses,
+        "hits": accesses - misses,
+        "misses": misses,
+        "fills": misses,
+        "compulsory_misses": len(distinct),
+        "evictions": evictions,
+    }
+
+
 def _core_signature(config):
     """The :class:`TimingConfig` axes the geometry-invariant phase
     depends on.  I-cache size/assoc/block and the miss penalties are
@@ -231,14 +269,21 @@ class TimingPrecomp:
     the I-cache geometry: instruction metadata, the fetch-word view,
     per-unique-run base cycles and end-of-run penalties, fetch
     request/toggle totals, the not-taken penalty, and the
-    (config-fixed) D-cache simulation.  Instances are memoized per
+    (config-fixed) D-cache event counts.  Instances are memoized per
     ``(ExecutionResult, core-config signature)`` on the result object
     (see :func:`precompute_timing`), so evaluating another cache point
     for the same trace costs only the I-cache phase plus O(1) assembly.
     """
 
     def __init__(self, result, config, meta):
-        self.result = result
+        # memoized on ``result``, so it keeps what it needs of the result
+        # rather than the result: the back-reference would be a cycle, and
+        # every trace the functional memo evicts, with its image, would
+        # wait for the cyclic collector
+        self.image = result.image
+        self.instructions = result.dynamic_instructions
+        self._blocks = (result.block_starts, result.block_ends)
+        self._segments = (result.seg_ids, result.seg_counts)
         self.meta = meta
         fetch = getattr(result.image, "_fetch_geometry", None)
         if fetch is None:
@@ -351,26 +396,8 @@ class TimingPrecomp:
             int(not_taken[not_taken > 0].sum()) * config.mispredict_penalty)
 
         # --- D-cache (identical for every I-cache point) ---------------
-        # consecutive accesses to the same line are guaranteed hits that
-        # leave LRU state untouched (re-marking the MRU way as MRU), so
-        # fold them out of the Python walk and credit them afterwards
-        dcache = SetAssociativeCache(config.dcache_geometry())
-        daccess = dcache.access_line
-        dshift = config.dcache_block.bit_length() - 1
-        dlines = (result.mem_addrs >> np.uint32(dshift)).astype(np.int64)
-        dfolded = 0
-        if len(dlines) > 1:
-            keep = np.empty(len(dlines), dtype=bool)
-            keep[0] = True
-            np.not_equal(dlines[1:], dlines[:-1], out=keep[1:])
-            dfolded = int(len(dlines) - keep.sum())
-            if dfolded:
-                dlines = dlines[keep]
-        for line in dlines.tolist():
-            daccess(line)
-        self.dcache_stats = dcache.stats()
-        self.dcache_stats["accesses"] += dfolded
-        self.dcache_stats["hits"] += dfolded
+        self.dcache_stats = _dcache_stats(result.mem_addrs,
+                                          config.dcache_geometry())
 
         #: block_bytes -> flat I-cache line-access sequence (np.int64)
         self._lines = {}
@@ -382,13 +409,10 @@ class TimingPrecomp:
         vectorized span expansion — order matters and is preserved)."""
         lines = self._lines.get(block_bytes)
         if lines is None:
-            fetch = self.fetch
-            shift = block_bytes.bit_length() - 1
-            ls = ((self.result.run_starts * fetch.instr_bytes + fetch.code_base)
-                  >> shift).astype(np.int64)
-            le = ((self.result.run_ends * fetch.instr_bytes + fetch.code_base)
-                  >> shift).astype(np.int64)
-            lines = self._lines[block_bytes] = expand_line_spans(ls, le)
+            sl, el = self.line_spans_for(block_bytes)
+            sid, cnt = self._segments
+            lines = self._lines[block_bytes] = expand_line_spans(
+                np.repeat(sl[sid], cnt), np.repeat(el[sid], cnt))
         return lines
 
     def line_spans_for(self, block_bytes):
@@ -398,9 +422,10 @@ class TimingPrecomp:
         if spans is None:
             fetch = self.fetch
             shift = block_bytes.bit_length() - 1
-            sl = ((self.result.block_starts * fetch.instr_bytes
+            starts, ends = self._blocks
+            sl = ((starts * fetch.instr_bytes
                    + fetch.code_base) >> shift).astype(np.int64)
-            el = ((self.result.block_ends * fetch.instr_bytes
+            el = ((ends * fetch.instr_bytes
                    + fetch.code_base) >> shift).astype(np.int64)
             spans = self._spans[block_bytes] = (sl, el)
         return spans
@@ -412,7 +437,7 @@ def precompute_timing(result, config=None, meta=None):
     Cached on the result object keyed by the config's core signature, so
     repeated :func:`simulate_timing` calls (different cache sizes, the
     harness's four configurations, a DSE chunk) share one scoreboard
-    walk, fetch analysis, and D-cache simulation.  An explicitly passed
+    walk, fetch analysis, and D-cache count.  An explicitly passed
     ``meta`` bypasses the cache (the memo could not tell two metadata
     vectors apart).
     """
@@ -438,7 +463,6 @@ def precompute_timing(result, config=None, meta=None):
 def _assemble_report(pre, config, icache_bytes, icache_stats):
     """Fold I-cache stats into a precomputation: the geometry-dependent
     phase, shared by the reference path and the stack-distance path."""
-    result = pre.result
     cycles = (
         pre.total_base
         + pre.total_taken_penalty
@@ -456,10 +480,10 @@ def _assemble_report(pre, config, icache_bytes, icache_stats):
         obs.observe("timing.runs_per_simulation", pre.num_runs)
 
     return TimingReport(
-        image=result.image,
+        image=pre.image,
         config=config,
         icache_bytes=icache_bytes,
-        instructions=result.dynamic_instructions,
+        instructions=pre.instructions,
         cycles=int(cycles),
         base_cycles=pre.total_base,
         frequency_hz=config.frequency_hz,

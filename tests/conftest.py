@@ -3,7 +3,8 @@
 Points the persistent functional-trace store at a session-scoped temp
 directory so test runs never read or write the repo-level
 ``trace_cache/`` (individual tests still override ``REPRO_TRACE_CACHE``
-for their own isolation).
+for their own isolation), and gives every test the metrics registry's
+process role as it found it.
 """
 
 import os
@@ -21,3 +22,20 @@ def _isolated_trace_cache(tmp_path_factory):
         yield
     finally:
         os.environ.pop("REPRO_TRACE_CACHE", None)
+
+
+@pytest.fixture(autouse=True)
+def _restore_metrics_role():
+    """A test that applies a worker's metrics spec in this process
+    (``apply_spec``) marks it a child with a counter baseline; left so,
+    every later in-process snapshot, a server's ``metrics`` op included,
+    would drop all gauges."""
+    from repro.obs import metrics
+
+    saved = (metrics._is_child, metrics._snapshot_dir,
+             dict(metrics._counter_base), dict(metrics._hists))
+    yield
+    (metrics._is_child, metrics._snapshot_dir,
+     metrics._counter_base, hists) = saved
+    metrics._hists.clear()
+    metrics._hists.update(hists)

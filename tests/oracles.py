@@ -12,16 +12,22 @@ configurations: it rebuilds them without the DSE evaluation path.
 
 :func:`budget_counts` is the oracle for the FITS flow's projected
 register-budget profiles: it simulates the budget image instead.
+
+:func:`profile_lines` is the oracle for the stack-distance kernel: the
+per-access Mattson walk over the expanded line sequence.
 """
 
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.compiler import compile_arm
 from repro.core.flow import fits_flow
 from repro.power import CachePowerModel, ChipPowerModel
 from repro.sim.cache import CacheGeometry
+from repro.sim.cache.stack import StackDistanceProfile
 from repro.sim.functional import engine as engine_mod
 from repro.sim.functional.arm_sim import ArmSimulator
 from repro.sim.functional.fits_sim import FitsSimulator
@@ -43,6 +49,59 @@ def compiled(run):
         mp.setattr(engine_mod, "COMPILE_THRESHOLD", 1)
         mp.setattr(engine_mod, "COMPILE_FREE_UNITS", sys.maxsize)
         return run()
+
+
+def profile_lines(lines, geometries):
+    """Exact LRU event counts for every geometry, one access at a time.
+
+    Keeps the unbounded LRU stack (top at the end, ``None`` marks a
+    line that moved up) and, on each reuse, counts the intervening
+    lines that agree with the reused line in at least ``k`` trailing
+    bits, for every queried set count ``2^k``.  Consecutive repeats of
+    one line are conflict-free hits and leave the stack as it is.
+    Returns the :class:`~repro.sim.cache.stack.StackDistanceProfile`
+    that ``profile_spans_rle`` must reproduce.
+    """
+    geometries = list(geometries)
+    ks = sorted({g.num_sets.bit_length() - 1 for g in geometries})
+    kmax = ks[-1]
+    amax = max(g.associativity for g in geometries)
+    # (agree[t] for t <= kmax): intervening lines agreeing with the
+    # reused line in exactly t trailing bits, t capped at kmax; every
+    # reuse with the same histogram has the same conflict counts
+    reuses = Counter()
+    repeats = 0
+    stack = []
+    pos = {}  # line -> its index in ``stack``
+    lines = np.asarray(lines, dtype=np.int64).tolist()
+    prev = None
+    for x in lines:
+        if x == prev:
+            repeats += 1
+            continue
+        prev = x
+        p = pos.get(x)
+        if p is not None:
+            agree = [0] * (kmax + 1)
+            for y in stack[p + 1:]:
+                if y is not None:
+                    t = ((x ^ y) & -(x ^ y)).bit_length() - 1
+                    agree[min(t, kmax)] += 1
+            reuses[tuple(agree)] += 1
+            stack[p] = None
+        pos[x] = len(stack)
+        stack.append(x)
+        if len(stack) > 2 * len(pos):
+            stack = [y for y in stack if y is not None]
+            pos = {y: i for i, y in enumerate(stack)}
+    counts = {k: np.zeros(amax + 1, dtype=np.int64) for k in ks}
+    for k in ks:
+        counts[k][0] += repeats
+        for agree, n in reuses.items():
+            counts[k][min(sum(agree[k:]), amax)] += n
+    distinct = np.fromiter(pos, dtype=np.int64, count=len(pos))
+    return StackDistanceProfile(geometries[0].block_bytes, len(lines),
+                                distinct, counts, amax)
 
 
 def budget_counts(image):

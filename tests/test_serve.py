@@ -708,14 +708,9 @@ def test_job_event_buffer_invariants():
     asyncio.run(scenario())
 
 
-def test_final_gauges_and_counters_after_jobs(tmp_path, monkeypatch):
+def test_final_gauges_and_counters_after_jobs(tmp_path):
     """One gauge refresh per finished task, not per point; after the
     jobs, ``status`` and the ``metrics`` op report the final state."""
-    from repro.obs import metrics as metrics_mod
-
-    # the server is a coordinator, whose snapshot carries its gauges,
-    # whatever worker setup an earlier test applied to this process
-    monkeypatch.setattr(metrics_mod, "_is_child", False)
     space = DesignSpace.grid("wide", isas=("arm",),
                              sizes=(4096, 8192, 16384, 32768),
                              assocs=(1, 2, 4, 32))

@@ -1,27 +1,25 @@
 """Stack-distance kernel vs the reference LRU model.
 
-The one-pass Mattson analyzer in ``repro.sim.cache.stack`` must be
-bit-identical to :class:`SetAssociativeCache` for every geometry it
-claims to cover — miss, compulsory-miss, and eviction counts alike.
-These tests sweep ~20 geometries spanning direct-mapped through
-fully-associative over randomized and adversarial line traces.
+The one-pass Mattson analysis must be bit-identical to
+:class:`SetAssociativeCache` for every geometry it claims to cover —
+miss, compulsory-miss, and eviction counts alike.  These tests hold
+the per-access oracle ``tests.oracles.profile_lines`` (which
+``tests/test_trace_rle.py`` holds the kernel to) against the reference
+model over ~20 geometries spanning direct-mapped through
+fully-associative, on randomized and adversarial line traces.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import (
-    CacheGeometry,
-    SetAssociativeCache,
-    StackDistanceProfile,
-    expand_line_spans,
-    profile_lines,
-)
+from repro.sim.cache import CacheGeometry, SetAssociativeCache
+from repro.sim.cache.stack import expand_line_spans, profile_spans_rle
 from repro.sim.pipeline import TimingBatch, TimingConfig, simulate_timing
 from repro.compiler import compile_arm
 from repro.sim.functional import ArmSimulator
 from repro.workloads import get_workload
+from tests.oracles import profile_lines
 
 
 # 20 geometries at a shared 32B block: sizes 1K..32K, direct-mapped (1)
@@ -91,12 +89,14 @@ def test_stack_profile_adversarial_patterns():
 
 def test_profile_rejects_mixed_block_sizes():
     with pytest.raises(ValueError):
-        profile_lines([1, 2, 3], [CacheGeometry(1024, 32, 2),
-                                  CacheGeometry(1024, 16, 2)])
+        profile_spans_rle([1], [3], [0], [1],
+                          [CacheGeometry(1024, 32, 2),
+                           CacheGeometry(1024, 16, 2)])
 
 
 def test_profile_rejects_uncovered_geometry():
-    profile = profile_lines([1, 2, 3], [CacheGeometry(1024, 32, 2)])
+    profile = profile_spans_rle([1], [3], [0], [1],
+                                [CacheGeometry(1024, 32, 2)])
     with pytest.raises(ValueError):
         profile.stats(CacheGeometry(1024, 32, 4))  # assoc beyond amax
 

@@ -16,14 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_arm, compile_thumb
 from repro.ir import Cond, FunctionBuilder, Module
-from repro.sim.cache import (
-    CacheGeometry,
-    SetAssociativeCache,
-    expand_line_spans,
-    profile_lines,
-)
+from repro.sim.cache import CacheGeometry, SetAssociativeCache
 from repro.sim.cache import stack as stack_mod
-from repro.sim.cache.stack import profile_spans_rle
+from repro.sim.cache.stack import expand_line_spans, profile_spans_rle
 from repro.sim.functional import ArmSimulator
 from repro.sim.functional.thumb_sim import ThumbSimulator
 from repro.sim.functional.trace import PACK, rle_encode_packed
@@ -36,7 +31,7 @@ from repro.sim.pipeline.timing import (
 )
 from repro.workloads import get_workload
 from repro.workloads.runtime import runtime_module
-from tests.oracles import interpreted
+from tests.oracles import interpreted, profile_lines
 
 # ≥20 geometries at a shared 32B block: sizes 1K..32K, direct-mapped
 # through fully-associative.
@@ -220,18 +215,45 @@ def assert_rle_profile_matches(sl, el, sid, cnt, geometries):
         assert rle.stats(geom) == ref.stats(geom), geom
 
 
-span_table = st.lists(
-    st.tuples(st.integers(0, 120), st.integers(0, 6)),
-    min_size=1, max_size=12,
-).map(lambda rows: ([s for s, _w in rows], [s + w for s, w in rows]))
+def chained_spans(rows):
+    """Spans laid out left to right: ``(gap, width)`` puts a span
+    ``gap`` lines after the previous one ends (a negative gap overlaps
+    it) and ``width + 1`` lines long."""
+    sl, el = [], []
+    after = 0
+    for gap, width in rows:
+        start = max(0, after + gap)
+        sl.append(start)
+        el.append(start + width)
+        after = start + width + 1
+    return sl, el
+
+
+#: A table of short, freely overlapping spans; or a wide one of 18-24
+#: spans of 16-24 lines, each overlapping the previous by at most 4
+#: lines, which the stream first visits in full, so that it touches at
+#: least 16 + 17 * 12 = 220 distinct lines.
+span_table = st.one_of(
+    st.lists(st.tuples(st.integers(0, 120), st.integers(0, 6)),
+             min_size=1, max_size=12).map(
+        lambda rows: ([s for s, _w in rows], [s + w for s, w in rows],
+                      False)),
+    st.lists(st.tuples(st.integers(-4, 12), st.integers(15, 23)),
+             min_size=18, max_size=24).map(
+        lambda rows: chained_spans(rows) + (True,)),
+)
 
 
 @settings(max_examples=40, deadline=None)
 @given(span_table, st.data())
 def test_rle_stack_profile_random(table, data):
-    sl, el = table
+    sl, el, visit_all = table
     nb = len(sl)
-    segs = data.draw(st.lists(
+    segs = []
+    if visit_all:
+        segs = [(b, data.draw(st.integers(1, 7)))
+                for b in data.draw(st.permutations(range(nb)))]
+    segs += data.draw(st.lists(
         st.tuples(st.integers(0, nb - 1), st.integers(1, 7)),
         min_size=0, max_size=40))
     sid = np.asarray([b for b, _n in segs], dtype=np.int64)
@@ -262,10 +284,22 @@ def test_rle_stack_profile_periodic_and_selfloop():
         np.asarray(cnt, dtype=np.int64), GEOMETRIES)
 
 
-def test_rle_stack_profile_memo_cap_overflow(monkeypatch):
-    """Beyond the transition-memo cap the kernel computes transitions
-    directly (and stops caching chunks) — still exact."""
-    monkeypatch.setattr(stack_mod, "_RLE_MEMO_CAP", 3)
+def test_rle_stack_profile_self_conflicting_spans():
+    """Spans wider than a tiny cache's set count conflict with
+    themselves, so the repeated iterations of a segment miss too."""
+    tiny = [CacheGeometry(size, 32, assoc)
+            for size in (128, 256, 512) for assoc in (1, 2, 4)]
+    sl = np.asarray([0, 10, 3], dtype=np.int64)
+    el = np.asarray([19, 29, 40], dtype=np.int64)
+    sid = np.asarray([0, 1, 0, 2, 1, 2], dtype=np.int64)
+    cnt = np.asarray([3, 5, 1, 4, 2, 6], dtype=np.int64)
+    assert_rle_profile_matches(sl, el, sid, cnt, tiny)
+
+
+def test_rle_stack_profile_slab_boundaries(monkeypatch):
+    """Scoring slabs of at most 3 (reuse, intervening line) pairs put
+    nearly every transition in a slab of its own — still exact."""
+    monkeypatch.setattr(stack_mod, "_SLAB", 3)
     sl = np.asarray([0, 2, 4, 6], dtype=np.int64)
     el = np.asarray([1, 3, 5, 7], dtype=np.int64)
     rng = np.random.RandomState(7)
@@ -283,6 +317,29 @@ def test_rle_stack_profile_real_trace(bench):
     sl, el = pre.line_spans_for(32)
     assert_rle_profile_matches(sl, el, result.seg_ids,
                                result.seg_counts, GEOMETRIES)
+
+
+def sweep_geometries(block):
+    """The served sweep's cache grid at one block size."""
+    return [CacheGeometry(size, block, assoc)
+            for size in (4096, 8192, 16384, 32768)
+            for assoc in (1, 2, 4, 32)]
+
+
+@pytest.mark.parametrize("bench,isa", [
+    ("jpeg", "arm"),   # the roster's deepest stacks: 505 lines at 16 B
+    ("gsm", "thumb"),  # its longest stream: 37,476 segments
+])
+def test_rle_stack_profile_sweep_shapes(bench, isa):
+    compiler, sim = ((compile_arm, ArmSimulator) if isa == "arm"
+                     else (compile_thumb, ThumbSimulator))
+    result = sim(compiler(get_workload(bench).build_module("small"))).run()
+    pre = precompute_timing(result, TimingConfig())
+    for block in (16, 32, 64):
+        sl, el = pre.line_spans_for(block)
+        assert_rle_profile_matches(sl, el, result.seg_ids,
+                                   result.seg_counts,
+                                   sweep_geometries(block))
 
 
 # ----------------------------------------------------------------------
@@ -384,8 +441,12 @@ def _flat_stream_reports(result, specs):
     return reports
 
 
-def test_timing_replay_event_vs_rle():
-    specs = [(size, TimingConfig(icache_assoc=assoc))
+@pytest.mark.parametrize("core,evicts", [
+    ({}, False),                                     # every set counted
+    ({"dcache_bytes": 256, "dcache_assoc": 2}, True),  # sets walked
+], ids=["dcache-counted", "dcache-evicting"])
+def test_timing_replay_event_vs_rle(core, evicts):
+    specs = [(size, TimingConfig(icache_assoc=assoc, **core))
              for size in (1024, 4096, 32768) for assoc in (1, 4)]
     wl = get_workload("crc32")
     image = compile_arm(wl.build_module("small"))
@@ -394,3 +455,10 @@ def test_timing_replay_event_vs_rle():
     rle = simulate_timing_multi(result, specs)
     flat = _flat_stream_reports(result, specs)
     assert [r.__dict__ for r in rle] == flat
+    config = specs[0][1]
+    dcache = SetAssociativeCache(config.dcache_geometry())
+    for addr in result.mem_addrs.tolist():
+        dcache.access_line(addr >> dcache.geometry.block_shift)
+    dstats = precompute_timing(result, config).dcache_stats
+    assert dstats == dcache.stats()
+    assert (dstats["evictions"] > 0) == evicts
