@@ -18,10 +18,10 @@ later serve job brings the unit back.  The memo keeps a small LRU of
 benchmark groups (:data:`FUNC_CACHE_GROUPS`) to bound memory.  Across
 processes and sessions the persistent trace store
 (:mod:`repro.sim.functional.store`) removes the functional simulation
-entirely on a warm cache, and its flow records remove the FITS flow's
-search: a FITS unit whose record is stored (keyed by workload, scale
-and :data:`repro.fingerprint.FLOW`) replays one compile and one
-translation (:func:`repro.core.flow.replay_flow`).
+entirely on a warm cache, and its unit records remove the build: a unit
+whose record is stored (keyed by workload, scale, ISA and
+:data:`repro.fingerprint.FLOW`) loads its image — for FITS, with the
+flow's kept budget and dynamic mapping — and compiles nothing.
 
 Cache points are further batched by :func:`evaluate_points`: all points
 of one ``(benchmark, scale, isa)`` share the geometry-invariant timing
@@ -47,8 +47,7 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.compiler import compile_arm, compile_thumb
-from repro.core.flow import fits_flow, flow_record, replay_flow
-from repro.core.translator import TranslationError
+from repro.core.flow import fits_flow, run_fits
 from repro.dse.space import DesignPoint
 from repro.dse.store import RESULT_SCHEMA
 from repro.fingerprint import FLOW, RESULT, fingerprint
@@ -75,13 +74,15 @@ _FUNC_GROUPS = OrderedDict()  # (benchmark, scale) → True, LRU order
 
 
 def _functional(name, scale, isa):
-    """Compile + functionally simulate one (benchmark, scale, isa).
+    """The built and functionally simulated unit (benchmark, scale, isa).
 
     Returns ``(image, result, extras)``.  For FITS, ``extras`` holds what
     the flow knows beyond its image — the chosen register ``budget`` and
     the ``dynamic_mapping`` rate — so the memo never keeps the
     :class:`~repro.core.flow.FitsFlowResult` and its ARM trace alive.
-    It is empty for ARM and Thumb.
+    It is empty for ARM and Thumb.  The image and extras come from the
+    trace store's unit record when it holds one, else from a build
+    (:func:`_build`), which is then recorded.
     """
     key = (name, scale, isa)
     group = (name, scale)
@@ -90,6 +91,8 @@ def _functional(name, scale, isa):
         _FUNC_GROUPS[group] = True
         _FUNC_GROUPS.move_to_end(group)
         return hit
+    if isa not in _RUNNERS:
+        raise ValueError("unknown ISA %r" % (isa,))
     # bound memory by evicting whole least-recently-used benchmark
     # groups once the budget is exceeded
     _FUNC_GROUPS[group] = True
@@ -102,21 +105,23 @@ def _functional(name, scale, isa):
     from repro.obs import profile as obs_profile  # lazy: keeps worker start-up lean
 
     wl = get_workload(name)
-    extras = {}
+    store = get_store()
+    record = "%s-%s-%s-%s" % (name, scale, isa, fingerprint(FLOW))
     # every simulation below, the FITS flow's included, is attributed to
     # this benchmark: in trace-store manifests and block-profile records
     with obs_profile.run_context(benchmark=name, scale=scale):
-        module = wl.build_module(scale)
-        if isa == "arm":
-            image = compile_arm(module)
-            result = cached_run("arm", image, ArmSimulator(image).run)
-        elif isa == "thumb":
-            image = compile_thumb(module)
-            result = cached_run("thumb", image, ThumbSimulator(image).run)
-        elif isa == "fits":
-            image, result, extras = _fits(name, scale, module)
-        else:
-            raise ValueError("unknown ISA %r" % (isa,))
+        unit = store.load_unit(record) if store is not None else None
+        if unit is None:
+            unit = _build(wl.build_module(scale), isa)
+            if store is not None:
+                # before any timing memo attaches to the image
+                try:
+                    store.save_unit(record, *unit)
+                except OSError as exc:
+                    print("trace store: unit record save failed (%s)" % exc,
+                          file=sys.stderr)
+        image, extras = unit
+        result = _RUNNERS[isa](image)
     if result.exit_code != wl.reference(scale):
         raise AssertionError(
             "%s/%s: %s checksum mismatch (%r != %r)"
@@ -126,38 +131,25 @@ def _functional(name, scale, isa):
     return _FUNC_CACHE[key]
 
 
-def _fits(name, scale, module):
-    """The FITS unit: ``(image, result, extras)``, replayed from the
-    trace store's flow record when it holds one, else from a full
-    :func:`fits_flow`, whose outcome is then recorded."""
-    store = get_store()
-    key = "%s-%s-%s" % (name, scale, fingerprint(FLOW))
-    record = store.load_flow(key) if store is not None else None
-    if record is not None:
-        try:
-            replayed = replay_flow(module, record)
-        except (KeyError, TypeError, ValueError, TranslationError):
-            replayed = None     # a garbage record is re-derived
-        if replayed is not None:
-            image, result = replayed
-            return image, result, _flow_extras(record)
-        print("flow record %s does not rebuild its FITS image; re-running "
-              "the flow" % key, file=sys.stderr)
+def _build(module, isa):
+    """A fresh unit's ``(image, extras)``: one compile, or for FITS the
+    whole :func:`fits_flow` (whose FITS trace the store then holds)."""
+    if isa == "arm":
+        return compile_arm(module), {}
+    if isa == "thumb":
+        return compile_thumb(module), {}
     flow = fits_flow(module)
-    record = flow_record(flow)
-    if store is not None:
-        try:
-            store.save_flow(key, record)
-        except OSError as exc:
-            print("trace store: flow record save failed (%s)" % exc,
-                  file=sys.stderr)
-    return flow.fits_image, flow.fits_result, _flow_extras(record)
+    return flow.fits_image, {"budget": flow.budget,
+                             "dynamic_mapping": flow.dynamic_mapping}
 
 
-def _flow_extras(record):
-    budget = record["budget"]
-    return {"budget": tuple(budget) if budget else None,
-            "dynamic_mapping": record["dynamic_mapping"]}
+#: ISA → the trace of an image, through the trace store.
+_RUNNERS = {
+    "arm": lambda image: cached_run("arm", image, ArmSimulator(image).run),
+    "thumb": lambda image: cached_run("thumb", image,
+                                      ThumbSimulator(image).run),
+    "fits": run_fits,
+}
 
 
 def _is_paper_default(point):

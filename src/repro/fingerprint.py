@@ -11,9 +11,10 @@ Three sets are declared, each containing the one before it:
   decode with.  It keys the trace store's traces.
 * :data:`FLOW` — the simulator set plus the front end: IR, compiler,
   FITS profiling, synthesis and translation, and the workloads.  It
-  keys the trace store's FITS flow records (the kept register budget
-  and synthesized ISA of one workload): the flow's choice depends on
-  simulated execution counts, so the simulators are part of it.
+  keys the trace store's unit records (one workload's built image for
+  one ISA, with the FITS flow's kept budget): the flow's choice depends
+  on simulated execution counts, so the simulators are part of it, and
+  every class a record holds is defined under it.
 * :data:`RESULT` — everything between a workload and a metrics dict:
   the flow set, timing/cache/power, the DSE evaluation and the harness
   runner.  It keys result stores (the serve cache and DSE sweeps) and
@@ -32,7 +33,7 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 #: Sources that decide what a functional simulation produces.
 SIMULATOR = ("repro.sim.functional", "repro.isa")
 
-#: Sources that decide what the FITS flow keeps for a workload.
+#: Sources that decide what a workload's unit builds, for any ISA.
 FLOW = SIMULATOR + (
     "repro.ir", "repro.compiler", "repro.core", "repro.workloads",
 )

@@ -70,6 +70,7 @@ from repro.serve.cache import GlobalResultCache, SingleFlight
 from repro.serve.protocol import (
     PROTOCOL,
     ProtocolError,
+    encode,
     parse_address,
     read_message,
     write_message,
@@ -386,11 +387,16 @@ class ServeServer:
         idx = max(0, int(msg.get("after_seq") or 0))
         await write_message(writer, {"ok": True, "job": job.summary()})
         while True:
-            while idx < len(job.events):
-                await write_message(writer, job.events[idx])
-                idx += 1
-            if job.terminal:
-                await write_message(writer, job.end_event())
+            # every event pending at this wake-up goes out in one write
+            pending = job.events[idx:]
+            idx += len(pending)
+            done = job.terminal
+            if done:
+                pending.append(job.end_event())
+            if pending:
+                writer.write(b"".join(map(encode, pending)))
+                await writer.drain()
+            if done:
                 return
             async with job.changed:
                 if idx >= len(job.events) and not job.terminal:

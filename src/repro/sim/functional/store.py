@@ -31,18 +31,23 @@ by.  A trace first stored outside a :func:`repro.obs.profile.run_context`
 names neither; the first hit inside a context that names a benchmark
 fills them in (:meth:`TraceStore.load`).
 
-The store also keeps small JSON records beside the traces, one file per
-record under :data:`FLOWS` (never at the top level, where every
-``*.json`` is a trace manifest).  :mod:`repro.dse.evaluate` stores the
-FITS flow's outcome there — the kept budget and synthesized ISA — so a
-warm run rebuilds the FITS image instead of searching for it again.
+Beside the traces, under :data:`UNITS`, the store keeps one unit record
+per (workload, scale, ISA): the image :mod:`repro.dse.evaluate` built,
+its content hash and, for FITS, the flow's extras, pickled.  A warm
+unit loads its image instead of compiling it (and, for FITS, instead of
+searching for its ISA again).  A record may name only the classes an
+image is made of (:data:`UNIT_MODULES`); one that names anything else,
+is torn, or holds an image that no longer hashes to its stored hash is
+a miss, with a warning (:meth:`TraceStore.load_unit`).
 """
 
 import hashlib
+import importlib
 import io
 import json
 import lzma
 import os
+import pickle
 import sys
 import time
 import zipfile
@@ -56,8 +61,23 @@ from repro.sim.functional.trace import ExecutionResult, publish_result
 
 SCHEMA = "repro.trace/v3"
 
-#: Subdirectory of the store root that holds the FITS flow records.
-FLOWS = "flows"
+#: Subdirectory of the store root that holds the unit records.
+UNITS = "units"
+
+#: The modules whose classes a unit record may name: the image class of
+#: each ISA and the instructions, operands and decoder configuration
+#: an image holds.  Every one lies under :data:`repro.fingerprint.FLOW`,
+#: which keys the records (``tests/test_fingerprint.py``).
+UNIT_MODULES = frozenset({
+    "repro.compiler.link", "repro.compiler.thumb_backend",
+    "repro.core.translator", "repro.isa.arm.model",
+    "repro.isa.thumb.model", "repro.isa.fits.spec",
+})
+
+#: what unpickling a torn, foreign or garbled unit record can raise
+_BAD_RECORD_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
+                      ImportError, IndexError, KeyError, TypeError,
+                      ValueError)
 
 PAGE = 4096  # bytes per page of the stored memory delta
 
@@ -337,23 +357,55 @@ class TraceStore:
         _plane_cache_put((os.path.abspath(self.root), key), result)
         return key
 
-    def _flow_path(self, key):
-        return os.path.join(self.root, FLOWS, key + ".json")
+    def _unit_path(self, key):
+        return os.path.join(self.root, UNITS, key + ".pkl")
 
-    def load_flow(self, key):
-        """The flow record stored under ``key``, or None when absent or torn."""
+    def load_unit(self, key):
+        """The ``(image, extras)`` stored under ``key``, or None.
+
+        An absent record is a silent miss.  A record that names a global
+        outside :data:`UNIT_MODULES`, is torn, or holds an image whose
+        :func:`image_fingerprint` is not its stored hash is a miss with
+        a warning; the caller rebuilds the unit and rewrites it.
+        """
+        path = self._unit_path(key)
         try:
-            with open(self._flow_path(key)) as fh:
-                record = json.load(fh)
-        except (OSError, ValueError):
+            with open(path, "rb") as fh:
+                stored_hash, image, extras = _UnitUnpickler(fh).load()
+            if image_fingerprint(image) == stored_hash:
+                return image, extras
+            problem = "its image does not hash to the stored hash"
+        except FileNotFoundError:
             return None
-        return record if isinstance(record, dict) else None
+        except OSError as exc:
+            problem = str(exc)
+        except _BAD_RECORD_ERRORS as exc:
+            problem = "%s: %s" % (type(exc).__name__, exc)
+        print("trace store: unit record %s is unusable (%s); rebuilding it"
+              % (key, problem), file=sys.stderr)
+        return None
 
-    def save_flow(self, key, record):
-        """Persist one flow record (atomic)."""
-        path = self._flow_path(key)
+    def save_unit(self, key, image, extras):
+        """Persist one unit record (atomic)."""
+        path = self._unit_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        _write_atomic(path, json.dumps(record, sort_keys=True).encode())
+        _write_atomic(path, pickle.dumps(
+            (image_fingerprint(image), image, extras),
+            protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class _UnitUnpickler(pickle.Unpickler):
+    """Resolves only classes defined in :data:`UNIT_MODULES`, by plain
+    (undotted) name: a record can make objects of those classes and
+    reach nothing else."""
+
+    def find_class(self, module, name):
+        if module in UNIT_MODULES and "." not in name:
+            found = getattr(importlib.import_module(module), name, None)
+            if isinstance(found, type) and found.__module__ == module:
+                return found
+        raise pickle.UnpicklingError("%s.%s is not an image class"
+                                     % (module, name))
 
 
 def _write_atomic(path, data):

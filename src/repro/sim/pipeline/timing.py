@@ -127,9 +127,12 @@ def metadata_for(image):
 
 
 def _popcount_u32(values):
-    """Vectorized popcount over a uint32 array."""
-    return np.unpackbits(values.astype("<u4").view(np.uint8)).reshape(len(values), 32).sum(axis=1) \
-        if len(values) else np.zeros(0, dtype=np.int64)
+    """Vectorized popcount over a uint32 array, as int64.
+
+    Signed on purpose: mixed with int64 counts, a uint64 popcount would
+    promote to float64 and send ``np.dot`` through BLAS.
+    """
+    return np.bitwise_count(values.astype(np.uint32)).astype(np.int64)
 
 
 class _FetchGeometry:

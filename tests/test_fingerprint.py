@@ -20,6 +20,7 @@ import pytest
 import repro
 from repro import fingerprint as fp
 from repro.fingerprint import FLOW, RESULT, SIMULATOR, fingerprint
+from repro.sim.functional.store import UNIT_MODULES
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -38,9 +39,14 @@ EXCLUDED = {
                            "bit-identical to serial runs)",
 }
 
-#: Modules that import submodules of a package by name at run time,
-#: which no static walk can follow: the walk reaches the whole package.
-DYNAMIC = {"repro.workloads.registry": "repro.workloads.mibench"}
+#: Modules that import others by name at run time, which no static walk
+#: can follow, and what the walk reaches from each instead: every
+#: submodule of a package (``<package>.*``), or the named modules.
+DYNAMIC = {
+    "repro.workloads.registry": ("repro.workloads.mibench.*",),
+    # a unit record's unpickler imports the modules its classes live in
+    "repro.sim.functional.store": tuple(sorted(UNIT_MODULES)),
+}
 
 SETS = {
     "simulator": (SIMULATOR, ("repro.sim.functional.arm_sim",
@@ -70,7 +76,10 @@ def _imports(module):
     """The ``repro`` modules one module's import statements reach."""
     with open(_path(module)) as fh:
         tree = ast.parse(fh.read())
-    found = list(_modules_under(DYNAMIC[module])) if module in DYNAMIC else []
+    found = []
+    for name in DYNAMIC.get(module, ()):
+        found.extend(_modules_under(name[:-2]) if name.endswith(".*")
+                     else [name])
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.extend(alias.name for alias in node.names)
@@ -110,6 +119,16 @@ def test_fingerprint_covers_the_import_closure(name):
     assert missing == [], "%s fingerprint misses %s" % (name, missing)
 
 
+def test_unit_record_classes_lie_under_the_flow_fingerprint():
+    """A unit record holds objects of the classes in ``UNIT_MODULES`` and
+    is keyed by ``fingerprint(FLOW)``: a module outside ``FLOW`` could
+    change those classes without moving the key, and stale records
+    would load."""
+    assert all(_path(module) for module in UNIT_MODULES)
+    outside = sorted(m for m in UNIT_MODULES if not _within(m, FLOW))
+    assert outside == [], "unit records name classes outside FLOW: %s" % outside
+
+
 def test_editing_a_front_end_source_changes_the_result_fingerprint(
         tmp_path, monkeypatch):
     """A scratch copy of the package, one constant edited in the FITS
@@ -146,9 +165,9 @@ def test_editing_a_front_end_source_changes_the_result_fingerprint(
 ])
 def test_an_edit_moves_exactly_the_fingerprints_covering_it(
         relpath, moved, tmp_path, monkeypatch):
-    """Stored FITS flow records are keyed by the flow fingerprint: an
-    edit to the front end or the simulators invalidates them, an edit
-    to the timing model does not."""
+    """Stored unit records are keyed by the flow fingerprint: an edit
+    to the front end or the simulators invalidates them, an edit to the
+    timing model does not."""
     copy = str(tmp_path / "repro")
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
     sets = {"simulator": SIMULATOR, "flow": FLOW, "result": RESULT}

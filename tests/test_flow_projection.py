@@ -18,6 +18,7 @@ from repro import obs
 from repro.compiler.link import link_arm
 from repro.core.flow import DEFAULT_BUDGETS, fits_flow, origin_counts, project_counts
 from repro.core.profiler import ArmProfile
+from repro.dse import evaluate
 from repro.ir import FunctionBuilder, IRInterpreter, Module
 from repro.workloads import get_workload
 from repro.workloads.registry import CODE_SIZE_BENCHMARKS
@@ -57,10 +58,13 @@ def assert_counts_match_oracle(flow, seen):
 @pytest.mark.parametrize("name", CODE_SIZE_BENCHMARKS)
 def test_roster_budget_counts_match_simulation(name):
     """What ``fits_flow`` does for each budget, minus the synthesis:
-    every roster budget image projects, and to its simulated counts."""
+    every roster budget image projects, and to its simulated counts.
+    The baseline is the kernel's ARM unit, built and simulated through
+    ``dse.evaluate._functional``: the session's trace store then holds
+    its trace and unit record for the later tests' FITS flows."""
+    baseline, result, _extras = evaluate._functional(name, "small", "arm")
     module = get_workload(name).build_module("small")
-    baseline = link_arm(module)
-    by_origin = origin_counts(baseline, budget_counts(baseline))
+    by_origin = origin_counts(baseline, result.exec_counts())
     for budget in DEFAULT_BUDGETS:
         if budget is None:
             continue  # the baseline run itself

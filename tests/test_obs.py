@@ -209,8 +209,8 @@ def test_cache_stats_and_publish():
 @pytest.fixture()
 def cache_env(tmp_path, monkeypatch):
     """An empty summary cache, a cold in-process functional memo and no
-    stored FITS flow records, so a run's manifest covers every stage
-    whatever ran before it (a replayed flow record skips synthesis)."""
+    stored unit records, so a run's manifest covers every stage
+    whatever ran before it (a loaded unit skips compile and synthesis)."""
     from collections import OrderedDict
 
     from repro.dse import evaluate
@@ -218,7 +218,7 @@ def cache_env(tmp_path, monkeypatch):
 
     monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
     monkeypatch.setattr(evaluate, "_FUNC_GROUPS", OrderedDict())
-    monkeypatch.setattr(TraceStore, "load_flow", lambda self, key: None)
+    monkeypatch.setattr(TraceStore, "load_unit", lambda self, key: None)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     return tmp_path
 

@@ -279,6 +279,36 @@ def test_watch_resume_after_seq(tmp_path):
         assert [e["type"] for e in events] == ["end"]
 
 
+def test_watch_sends_pending_events_in_one_write(tmp_path, monkeypatch):
+    """A watch writes every event pending at a wake-up at once: watching
+    a finished job costs the same few transport writes at any size."""
+    writes = []
+    real_write = asyncio.StreamWriter.write
+
+    def counted(self, data):
+        writes.append(data)
+        return real_write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+    with ServerThread(tmp_path, "batched") as server:
+        client = client_for(server)
+        counts = []
+        for sizes in ((8192,), (4096, 8192, 16384, 32768, 65536)):
+            space = DesignSpace.grid(name="w%d" % len(sizes),
+                                     isas=("arm", "thumb", "fits"),
+                                     sizes=sizes)
+            job = client.submit(space.to_dict(), ["crc32", "sha"])
+            client.wait(job["id"])
+            del writes[:]
+            events = list(client.watch(job["id"]))
+            assert [e["seq"] for e in events[:-1]] == list(
+                range(1, 2 * len(space) + 1))
+            assert events[-1]["type"] == "end"
+            counts.append(len(writes))
+            assert b"".join(writes).count(b"\n") == len(events) + 1
+    assert counts == [2, 2]     # the reply line, then every event at once
+
+
 def test_watch_survives_mid_stream_disconnect(tmp_path):
     space = tiny_space("wide", sizes=(4096, 8192, 16384, 32768))
     with ServerThread(tmp_path, "reconnect") as server:
@@ -530,7 +560,7 @@ def test_grid_job_appends_one_segment_per_unit_task(tmp_path, monkeypatch):
     from repro.dse import evaluate
 
     names = ["crc32", "sha"]
-    for name in names:      # a warm trace store and flow records
+    for name in names:      # a warm trace store and unit records
         for isa in ("arm", "thumb", "fits"):
             evaluate._functional(name, "small", isa)
     calls = {"mkstemp": 0, "replace": 0}

@@ -150,3 +150,37 @@ def test_dcache_sees_memory_trace():
 def test_timing_report_seconds():
     _res, report = timing_for("crc32")
     assert report.seconds == report.cycles / 200e6
+
+
+def test_fetch_accounting_never_reaches_blas(monkeypatch):
+    """Every ``np.dot`` of a unit's evaluation sees integer operands.
+
+    A float operand runs BLAS, whose helper thread then spins in every
+    pool worker; an int64 count dotted with a uint64 popcount is one,
+    since numpy promotes that mix to float64."""
+    from collections import OrderedDict
+
+    from repro.dse import evaluate
+    from repro.dse.space import ISAS, DesignPoint
+    from repro.sim.functional import store as trace_store
+
+    real_dot = np.dot
+
+    def integer_dot(a, b, *args, **kwargs):
+        for operand in (a, b):
+            dtype = np.asarray(operand).dtype
+            assert dtype.kind in "iub", "np.dot on a %s operand" % dtype
+        return real_dot(a, b, *args, **kwargs)
+
+    # fresh units and traces: no fetch geometry or precomp memoized yet
+    monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
+    monkeypatch.setattr(evaluate, "_FUNC_GROUPS", OrderedDict())
+    monkeypatch.setattr(trace_store, "_PLANE_CACHE", OrderedDict())
+    monkeypatch.setattr(np, "dot", integer_dot)
+    points = [DesignPoint(isa, size, block_bytes=block, fetch_bits=fetch)
+              for isa in ISAS
+              for size, block, fetch in ((8192, 32, 32), (4096, 16, 64))]
+    outcomes = list(evaluate.evaluate_points("crc32", points, scale="small"))
+    assert len(outcomes) == len(points)
+    for point, _blob, error in outcomes:
+        assert error is None, (point.point_id, error)

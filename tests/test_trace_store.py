@@ -40,12 +40,9 @@ def with_memory(result, shape):
 
 
 @pytest.fixture()
-def trace_env(tmp_path):
-    os.environ["REPRO_TRACE_CACHE"] = str(tmp_path / "trace_cache")
-    try:
-        yield str(tmp_path / "trace_cache")
-    finally:
-        os.environ.pop("REPRO_TRACE_CACHE", None)
+def trace_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace_cache"))
+    return str(tmp_path / "trace_cache")
 
 
 @pytest.fixture(scope="module")
@@ -239,13 +236,10 @@ def test_failed_save_leaves_no_temp_file(trace_env, crc_image, monkeypatch,
     assert TraceStore(trace_env).load(crc_image) is None
 
 
-def test_disable_via_env(tmp_path, crc_image):
-    os.environ["REPRO_TRACE_CACHE"] = "off"
-    try:
-        result = cached_run("arm", crc_image,
-                            lambda: ArmSimulator(crc_image).run())
-    finally:
-        os.environ.pop("REPRO_TRACE_CACHE", None)
+def test_disable_via_env(tmp_path, crc_image, monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    result = cached_run("arm", crc_image,
+                        lambda: ArmSimulator(crc_image).run())
     assert result.exit_code is not None
     assert not os.path.exists(str(tmp_path / "trace_cache"))
 
