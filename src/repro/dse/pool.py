@@ -3,13 +3,14 @@
 ``repro.dse.scheduler.run_tasks`` dispatches every multi-process batch
 to a process-wide pool of long-lived workers, so no task pays
 interpreter fork + module import + ``TimingPrecomp`` recomputation +
-lzma decode of trace planes its worker already did.  Workers stay alive
-across ``run_tasks`` calls — and across serve jobs — so their
+lzma decode of a stored trace its worker already did.  Workers stay
+alive across ``run_tasks`` calls — and across serve jobs — so their
 functional-sim memo (`repro.dse.evaluate._FUNC_CACHE`), timing
-precomps, and decoded trace planes (the plane cache in
-``sim/functional/store.py``, fed zero-copy over shared memory by the
-coordinator's :class:`~repro.sim.functional.planes.PlaneBus`) are warm
-for every task after the first.
+precomps, and decoded traces (the plane cache in
+``sim/functional/store.py``) are warm for every task after the first.
+A worker loads a unit's trace from the trace store itself; the
+coordinator ships it nothing but the task payload, and shares no
+memory with it.
 
 Shape of the machinery:
 
@@ -82,13 +83,6 @@ def _worker_main(conn, parent_conn=None):
 
     if parent_conn is not None:
         parent_conn.close()
-    # a worker forked while another coordinator thread was inside the
-    # shared-memory resource tracker (every exported trace plane
-    # registers there) inherits the tracker's lock held by a thread that
-    # does not exist here, and its first plane attach would block forever
-    from multiprocessing import resource_tracker
-
-    resource_tracker._resource_tracker._lock = threading.RLock()
     # a forked worker inherits whatever handler the coordinator
     # installed (serve registers asyncio handlers) — restore the
     # default so terminate() actually terminates

@@ -5,8 +5,8 @@ Two layers:
 * :func:`run_tasks` — a generic task runner.  With ``jobs > 1`` tasks
   run on the persistent warm worker pool (:mod:`repro.dse.pool`):
   long-lived child processes that keep their functional-sim memo,
-  timing precomps, and decoded trace planes warm across tasks and
-  across jobs, with centrally-assigned (work-stealing) dispatch and
+  timing precomps, and decoded traces warm across tasks and across
+  jobs, with centrally-assigned (work-stealing) dispatch and
   fair-share interleaving between concurrent callers, a per-task
   timeout (``terminate`` + bounded requeue), bounded retry count, and
   crash isolation.  ``jobs <= 1`` runs the tasks in the calling
@@ -20,8 +20,11 @@ Two layers:
   (benchmark, ISA) unit of pending points, so each unit's functional
   build, timing precomputation and stack-distance passes happen once
   (:func:`_chunk_tasks`), and fan the tasks out over :func:`run_tasks`.
-  Workers re-check the store before each point, so a retried task
-  re-evaluates only what its crashed predecessor did not finish.
+  A task's payload names its unit and points and nothing else: the
+  worker loads the unit's image and trace from the trace store like any
+  other process.  Workers re-check the store before each point, so a
+  retried task re-evaluates only what its crashed predecessor did not
+  finish.
 
 Progress is reported through :mod:`repro.obs` (``stage.dse.*`` spans,
 ``dse.*`` counters) and each stored blob embeds a per-point manifest.
@@ -147,12 +150,6 @@ def _evaluate_task(store, payload):
     """The body of :func:`_sweep_worker`, writing into ``store``."""
     benchmark = payload["benchmark"]
     scale = payload["scale"]
-    if payload.get("planes"):
-        # shared-memory trace planes exported by the coordinator — the
-        # trace store attaches zero-copy instead of re-running lzma
-        from repro.sim.functional import planes
-
-        planes.attach(payload["planes"])
     # resume check: the first lookup reads the benchmark's segments
     # once; the rest are index lookups
     pending = [p for p in payload["points"]
@@ -202,35 +199,6 @@ def _chunk_tasks(pending, store_root, scale):
         "scale": scale,
         "points": [p.to_dict() for p in points],
     } for (benchmark, _isa), points in units.items()]
-
-
-def _export_planes(payloads, scale):
-    """Publish trace planes over shared memory for the sweep's payloads.
-
-    Decodes each relevant trace-store entry once in the coordinator and
-    attaches the descriptors to every payload of that benchmark.
-    Returns the live :class:`PlaneBus` (caller must ``close()`` it
-    after the tasks finish) or None when there is nothing to share.
-    """
-    from repro.sim.functional import planes, store as trace_store_mod
-
-    if not planes.available():
-        return None
-    trace_store = trace_store_mod.get_store()
-    if trace_store is None:
-        return None
-    bus = planes.PlaneBus()
-    descs = {}
-    for payload in payloads:
-        benchmark = payload["benchmark"]
-        if benchmark not in descs:
-            descs[benchmark] = bus.export_for(trace_store, benchmark, scale)
-        if descs[benchmark]:
-            payload["planes"] = descs[benchmark]
-    if not any(descs.values()):
-        bus.close()
-        return None
-    return bus
 
 
 def sweep(space, benchmarks, scale="small", jobs=1, store=None, resume=True,
@@ -290,20 +258,15 @@ def sweep(space, benchmarks, scale="small", jobs=1, store=None, resume=True,
                     result.payload["benchmark"], len(result.payload["points"]),
                     state, result.seconds), file=sys.stderr)
 
-        plane_bus = None
         try:
             with obs.span("stage.dse.sweep", space=space.name, scale=scale,
                           jobs=jobs, pending=len(pending)):
-                if jobs is not None and jobs > 1:
-                    plane_bus = _export_planes(payloads, scale)
                 task_results = run_tasks(
                     _sweep_worker, payloads, jobs=jobs, timeout=timeout,
                     retries=retries, label="dse", progress=report,
                     poll=renderer.poll if renderer is not None else None,
                 )
         finally:
-            if plane_bus is not None:
-                plane_bus.close()
             if renderer is not None:
                 renderer.close()
             if dash_owns_obs:

@@ -24,7 +24,10 @@ The heavy lifting reuses :func:`repro.dse.scheduler.run_tasks` (process
 isolation, per-point timeout, bounded retries, crash-safe resume) — the
 server adds the long-running job lifecycle, the bounded queue with
 backpressure, the global content-addressed cache, and single-flight so
-two concurrent jobs never compute the same design point twice.  The
+two concurrent jobs never compute the same design point twice.  A
+compute batch hands each worker nothing but its task's payload: the
+worker loads its unit's image and trace from the trace store itself,
+so the server reads and decodes no trace.  The
 workers write their points straight into the global cache's result
 store (:mod:`repro.serve.cache`), so a computed point is written once;
 when a task finishes the server refreshes the store's index for the
@@ -59,12 +62,7 @@ import traceback
 from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.dse import pool as dse_pool
-from repro.dse.scheduler import (
-    _chunk_tasks,
-    _export_planes,
-    _sweep_worker,
-    run_tasks,
-)
+from repro.dse.scheduler import _chunk_tasks, _sweep_worker, run_tasks
 from repro.serve import api
 from repro.serve.cache import GlobalResultCache, SingleFlight
 from repro.serve.protocol import (
@@ -123,16 +121,9 @@ def _default_compute(server, scale, items, publish):
         publish(outcomes)
 
     with obs.span("serve.compute", points=len(items), scale=scale):
-        # decode each relevant trace entry once and hand the planes to
-        # the workers over shared memory
-        plane_bus = _export_planes(payloads, scale)
-        try:
-            run_tasks(_sweep_worker, payloads, jobs=server.worker_jobs,
-                      timeout=timeout, retries=server.retries, label="serve",
-                      progress=flush)
-        finally:
-            if plane_bus is not None:
-                plane_bus.close()
+        run_tasks(_sweep_worker, payloads, jobs=server.worker_jobs,
+                  timeout=timeout, retries=server.retries, label="serve",
+                  progress=flush)
 
 
 class ServeServer:

@@ -25,11 +25,13 @@ payload lands before its manifest — a missing manifest means the entry
 does not exist; a torn entry is a miss.  Set ``REPRO_TRACE_CACHE`` to
 relocate the store, or to ``0`` / ``off`` to disable it.
 
-A manifest names the benchmark and scale its trace was first stored
-for, which is what the sweep's shared-memory plane exporter selects
-by.  A trace first stored outside a :func:`repro.obs.profile.run_context`
-names neither; the first hit inside a context that names a benchmark
-fills them in (:meth:`TraceStore.load`).
+A manifest names the benchmark and scale of the
+:func:`repro.obs.profile.run_context` its trace was saved in (neither,
+outside one).  Only a save writes: a load reads the manifest and the
+payload and nothing else, so a store read by warm runs stays
+unwritten.  A loaded trace keeps its final memory page-sparse and
+builds the dense bytes when :attr:`ExecutionResult.memory` is first
+read (:func:`result_from_members`).
 
 Beside the traces, under :data:`UNITS`, the store keeps one unit record
 per (workload, scale, ISA): the image :mod:`repro.dse.evaluate` built,
@@ -100,8 +102,8 @@ _MEMBERS = (
     ("pages", np.uint8),
 )
 
-#: what reading a torn or corrupt entry can raise; both readers of an
-#: entry (``TraceStore.load`` and the plane exporter) treat it as a miss
+#: what reading a torn or corrupt entry can raise; ``TraceStore.load``
+#: treats it as a miss
 TORN_ENTRY_ERRORS = (OSError, EOFError, KeyError, ValueError,
                      lzma.LZMAError, zipfile.BadZipFile)
 
@@ -176,7 +178,7 @@ def _plane_cache_put(cache_key, result):
         obs.counter("trace_store.plane_cache.evict")
 
 
-def _read_manifest(man_path, warn=True):
+def _read_manifest(man_path):
     """A valid current-code manifest dict, or None (skip-and-warn)."""
     if not os.path.exists(man_path):
         return None
@@ -188,13 +190,12 @@ def _read_manifest(man_path, warn=True):
     if manifest.get("schema") != SCHEMA:
         return None
     if manifest.get("code_hash") != fingerprint(SIMULATOR):
-        if warn:
-            print(
-                "trace store: skipping %s (simulator code changed: %s != %s)"
-                % (manifest.get("image_hash"), manifest.get("code_hash"),
-                   fingerprint(SIMULATOR)),
-                file=sys.stderr,
-            )
+        print(
+            "trace store: skipping %s (simulator code changed: %s != %s)"
+            % (manifest.get("image_hash"), manifest.get("code_hash"),
+               fingerprint(SIMULATOR)),
+            file=sys.stderr,
+        )
         return None
     return manifest
 
@@ -203,10 +204,9 @@ def _decode_blob(manifest, npz_path):
     """Decompress one entry's blob into its member arrays.
 
     The final memory stays as stored, page-sparse and XORed against
-    the initial image (``flags[0]``), so the shared-memory plane
-    exporter, which has no image object, ships only its non-zero pages;
-    :func:`result_from_members` rebuilds it.  A manifest that disagrees
-    with its payload raises ValueError.
+    the initial image (``flags[0]``); :func:`result_from_members`
+    rebuilds it.  A manifest that disagrees with its payload raises
+    ValueError.
     """
     with np.load(npz_path) as data:
         raw = lzma.decompress(data["blob"].tobytes())
@@ -221,30 +221,48 @@ def _decode_blob(manifest, npz_path):
         member[name] = (_from_byte_planes(chunk) if dtype is np.int64
                         else np.frombuffer(chunk, dtype=dtype))
     index = member["page_index"]
-    if len(index) and (index.min() < 0
-                       or index.max() >= int(manifest["memory_bytes"]) // PAGE):
+    memory_bytes = int(manifest["memory_bytes"])
+    if memory_bytes % PAGE:
+        raise ValueError("memory_bytes is not a whole number of pages")
+    if len(index) and (index.min() < 0 or index.max() >= memory_bytes // PAGE):
         raise ValueError("page index outside memory_bytes")
     member["pages"] = member["pages"].reshape(len(index), PAGE)
     return member
 
 
-def result_from_members(image, exit_code, member, memory_bytes, memory_delta):
-    """Build an ExecutionResult from decoded store members."""
-    memory = np.zeros(memory_bytes, dtype=np.uint8)
-    memory.reshape(-1, PAGE)[member["page_index"]] = \
-        member["pages"].reshape(-1, PAGE)
-    if memory_delta:
-        memory ^= np.frombuffer(bytes(image.initial_memory()), dtype=np.uint8)
+def result_from_members(image, manifest, member):
+    """Build an ExecutionResult from one entry's decoded members.
+
+    The final memory is built on its first read, from the page-sparse
+    delta and (``flags[0]``) ``image.initial_memory()``: no timing,
+    cache or power model reads it, so a loaded trace that only feeds
+    them never holds the dense bytes.  A delta that does not fit the
+    image raises ValueError here, not at that read.
+    """
+    memory_bytes = int(manifest["memory_bytes"])
+    memory_delta = bool(manifest["flags"][0])
+    if memory_delta and memory_bytes != image.memory_size:
+        raise ValueError("memory delta does not fit the image")
+    page_index, pages = member["page_index"], member["pages"]
+
+    def build_memory():
+        memory = np.zeros(memory_bytes, dtype=np.uint8)
+        memory.reshape(-1, PAGE)[page_index] = pages
+        if memory_delta:
+            memory ^= np.frombuffer(bytes(image.initial_memory()),
+                                    dtype=np.uint8)
+        return bytearray(memory.tobytes())
+
     return ExecutionResult(
         image=image,
-        exit_code=int(exit_code),
+        exit_code=int(manifest["exit_code"]),
         block_starts=member["block_starts"],
         block_ends=member["block_ends"],
         seg_ids=member["seg_ids"],
         seg_counts=member["seg_counts"],
         mem_packed=member["mem_packed"],
         console=member["console"].tobytes(),
-        memory=bytearray(memory.tobytes()),
+        memory=build_memory,
     )
 
 
@@ -258,19 +276,13 @@ class TraceStore:
         return (os.path.join(self.root, key + ".npz"),
                 os.path.join(self.root, key + ".json"))
 
-    def load(self, image, benchmark=None, scale=None):
+    def load(self, image):
         """The stored :class:`ExecutionResult` for ``image``, or None.
 
-        Returns None when the entry is absent or was produced under a
-        different simulator fingerprint (skip-and-warn).  Decoded
-        planes come from, in order: the in-process plane cache, an
-        attached shared-memory plane segment published by the sweep
-        coordinator, and finally the ``.npz`` on disk.
-
-        An entry whose manifest names no benchmark is attributed to
-        ``benchmark``/``scale`` when a benchmark is given (one atomic
-        manifest rewrite).  A manifest that already names a benchmark is
-        never rewritten, so a store read by warm runs stays unwritten.
+        Returns None when the entry is absent, torn, or was produced
+        under a different simulator fingerprint (skip-and-warn).  The
+        decoded result comes from the in-process plane cache, else from
+        the ``.npz`` on disk.  A load writes nothing.
         """
         key = image_fingerprint(image)
         npz_path, man_path = self._paths(key)
@@ -280,32 +292,18 @@ class TraceStore:
         manifest = _read_manifest(man_path)
         if manifest is None:
             return None
-        if benchmark is not None and manifest.get("benchmark") is None:
-            manifest.update(benchmark=benchmark, scale=scale)
-            try:
-                _write_atomic(man_path, json.dumps(
-                    manifest, indent=1, sort_keys=True).encode())
-            except OSError as exc:
-                print("trace store: attribution failed (%s)" % exc,
-                      file=sys.stderr)
         cache_key = (os.path.abspath(self.root), key)
         cached = _plane_cache_get(cache_key)
         if cached is not None:
             obs.counter("trace_store.plane_cache.hit")
             return cached
-        from repro.sim.functional import planes  # lazy: avoids import cycle
-
-        result = planes.lookup(key, image)
-        if result is None:
-            try:
-                member = _decode_blob(manifest, npz_path)
-                result = result_from_members(
-                    image, manifest["exit_code"], member,
-                    int(manifest["memory_bytes"]), bool(manifest["flags"][0]))
-            except TORN_ENTRY_ERRORS:
-                # a torn or corrupt entry is a miss: the caller
-                # re-simulates and rewrites it
-                return None
+        try:
+            result = result_from_members(
+                image, manifest, _decode_blob(manifest, npz_path))
+        except TORN_ENTRY_ERRORS:
+            # a torn or corrupt entry is a miss: the caller re-simulates
+            # and rewrites it
+            return None
         obs.counter("trace_store.plane_cache.miss")
         _plane_cache_put(cache_key, result)
         return result
@@ -445,20 +443,18 @@ def cached_run(kind, image, runner):
     On a store hit the functional simulation is skipped entirely; on a
     miss the fresh result is persisted for every later process/session.
     ``kind`` labels the manifest (e.g. ``"arm"``, ``"fits"``) and the
-    ``trace_store.{hit,miss}`` obs counters.  The manifest names the
-    benchmark and scale of the enclosing
+    ``trace_store.{hit,miss}`` obs counters.  A saved manifest names
+    the benchmark and scale of the enclosing
     :func:`repro.obs.profile.run_context`, the same attribution the
-    block profiler gives the run's records; a hit inside a context
-    fills them into a manifest stored without one.
+    block profiler gives the run's records.
     """
     from repro.obs import profile as obs_profile  # lazy: keeps -m runs clean
 
     store = get_store()
     if store is None:
         return runner()
-    ctx = obs_profile.current_context()
     t_load = time.perf_counter()
-    result = store.load(image, ctx.get("benchmark"), ctx.get("scale"))
+    result = store.load(image)
     if result is not None:
         _observe_seconds("trace_store.load_seconds", t_load)
         obs.counter("trace_store.hit")
@@ -472,6 +468,7 @@ def cached_run(kind, image, runner):
         result = runner()
     obs.counter("trace_store.miss")
     obs.counter("trace_store.miss.%s" % kind)
+    ctx = obs_profile.current_context()
     t_save = time.perf_counter()
     try:
         with obs.span("trace_store.encode", kind=kind):

@@ -90,7 +90,11 @@ class ExecutionResult:
         mem_packed: the data accesses in order, one int64 per record,
             ``addr*2 | is_store``.
         console: bytes written via the putc SWI.
-        memory: final memory image (for checksum validation).
+        memory: final memory image (for checksum validation).  It may
+            be given as a zero-argument callable that builds it; the
+            first read calls it and keeps the bytes.  A trace loaded
+            from the store does this, since no timing, cache or power
+            model reads the memory.
 
     Derived lazily from those: the flat per-boundary view
     ``run_starts``/``run_ends`` (one entry per dynamic run) and the
@@ -114,6 +118,16 @@ class ExecutionResult:
         self._mem_addrs = None
         self._mem_is_store = None
         self._exec_counts = None
+
+    @property
+    def memory(self):
+        if callable(self._memory):
+            self._memory = self._memory()
+        return self._memory
+
+    @memory.setter
+    def memory(self, value):
+        self._memory = value
 
     # --- lazily derived flat views -------------------------------------
 

@@ -7,8 +7,8 @@ mapping), in the trace store's ``units/`` directory, keyed by
 These tests hold every roster unit's loaded image to a fresh build,
 refuse records that name anything but the classes an image is made of,
 rebuild torn and mismatched records, and hold a warm sweep to the cold
-one's metrics.  They also cover the trace store attributing a hit to
-the benchmark of its run context.
+one's metrics.  They also hold warm units to writing nothing into the
+store and to building no final memory.
 """
 
 import os
@@ -250,40 +250,83 @@ def test_warm_smoke_sweep_is_bit_identical_and_searches_nothing(
         assert runs(warm_blobs, counter) == 0, counter
 
 
-def test_trace_store_hit_attributes_an_unattributed_manifest(
+def _store_listing(root):
+    """Every file under ``root``: relative path, size and mtime."""
+    listing = []
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            st = os.stat(path)
+            listing.append((os.path.relpath(path, root), st.st_size,
+                            st.st_mtime_ns))
+    return sorted(listing)
+
+
+def test_warm_functional_loads_leave_the_store_unwritten(
         tmp_path, cold_memo, monkeypatch):
-    """Traces first stored outside a run context name no benchmark; the
-    first hit inside one fills it in, so the sweep's shared-memory
-    exporter ships them.  A manifest that names one is never rewritten."""
-    from repro.sim.functional import ArmSimulator, cached_run, planes
+    """Loading a unit writes nothing: ``_functional`` over stored unit
+    records and traces, here traces stored outside a run context (whose
+    manifests name no benchmark), leaves every file name, size and mtime
+    in the store as it found them."""
+    from repro.sim.functional import ArmSimulator, cached_run
     from repro.sim.functional.thumb_sim import ThumbSimulator
 
-    if not planes.available():
-        pytest.skip("no shared memory on this platform")
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     store = trace_store.get_store()
     module = get_workload("crc32").build_module("small")
     arm, thumb = compile_arm(module), compile_thumb(module)
     cached_run("arm", arm, ArmSimulator(arm).run)
     cached_run("thumb", thumb, ThumbSimulator(thumb).run)
-    flow_mod.fits_flow(module)
+    flow = flow_mod.fits_flow(module)
+    units = {"arm": (arm, {}), "thumb": (thumb, {}),
+             "fits": (flow.fits_image, {"budget": flow.budget,
+                                        "dynamic_mapping":
+                                            flow.dynamic_mapping})}
+    for isa, (image, extras) in units.items():
+        store.save_unit("crc32-small-%s-%s" % (isa, fingerprint(FLOW)),
+                        image, extras)
+    before = _store_listing(store.root)
+    assert sum(name.endswith(".json") for name, _, _ in before) == 3
 
-    def exported():
-        bus = planes.PlaneBus()
-        try:
-            return len(bus.export_for(store, "crc32", "small"))
-        finally:
-            bus.close()
+    trace_store.clear_plane_cache()
+    with monkeypatch.context() as patch:
+        _no_build(patch)
+        for isa in units:
+            evaluate._functional("crc32", "small", isa)
+    assert _store_listing(store.root) == before
 
-    assert exported() == 0
-    for isa in ("arm", "thumb", "fits"):
-        evaluate._functional("crc32", "small", isa)
-    assert exported() == 3
 
-    manifests = [os.path.join(store.root, n) for n in os.listdir(store.root)
-                 if n.endswith(".json")]
-    mtimes = [os.stat(path).st_mtime_ns for path in manifests]
-    _forget("crc32")
-    for isa in ("arm", "thumb", "fits"):
-        evaluate._functional("crc32", "small", isa)
-    assert [os.stat(path).st_mtime_ns for path in manifests] == mtimes
+def test_warm_units_never_build_their_final_memory(
+        tmp_path, cold_memo, monkeypatch):
+    """No timing, cache or power model reads a trace's final memory, so
+    a loaded unit never builds it: with ``initial_memory`` raising on
+    all three image classes, ``evaluate_points`` over the loaded crc32
+    units of every ISA finishes with the cold evaluation's metrics."""
+    from repro.compiler.link import Image
+    from repro.compiler.thumb_backend import ThumbImage
+    from repro.core.translator import FitsImage
+    from repro.dse.space import DesignSpace
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+    points = list(DesignSpace.grid(isas=("arm", "thumb", "fits"),
+                                   sizes=(8192, 16384), blocks=(16, 32)))
+
+    def evaluated():
+        found = {}
+        for point, blob, error in evaluate.evaluate_points(
+                "crc32", points, "small"):
+            assert error is None, error
+            found[point.point_id] = blob["metrics"]
+        return found
+
+    cold = evaluated()
+    monkeypatch.setattr(evaluate, "_FUNC_CACHE", {})
+    trace_store.clear_plane_cache()
+
+    def no_memory(_image):
+        raise AssertionError("a loaded unit built its final memory")
+
+    for cls in (Image, ThumbImage, FitsImage):
+        monkeypatch.setattr(cls, "initial_memory", no_memory)
+    assert evaluated() == cold
+    assert len(cold) == len(points) == 12

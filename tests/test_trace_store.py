@@ -93,14 +93,28 @@ def _assert_resimulated(store_root, image, first):
 
 
 @pytest.mark.parametrize("shape", MEMORY_SHAPES)
-def test_round_trip(trace_env, crc_image, shape):
+def test_round_trip(trace_env, crc_image, shape, monkeypatch):
+    """A loaded trace equals the fresh one, and builds its final memory
+    (the one use of ``initial_memory`` on a load) only when ``.memory``
+    is first read."""
     store = TraceStore(trace_env)
     fresh = with_memory(ArmSimulator(crc_image).run(), shape)
     assert store.load(crc_image) is None
     store.save(crc_image, fresh, kind="arm")
     clear_plane_cache()  # else load hands back ``fresh`` itself
+    built = []
+    initial_memory = type(crc_image).initial_memory
+
+    def counted(image):
+        built.append(image)
+        return initial_memory(image)
+
+    monkeypatch.setattr(type(crc_image), "initial_memory", counted)
     loaded = store.load(crc_image)
     assert loaded is not None and loaded is not fresh
+    assert built == []
+    memory = loaded.memory
+    assert built == [crc_image] and loaded.memory is memory
     _assert_same_result(fresh, loaded)
     assert loaded.image is crc_image
     manifest = _read_stored_manifest(trace_env, crc_image)
@@ -191,7 +205,8 @@ def test_torn_entry_resimulates(trace_env, crc_image, kept):
 
 
 @pytest.mark.parametrize("defect", ["swapped-lengths", "overlong-lengths",
-                                    "page-outside-memory"])
+                                    "page-outside-memory", "ragged-memory",
+                                    "grown-memory"])
 def test_manifest_disagreeing_with_payload_resimulates(trace_env, crc_image,
                                                        defect):
     """A manifest whose member lengths or memory size do not match its
@@ -205,9 +220,13 @@ def test_manifest_disagreeing_with_payload_resimulates(trace_env, crc_image,
         lengths[0], lengths[-1] = lengths[-1], lengths[0]
     elif defect == "overlong-lengths":
         lengths[-1] += PAGE
-    else:
+    elif defect == "page-outside-memory":
         # the run's stack lives in the last page, outside a one-page memory
         manifest["memory_bytes"] = PAGE
+    else:
+        # a delta that is not whole pages, or larger than the image's
+        # memory: caught at load, not when the memory is first read
+        manifest["memory_bytes"] += 1 if defect == "ragged-memory" else PAGE
     _write_stored_manifest(trace_env, crc_image, manifest)
     clear_plane_cache()
     assert TraceStore(trace_env).load(crc_image) is None
