@@ -21,21 +21,25 @@ append to one file, so several sweeps or servers may share a store.
 
 Readers keep a per-benchmark index of where each point's winning line
 sits, built from the lines' heads alone (about 4 microseconds a line);
-a record is parsed only when it is read.  The index is built on a
-benchmark's first lookup and refreshed incrementally, by a consumed
-byte offset per segment: whole-store reads refresh first, point lookups
-see other writers' later lines after :meth:`ResultStore.refresh`, and a
-store sees its own writes at once.  A line without its newline — the
-torn tail of a killed writer — is skipped.  Results are keyed by
-``(benchmark, point_id)``, the point id being the point's content hash,
-so resume skips everything already stored regardless of task order,
-crashes, or how the space was re-declared.  A blob computed by other
-code (another :mod:`repro.fingerprint` result fingerprint) counts as
-pending; per point, a current-code result beats any other line, so a
-retry in another segment supersedes a failure without rewriting it.
-:meth:`ResultStore.gc` compacts each benchmark's segments into one and
-deletes the per-point files of the previous layout
-(``results/<bench>--<id>.json``, ``failures/``), which no reader opens.
+a record is parsed only when it is read, and
+:meth:`ResultStore.metrics` decodes only a result line's ``metrics``
+member, which is all the sweep service streams of a point (a line is
+mostly its manifest).  The index is built on a benchmark's first
+lookup and refreshed incrementally, by a consumed byte offset per
+segment: whole-store reads refresh first, point lookups see other
+writers' later lines after :meth:`ResultStore.refresh`, and a store
+sees its own writes at once.  A line without its newline — the torn
+tail of a killed writer — is skipped.  Results are keyed by
+``(benchmark, point_id)``, the point id being the point's content
+hash, so resume skips everything already stored regardless of task
+order, crashes, or how the space was re-declared.  A blob computed by
+other code (another :mod:`repro.fingerprint` result fingerprint)
+counts as pending; per point, a current-code result beats any other
+line, so a retry in another segment supersedes a failure without
+rewriting it.  :meth:`ResultStore.gc` compacts each benchmark's
+segments into one and deletes the per-point files of the previous
+layout (``results/<bench>--<id>.json``, ``failures/``), which no
+reader opens.
 """
 
 import json
@@ -56,6 +60,10 @@ SEGMENT_SUFFIX = ".jsonl"
 #: point id, and the result fingerprint (``null`` for a failure).  Point
 #: ids and fingerprints are hex digests, which JSON never escapes.
 _HEAD = re.compile(rb'\[%d, "(\w+)", (?:"(\w*)"|null), ' % RESULT_SCHEMA)
+
+#: Where a result record's metrics member starts (:meth:`ResultStore.metrics`).
+_METRICS = b'"metrics": '
+_DECODER = json.JSONDecoder()
 
 
 def atomic_write_json(path, data):
@@ -273,16 +281,25 @@ class ResultStore:
         return [(benchmark, self._refresh(benchmark))
                 for benchmark in self._benchmarks()]
 
-    def _read(self, benchmark, where):
-        """The record of the line at ``where`` (segment, offset,
-        length), or None when it cannot be read back."""
+    def _line(self, benchmark, where):
+        """The bytes of the line at ``where`` (segment, offset, length),
+        or None when it cannot be read back."""
         segment, offset, length = where
         try:
             with open(os.path.join(self.segment_dir(benchmark), segment),
                       "rb") as fh:
                 fh.seek(offset)
-                return json.loads(fh.read(length))[3]
-        except (OSError, ValueError):
+                return fh.read(length)
+        except OSError:
+            return None
+
+    def _read(self, benchmark, where):
+        """The record of the line at ``where``, or None when it cannot
+        be read back."""
+        line = self._line(benchmark, where)
+        try:
+            return None if line is None else json.loads(line)[3]
+        except ValueError:
             return None
 
     def has(self, benchmark, point_id):
@@ -295,6 +312,31 @@ class ResultStore:
         with self._lock:
             where = self._indexed(benchmark).results.get(point_id)
         return None if where is None else self._read(benchmark, where[1:])
+
+    def metrics(self, benchmark, point_id, code):
+        """The ``metrics`` member of the point's winning line when that
+        line is a result of ``code`` (a result fingerprint), else None.
+
+        Only that member is decoded: the point and the manifest, most of
+        a line's bytes, are never parsed.  ``evaluate_point`` writes
+        ``metrics`` before ``manifest`` and a point dict has no such
+        key, so the line's first ``"metrics": `` is the record's own.
+        """
+        with self._lock:
+            where = self._indexed(benchmark).results.get(point_id)
+        line = None if where is None else self._line(benchmark, where[1:])
+        head = None if line is None else _HEAD.match(line)
+        if head is None or head.group(2) != code.encode():
+            return None
+        start = line.find(_METRICS, head.end())
+        if start < 0:
+            return None
+        try:
+            metrics, _end = _DECODER.raw_decode(
+                line.decode(), start + len(_METRICS))
+        except ValueError:
+            return None
+        return metrics if isinstance(metrics, dict) else None
 
     def failure(self, benchmark, point_id):
         """The point's failure record, or None when it has none or a

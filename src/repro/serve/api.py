@@ -6,11 +6,15 @@ cancelled``.  The server owns jobs on its event loop; every per-point
 outcome is appended to the job's event buffer with a monotonically
 increasing ``seq``, which is what makes ``watch`` streams resumable —
 a reconnecting client asks for ``after_seq=<last seen>`` and receives
-every remaining event exactly once.
+every remaining event exactly once.  An event is encoded once, when it
+is emitted, and kept as its wire bytes; a point event carries the
+point's metrics and nothing else of its result blob, which the job
+does not keep (the ``results`` op reads the blobs back from the
+cache's store, by the keys :attr:`Job.served` lists).
 
 This module is deliberately free of sockets and scheduling: it
 validates submit requests into ``(DesignSpace, benchmarks, scale)``,
-owns the state machine, and builds the event/summary dicts the
+owns the state machine, and builds the events and summary dicts the
 protocol layer ships.
 """
 
@@ -20,7 +24,7 @@ import time
 
 from repro.dse.space import DesignSpace, preset as space_preset
 from repro.obs import metrics as obs_metrics
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, encode
 from repro.workloads import CODE_SIZE_BENCHMARKS
 
 #: Job lifecycle states.
@@ -89,8 +93,8 @@ class Job:
         self.started = None
         self.finished = None
         self.total = len(space) * len(self.benchmarks)
-        self.events = []        # point events, events[i]["seq"] == i + 1
-        self.results = []       # result blobs, same order as events
+        self.events = []        # encoded point events, seq i + 1 at i
+        self.served = []        # (benchmark, point_id) emitted without error
         self.cache_hits = 0
         self.coalesced = 0
         self.computed = 0
@@ -130,37 +134,36 @@ class Job:
 
     # -- events ---------------------------------------------------------
 
-    async def emit_point(self, benchmark, point, blob, error=None,
+    async def emit_point(self, benchmark, point, metrics, error=None,
                          cached=False, coalesced=False):
-        """Append one per-point event (and wake every watcher)."""
+        """Append one per-point event, encoded (and wake every watcher)."""
+        seq = len(self.events) + 1
         event = {
             "type": "point",
             "job": self.id,
-            "seq": len(self.events) + 1,
+            "seq": seq,
             "benchmark": benchmark,
             "point_id": point.point_id,
             "label": point.label,
             "cached": bool(cached),
             "coalesced": bool(coalesced),
-            "done": None,       # filled below
+            "done": seq,
             "total": self.total,
         }
         if error is not None:
             event["error"] = str(error)
             self.failed_points += 1
         else:
-            event["metrics"] = blob["metrics"]
+            event["metrics"] = metrics
+            self.served.append((benchmark, point.point_id))
         if cached:
             self.cache_hits += 1
         elif coalesced:
             self.coalesced += 1
         elif error is None:
             self.computed += 1
-        self.events.append(event)
-        self.results.append(blob)
-        event["done"] = len(self.events)
+        self.events.append(encode(event))
         await self._notify()
-        return event
 
     def end_event(self):
         """The terminal stream event (sent after every point event)."""

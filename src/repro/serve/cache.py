@@ -17,7 +17,9 @@ scale and fingerprint, ``<cache>/<scale>-<fingerprint>/``.  The sweep
 workers write their points straight into it, one segment per task, so a
 computed point is encoded once and creates no file of its own.  A
 lookup consults the store's index, which records where each point's
-line sits and holds no blobs; a hit reads and parses that one line.
+line sits and holds no blobs; a hit reads that one line and decodes
+only its ``metrics`` member (:meth:`~repro.dse.store.ResultStore.metrics`),
+which is all a streamed event carries.
 The index sees other writers' lines once the store is refreshed: the
 server refreshes a job's benchmarks when the job starts (picking up
 what other servers sharing the directory wrote) and a task's benchmark
@@ -69,7 +71,7 @@ class GlobalResultCache:
             return store
 
     def get(self, benchmark, point_id, scale):
-        """The cached result blob, or None when absent/torn/stale.
+        """The cached point's metrics, or None when absent/torn/stale.
 
         Lines other writers appended since the store's last
         :meth:`~repro.dse.store.ResultStore.refresh` are not seen.
@@ -80,10 +82,7 @@ class GlobalResultCache:
             return self._get(benchmark, point_id, scale)
 
     def _get(self, benchmark, point_id, scale):
-        blob = self.store(scale).load(benchmark, point_id)
-        if blob is None or blob.get("fingerprint") != self.code:
-            return None
-        return blob
+        return self.store(scale).metrics(benchmark, point_id, self.code)
 
     def put(self, benchmark, point_id, scale, blob):
         """Publish one result blob unless the cache holds it already;
@@ -117,11 +116,11 @@ class SingleFlight:
     """Per-server in-flight registry: one computation per cache key.
 
     The first claimant of a key becomes its *owner* (it must arrange
-    for the computation and eventually :meth:`resolve` the key); every
-    later claimant receives the same future.  Futures resolve to a
-    ``(blob, error)`` pair — exactly one of the two is set — and are
-    popped on resolution, so a failed key can be re-claimed (and
-    re-tried) by a later job.
+    for the computation and eventually :meth:`resolve` the future it
+    claimed); every later claimant receives the same future.  Futures
+    resolve to a ``(metrics, error)`` pair — exactly one of the two is
+    set — and are popped on resolution, so a failed key can be
+    re-claimed (and re-tried) by a later job.
 
     The registry is shared by every **concurrently running** compute
     batch (the server keeps up to ``max_running`` batches in flight on
@@ -143,18 +142,23 @@ class SingleFlight:
         self._futures[key] = fut
         return fut, True
 
-    def resolve(self, key, blob, error=None):
-        """Deliver the outcome for ``key``; True when it reached claimants.
+    def resolve(self, key, fut, metrics, error=None):
+        """Deliver the outcome to ``fut``, a claim of ``key``; True when
+        it reached claimants.
 
-        A second resolve of the same key is a no-op returning False, so
-        publishers may be defensive (publish again after a batch) without
-        double-counting.
+        Only that claim is touched: once it is resolved a later job may
+        claim ``key`` again, and resolving the first future a second
+        time is a no-op returning False that leaves the new claim
+        pending.  So publishers may be defensive (publish again after a
+        batch) without double-counting or failing another batch's
+        point.
         """
-        fut = self._futures.pop(key, None)
-        if fut is not None and not fut.done():
-            fut.set_result((blob, error))
-            return True
-        return False
+        if self._futures.get(key) is fut:
+            del self._futures[key]
+        if fut.done():
+            return False
+        fut.set_result((metrics, error))
+        return True
 
     def keys(self):
         """Cache keys currently being computed (unresolved claims)."""

@@ -15,10 +15,12 @@ Architecture (one process, one event loop)::
                  thread: run_tasks(_sweep_worker, …)   ← the warm
                          workers append to the cache    worker pool
                          store, one segment per task
-                                ▼ per finished task
+                                ▼ per finished task: each point's
+                                  metrics, read from its line
                  loop: SingleFlight.resolve (one callback per task)
                                 ▼
-                 every waiting job emits the point, exactly once
+                 every waiting job emits the point, exactly once,
+                 as the encoded event bytes it keeps for ``watch``
 
 The heavy lifting reuses :func:`repro.dse.scheduler.run_tasks` (process
 isolation, per-point timeout, bounded retries, crash-safe resume) — the
@@ -31,10 +33,13 @@ so the server reads and decodes no trace.  The
 workers write their points straight into the global cache's result
 store (:mod:`repro.serve.cache`), so a computed point is written once;
 when a task finishes the server refreshes the store's index for the
-task's benchmark, reads its points' lines and resolves them.  A job
-refreshes the index for each of its benchmarks once, when it starts,
-which is when the points other servers sharing the cache wrote become
-hits.  ``--state`` holds only the worker metric snapshots.
+task's benchmark, reads the ``metrics`` member of its points' lines and
+resolves them.  A job refreshes the index for each of its benchmarks
+once, when it starts, which is when the points other servers sharing
+the cache wrote become hits.  No job keeps a result blob: a job keeps
+its events as encoded bytes, and the ``results`` op reads the blobs of
+the points it served back from the store.  ``--state`` holds only the
+worker metric snapshots.
 
 Up to ``max_running`` compute batches run **concurrently**: each batch
 registers its own task group on the persistent warm worker pool
@@ -92,9 +97,9 @@ def _default_compute(server, scale, items, publish):
     triples that were neither cached nor in flight; each
     (benchmark, ISA) unit of them is one task.  The workers append the
     results to the cache's store for ``scale``; each task's completion
-    publishes its points' outcomes back to the event loop in one call,
-    so a job streams points as tasks finish rather than when the whole
-    batch does.
+    publishes its points' outcomes (their metrics, read from the store)
+    back to the event loop in one call, so a job streams points as
+    tasks finish rather than when the whole batch does.
     """
     store = server.cache.store(scale)
     keymap = {(b, p.point_id): key for b, p, key in items}
@@ -111,9 +116,9 @@ def _default_compute(server, scale, items, publish):
         outcomes = []
         for pdict in task_result.payload["points"]:
             key = keymap[(benchmark, pdict["id"])]
-            blob = store.load(benchmark, pdict["id"])
-            if blob is not None:
-                outcomes.append((key, blob, None))
+            metrics = store.metrics(benchmark, pdict["id"], server.cache.code)
+            if metrics is not None:
+                outcomes.append((key, metrics, None))
                 continue
             failure = store.failure(benchmark, pdict["id"]) or {}
             outcomes.append((key, None, failure.get("error")
@@ -132,7 +137,7 @@ class ServeServer:
     ``compute_fn(server, scale, items, publish)`` evaluates one batch of
     ``(benchmark, DesignPoint, key)`` items on a worker thread: it lands
     each result in ``server.cache`` and calls ``publish(outcomes)`` with
-    ``(key, blob, error)`` triples, once per finished task.
+    ``(key, metrics, error)`` triples, once per finished task.
     """
 
     def __init__(self, address=None, cache_root=None, state_dir=None,
@@ -186,11 +191,12 @@ class ServeServer:
             obs.gauge("serve.pool.busy",
                       sum(1 for w in pool["workers"] if w["busy"]))
 
-    def _publish(self, outcomes):
-        """Loop-side landing point for one finished task's outcomes."""
+    def _publish(self, claimed, outcomes):
+        """Loop-side landing point for one finished task's outcomes;
+        ``claimed`` maps each key of the batch to the future it claimed."""
         computed = failed = 0
-        for key, blob, error in outcomes:
-            if self.flight.resolve(key, blob, error):
+        for key, metrics, error in outcomes:
+            if self.flight.resolve(key, claimed[key], metrics, error):
                 if error is None:
                     computed += 1
                 else:
@@ -205,12 +211,12 @@ class ServeServer:
 
     # -- job execution --------------------------------------------------
 
-    async def _compute(self, scale, items):
+    async def _compute(self, scale, items, claimed):
         """Run one compute batch in a thread; never leave futures hanging."""
         loop = asyncio.get_running_loop()
 
         def publish(outcomes):
-            loop.call_soon_threadsafe(self._publish, outcomes)
+            loop.call_soon_threadsafe(self._publish, claimed, outcomes)
 
         # no serialization here: up to max_running job batches run at
         # once, interleaved fair-share by the warm pool's dispatcher
@@ -218,15 +224,16 @@ class ServeServer:
             await asyncio.to_thread(
                 self._compute_fn, self, scale, items, publish)
         finally:
-            # idempotent: anything the compute path already resolved
-            # is a no-op here, anything it dropped becomes a failure
+            # only this batch's own claims: one the compute path already
+            # resolved is a no-op here (even when a later job has since
+            # claimed its key again), one it dropped becomes a failure
             # instead of a future that hangs every waiting job.
-            self._publish([(key, None, "compute batch ended without "
-                                       "this point") for _b, _p, key in items])
+            self._publish(claimed, [(key, None, "compute batch ended "
+                                     "without this point") for key in claimed])
 
-    def _spawn_compute(self, scale, items):
+    def _spawn_compute(self, scale, items, claimed):
         task = asyncio.get_running_loop().create_task(
-            self._compute(scale, items))
+            self._compute(scale, items, claimed))
         self._compute_tasks.add(task)
         task.add_done_callback(self._compute_tasks.discard)
         return task
@@ -239,7 +246,7 @@ class ServeServer:
             await job.start()
             job_t0 = time.perf_counter()
             loop = asyncio.get_running_loop()
-            waits, owned = [], []
+            waits, owned, claimed = [], [], {}
             store = self.cache.store(job.scale)
             for benchmark in job.benchmarks:
                 # once per job: what other servers sharing the cache
@@ -247,13 +254,14 @@ class ServeServer:
                 store.refresh(benchmark)
                 for point in job.space:
                     key = self.cache.key(benchmark, point.point_id, job.scale)
-                    blob = self.cache.get(benchmark, point.point_id, job.scale)
-                    if blob is not None:
+                    metrics = self.cache.get(benchmark, point.point_id,
+                                             job.scale)
+                    if metrics is not None:
                         self.stats["cache_hits"] += 1
                         obs.counter("serve.cache.hit")
                         with obs.span("serve.point", job=job.id,
                                       point=point.point_id, cached=True):
-                            await job.emit_point(benchmark, point, blob,
+                            await job.emit_point(benchmark, point, metrics,
                                                  cached=True)
                         obs_metrics.observe("serve.point.seconds",
                                             time.perf_counter() - job_t0)
@@ -266,18 +274,19 @@ class ServeServer:
                         obs.counter("serve.singleflight.coalesced")
                     else:
                         owned.append((benchmark, point, key))
+                        claimed[key] = fut
                     waits.append((benchmark, point, fut, owner))
             self._update_gauges()
             if owned:
-                self._spawn_compute(job.scale, owned)
+                self._spawn_compute(job.scale, owned, claimed)
             for benchmark, point, fut, owner in waits:
                 # shield: cancelling this job must not cancel a future
                 # other jobs are waiting on
-                blob, error = await asyncio.shield(fut)
+                metrics, error = await asyncio.shield(fut)
                 with obs.span("serve.point", job=job.id,
                               point=point.point_id, cached=False):
                     await job.emit_point(
-                        benchmark, point, blob, error=error,
+                        benchmark, point, metrics, error=error,
                         coalesced=(not owner and error is None))
                 obs_metrics.observe("serve.point.seconds",
                                     time.perf_counter() - job_t0)
@@ -383,9 +392,9 @@ class ServeServer:
             idx += len(pending)
             done = job.terminal
             if done:
-                pending.append(job.end_event())
+                pending.append(encode(job.end_event()))
             if pending:
-                writer.write(b"".join(map(encode, pending)))
+                writer.write(b"".join(pending))
                 await writer.drain()
             if done:
                 return
@@ -440,9 +449,18 @@ class ServeServer:
             await write_message(writer, {
                 "ok": False, "error": "unknown job %r" % msg.get("job")})
             return
+        # the summary and the points it counts, as of this request
+        summary, served = job.summary(), list(job.served)
+        store = self.cache.store(job.scale)
+
+        def read():
+            blobs = (store.load(benchmark, point_id)
+                     for benchmark, point_id in served)
+            return [blob for blob in blobs if blob is not None]
+
+        results = await asyncio.to_thread(read)
         await write_message(writer, {
-            "ok": True, "job": job.summary(),
-            "results": [blob for blob in job.results if blob is not None]})
+            "ok": True, "job": summary, "results": results})
 
     async def _handle_cancel(self, msg, writer):
         job = self.jobs.get(msg.get("job"))

@@ -29,9 +29,11 @@ A manifest names the benchmark and scale of the
 :func:`repro.obs.profile.run_context` its trace was saved in (neither,
 outside one).  Only a save writes: a load reads the manifest and the
 payload and nothing else, so a store read by warm runs stays
-unwritten.  A loaded trace keeps its final memory page-sparse and
+unwritten.  A stored trace keeps its final memory page-sparse and
 builds the dense bytes when :attr:`ExecutionResult.memory` is first
-read (:func:`result_from_members`).
+read: a loaded one (:func:`result_from_members`), and a freshly
+simulated one once :meth:`TraceStore.save` has written it, by the same
+builder (:func:`_memory_builder`).
 
 Beside the traces, under :data:`UNITS`, the store keeps one unit record
 per (workload, scale, ISA): the image :mod:`repro.dse.evaluate` built,
@@ -230,6 +232,23 @@ def _decode_blob(manifest, npz_path):
     return member
 
 
+def _memory_builder(image, memory_bytes, memory_delta, page_index, pages):
+    """A zero-argument builder of a final memory from its stored form:
+    the non-zero ``pages`` (at ``page_index``) of a ``memory_bytes``
+    delta, XORed against ``image.initial_memory()`` when
+    ``memory_delta``."""
+
+    def build_memory():
+        memory = np.zeros(memory_bytes, dtype=np.uint8)
+        memory.reshape(-1, PAGE)[page_index] = pages
+        if memory_delta:
+            memory ^= np.frombuffer(bytes(image.initial_memory()),
+                                    dtype=np.uint8)
+        return bytearray(memory.tobytes())
+
+    return build_memory
+
+
 def result_from_members(image, manifest, member):
     """Build an ExecutionResult from one entry's decoded members.
 
@@ -243,16 +262,6 @@ def result_from_members(image, manifest, member):
     memory_delta = bool(manifest["flags"][0])
     if memory_delta and memory_bytes != image.memory_size:
         raise ValueError("memory delta does not fit the image")
-    page_index, pages = member["page_index"], member["pages"]
-
-    def build_memory():
-        memory = np.zeros(memory_bytes, dtype=np.uint8)
-        memory.reshape(-1, PAGE)[page_index] = pages
-        if memory_delta:
-            memory ^= np.frombuffer(bytes(image.initial_memory()),
-                                    dtype=np.uint8)
-        return bytearray(memory.tobytes())
-
     return ExecutionResult(
         image=image,
         exit_code=int(manifest["exit_code"]),
@@ -262,7 +271,8 @@ def result_from_members(image, manifest, member):
         seg_counts=member["seg_counts"],
         mem_packed=member["mem_packed"],
         console=member["console"].tobytes(),
-        memory=build_memory,
+        memory=_memory_builder(image, memory_bytes, memory_delta,
+                              member["page_index"], member["pages"]),
     )
 
 
@@ -309,7 +319,12 @@ class TraceStore:
         return result
 
     def save(self, image, result, **manifest_extra):
-        """Persist one trace; atomic, payload before manifest."""
+        """Persist one trace; atomic, payload before manifest.
+
+        Once both are written, ``result`` keeps its final memory as the
+        stored pages, like a loaded trace, and builds the same bytes on
+        its next read; a failed write leaves it as it was.
+        """
         key = image_fingerprint(image)
         npz_path, man_path = self._paths(key)
         os.makedirs(self.root, exist_ok=True)
@@ -320,12 +335,13 @@ class TraceStore:
             memory = np.bitwise_xor(memory, base)
         pages = memory.reshape(-1, PAGE)
         page_index = np.flatnonzero(pages.any(axis=1))
+        pages = pages[page_index]
         parts = dict(
             block_starts=result.block_starts, block_ends=result.block_ends,
             seg_ids=result.seg_ids, seg_counts=result.seg_counts,
             mem_packed=result.mem_packed,
             console=np.frombuffer(bytes(result.console), dtype=np.uint8),
-            page_index=page_index, pages=pages[page_index])
+            page_index=page_index, pages=pages)
         chunks = [_byte_planes(parts[name]) if dtype is np.int64
                   else parts[name].tobytes() for name, dtype in _MEMBERS]
         blob = lzma.compress(b"".join(chunks), preset=1)
@@ -349,6 +365,8 @@ class TraceStore:
         _write_atomic(npz_path, buf.getvalue())
         _write_atomic(man_path, json.dumps(
             manifest, indent=1, sort_keys=True).encode())
+        result.memory = _memory_builder(image, len(memory), memory_delta,
+                                       page_index, pages)
         # the just-simulated result is the freshest decoded form there
         # is — seed the plane cache so a load right after a save (the
         # resume pattern) never pays a decode

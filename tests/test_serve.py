@@ -49,10 +49,10 @@ def make_blob(benchmark, point, scale, energy=1.0):
 
 def computed(server, scale, benchmark, point, key):
     """One point's outcome as the worker pool lands it: the blob is in
-    the cache before the server hears of it."""
+    the cache before the server hears of it, which hears its metrics."""
     blob = make_blob(benchmark, point, scale)
     server.cache.put(benchmark, point.point_id, scale, blob)
-    return key, blob, None
+    return key, blob["metrics"], None
 
 
 def fake_compute(server, scale, items, publish):
@@ -118,11 +118,14 @@ def test_cache_roundtrip_and_misses(tmp_path, monkeypatch):
     blob = make_blob("crc32", point, "small")
     assert cache.get("crc32", point.point_id, "small") is None
     cache.put("crc32", point.point_id, "small", blob)
-    assert cache.get("crc32", point.point_id, "small") == blob
+    assert cache.get("crc32", point.point_id, "small") == blob["metrics"]
     with monkeypatch.context() as patch:
-        # counting entries reads the index, never a blob
+        # counting entries reads the index, and a hit decodes only the
+        # line's metrics: neither parses a blob
         patch.setattr(ResultStore, "_read", None)
         assert cache.entries() == 1
+        assert cache.get("crc32", point.point_id, "small") == blob["metrics"]
+    assert cache.store("small").load("crc32", point.point_id) == blob
 
     # a torn/truncated line reads as a miss, never an exception
     other = DesignPoint("arm", 16384)
@@ -131,7 +134,7 @@ def test_cache_roundtrip_and_misses(tmp_path, monkeypatch):
     with open(segment, "w") as fh:
         fh.write(json.dumps(make_blob("crc32", other, "small"))[:40])
     assert cache.get("crc32", other.point_id, "small") is None
-    assert cache.get("crc32", point.point_id, "small") == blob
+    assert cache.get("crc32", point.point_id, "small") == blob["metrics"]
 
     # a fingerprint change (code change) invalidates without deleting
     cache.put("crc32", point.point_id, "small", blob)
@@ -147,14 +150,18 @@ def test_single_flight_claim_and_resolve():
         fut2, owner2 = flight.claim("k", loop)
         assert owner1 and not owner2 and fut1 is fut2
         assert len(flight) == 1
-        assert flight.resolve("k", {"x": 1}, None) is True
+        assert flight.resolve("k", fut1, {"x": 1}, None) is True
         assert await fut1 == ({"x": 1}, None)
-        assert flight.resolve("k", None, "late") is False  # idempotent
+        assert flight.resolve("k", fut1, None, "late") is False  # idempotent
         # a failed key can be re-claimed (retry by a later job)
         fut3, owner3 = flight.claim("k", loop)
         assert owner3 and fut3 is not fut1
-        flight.resolve("k", None, "boom")
+        # resolving the first claim again leaves the new one pending
+        assert flight.resolve("k", fut1, None, "late") is False
+        assert not fut3.done() and flight.keys() == ["k"]
+        flight.resolve("k", fut3, None, "boom")
         assert await fut3 == (None, "boom")
+        assert len(flight) == 0
 
     asyncio.run(scenario())
 
@@ -481,6 +488,50 @@ def test_compute_failure_fails_job_but_not_server(tmp_path):
         assert client.status()["server"]["stats"]["jobs_failed"] == 1
 
 
+def test_retry_claim_survives_the_failed_batch_returning(tmp_path):
+    """A batch's final publish resolves only the claims it made that are
+    still pending.  A failed point is not cached, so a retry job claims
+    its key again; when the first batch's thread returns after that
+    claim, its final publish must leave the retry's future to the retry
+    job's own batch."""
+    gates = (threading.Event(), threading.Event())
+    entered = (threading.Event(), threading.Event())
+    batches = []
+
+    def gated(server, scale, items, publish):
+        n = len(batches)
+        batches.append(len(items))
+        if n == 0:
+            publish([(item[2], None, "synthetic worker crash") if i == 0
+                     else computed(server, scale, *item)
+                     for i, item in enumerate(items)])
+        entered[n].set()
+        gates[n].wait(20)
+        if n == 1:
+            publish([computed(server, scale, *item) for item in items])
+
+    space = tiny_space()
+    with ServerThread(tmp_path, "reclaim", compute_fn=gated) as server:
+        client = client_for(server)
+        first = client.wait(client.submit(space.to_dict(), ["crc32"])["id"])
+        assert first["summary"]["status"] == "failed"
+        assert len(server._compute_tasks) == 1   # its thread still runs
+        retry = client.submit(space.to_dict(), ["crc32"])
+        assert entered[1].wait(10)      # the retry claimed the failed key
+        gates[0].set()                  # the first batch returns
+        deadline = time.time() + 10
+        while len(server._compute_tasks) > 1:
+            assert time.time() < deadline, "the first batch never ended"
+            time.sleep(0.01)
+        assert client.status(retry["id"])["job"]["status"] == "running"
+        gates[1].set()                  # only now the retry's batch publishes
+        end = client.wait(retry["id"])["summary"]
+    assert end["status"] == "done", end
+    assert (end["computed"], end["cache_hits"], end["failed_points"]) == (
+        1, len(space) - 1, 0)
+    assert batches == [len(space), 1]
+
+
 def test_cancel_requeued_job(tmp_path):
     release = threading.Event()
 
@@ -520,6 +571,169 @@ def test_results_and_unknown_ops(tmp_path):
             client.request({"op": "frobnicate"})
         with pytest.raises(ServeError):
             client.submit("smoke", ["not-a-benchmark"])
+
+
+def watch_lines(server, job_id):
+    """The raw lines one ``watch`` of a finished job receives: the
+    reply, every point event, the end event."""
+    sock = protocol.connect(server.address, timeout=10.0)
+    with sock, sock.makefile("rb") as stream:
+        sock.sendall(protocol.encode({"op": "watch", "job": job_id}))
+        lines = []
+        while not lines or b'"type":"end"' not in lines[-1]:
+            line = stream.readline()
+            assert line, "watch stream ended early"
+            lines.append(line)
+    return lines
+
+
+def expected_event(job_id, seq, total, benchmark, point, metrics=None,
+                   error=None, cached=False, coalesced=False):
+    """The point event dict a watcher must receive, built here field by
+    field rather than by ``Job.emit_point``."""
+    event = {"type": "point", "job": job_id, "seq": seq,
+             "benchmark": benchmark, "point_id": point.point_id,
+             "label": point.label, "cached": cached,
+             "coalesced": coalesced, "done": seq, "total": total}
+    if error is not None:
+        event["error"] = error
+    else:
+        event["metrics"] = metrics
+    return event
+
+
+def blobs_reachable(root):
+    """Parsed result blobs (dicts with a ``manifest``) reachable from
+    ``root`` through containers and objects of the ``repro`` package."""
+    import gc
+
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            if "manifest" in obj:
+                found.append(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_watch_relays_the_bytes_of_every_point_kind(tmp_path):
+    """A watcher receives, for every computed, failed, coalesced and
+    cached point, ``protocol.encode`` of the event dict; ``results``
+    returns the store's blobs of the points served without error; and
+    no finished job holds a parsed blob."""
+    release = threading.Event()
+    batches = []
+
+    def gated(server, scale, items, publish):
+        first = not batches
+        batches.append(len(items))
+        if first:
+            release.wait(20)
+        publish([(item[2], None, "synthetic worker crash")
+                 if first and item[1].icache_bytes == 8192
+                 else computed(server, scale, *item) for item in items])
+
+    space = tiny_space()
+    small, large = list(space)      # 8K fails in the first batch
+    metrics = {point.point_id: make_blob("crc32", point, "small")["metrics"]
+               for point in space}
+    with ServerThread(tmp_path, "relay", compute_fn=gated) as server:
+        client = client_for(server)
+        a = client.submit(space.to_dict(), ["crc32"])["id"]
+        b = client.submit(space.to_dict(), ["crc32"])["id"]
+        deadline = time.time() + 10
+        while server.stats["coalesced"] < len(space):
+            assert time.time() < deadline, "job B never coalesced"
+            time.sleep(0.01)
+        release.set()
+        client.wait(a)
+        client.wait(b)
+        c = client.submit(space.to_dict(), ["crc32"])["id"]
+        client.wait(c)
+        crash = "synthetic worker crash"
+        expected = {
+            a: [expected_event(a, 1, 2, "crc32", small, error=crash),
+                expected_event(a, 2, 2, "crc32", large,
+                               metrics=metrics[large.point_id])],
+            b: [expected_event(b, 1, 2, "crc32", small, error=crash),
+                expected_event(b, 2, 2, "crc32", large, coalesced=True,
+                               metrics=metrics[large.point_id])],
+            c: [expected_event(c, 1, 2, "crc32", large, cached=True,
+                               metrics=metrics[large.point_id]),
+                expected_event(c, 2, 2, "crc32", small,
+                               metrics=metrics[small.point_id])],
+        }
+        store = server.cache.store("small")
+        for job_id, events in expected.items():
+            lines = watch_lines(server, job_id)
+            assert lines[1:-1] == [protocol.encode(e) for e in events]
+            assert protocol.decode(lines[-1])["type"] == "end"
+            served = [store.load("crc32", e["point_id"]) for e in events
+                      if "error" not in e]
+            assert client.results(job_id) == served
+            assert all(blob["manifest"] == {} for blob in served)
+        jobs = list(server.jobs.values())
+        assert [blobs_reachable(job) for job in jobs] == [[], [], []]
+    assert batches == [len(space), 1]
+
+
+def test_metrics_read_matches_the_lines_of_a_served_store(tmp_path):
+    """On every line of a store the real compute path wrote, the
+    metrics read equals the parsed line's metrics; torn, other-schema
+    and other-fingerprint lines are misses."""
+    space = DesignSpace.grid("lines", isas=("arm", "thumb"),
+                             sizes=(4096, 8192), blocks=(16, 32))
+    with ServerThread(tmp_path, "lines", compute_fn=None) as server:
+        client = client_for(server, timeout=300.0)
+        job = client.submit(space.to_dict(), ["crc32"], scale="small")
+        events = [e for e in client.watch(job["id"])
+                  if e.get("type") == "point"]
+        store, code = server.cache.store("small"), server.cache.code
+    directory = store.segment_dir("crc32")
+    lines = []
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            lines.extend(fh)
+    assert len(lines) == len(space) == len(events)
+    for line in lines:
+        record = json.loads(line)
+        assert record[2] == code
+        assert store.metrics("crc32", record[1], code) == record[3]["metrics"]
+        assert len(record[3]["manifest"]["counters"]) > 0
+    assert {e["point_id"]: e["metrics"] for e in events} == {
+        json.loads(line)[1]: json.loads(line)[3]["metrics"]
+        for line in lines}
+
+    blob = json.loads(lines[0])[3]
+    known = blob["point"]["id"]
+    bad = {pid: "%012x" % n for n, pid in enumerate(
+        ("torn", "cut", "schema", "stale", "failed"))}
+    cut = json.dumps([RESULT_SCHEMA, bad["cut"], code, blob])
+    with open(os.path.join(directory, "bad.jsonl"), "w") as fh:
+        # a whole line whose metrics member is cut short
+        fh.write(cut[:cut.index('"metrics": ') + 30] + "\n")
+        fh.write(json.dumps([RESULT_SCHEMA - 1, bad["schema"], code, blob])
+                 + "\n")
+        fh.write(json.dumps([RESULT_SCHEMA, bad["stale"], "0" * 16, blob])
+                 + "\n")
+        fh.write(json.dumps([RESULT_SCHEMA, known, "0" * 16, blob]) + "\n")
+        fh.write(json.dumps([RESULT_SCHEMA, bad["failed"], None,
+                             {"error": "boom", "metrics": {}}]) + "\n")
+        fh.write(json.dumps([RESULT_SCHEMA, bad["torn"], code, blob]))
+    store.refresh("crc32")
+    for point_id in bad.values():
+        assert store.metrics("crc32", point_id, code) is None, point_id
+    assert store.metrics("crc32", known, code) == blob["metrics"]
+    assert store.metrics("crc32", bad["stale"], "0" * 16) == blob["metrics"]
+    assert store.metrics("crc32", known, "0" * 16) is None
 
 
 def test_stale_socket_file_is_reclaimed(tmp_path):
@@ -726,11 +940,17 @@ def test_job_event_buffer_invariants():
         await job.start()
         for i, point in enumerate(job.space):
             await job.emit_point("crc32", point,
-                                 make_blob("crc32", point, "small"),
+                                 make_blob("crc32", point, "small")["metrics"],
                                  cached=(i == 0))
         await job.finish(api.DONE)
-        assert [e["seq"] for e in job.events] == [1, 2]
-        assert job.events[0]["cached"] and not job.events[1]["cached"]
+        # each event is kept as the one line the wire carries
+        assert all(isinstance(e, bytes) and e.endswith(b"\n")
+                   and e.count(b"\n") == 1 for e in job.events)
+        events = [protocol.decode(e) for e in job.events]
+        assert [e["seq"] for e in events] == [1, 2]
+        assert [e["done"] for e in events] == [1, 2]
+        assert events[0]["cached"] and not events[1]["cached"]
+        assert job.served == [("crc32", p.point_id) for p in job.space]
         assert job.cache_hits == 1 and job.computed == 1
         assert job.end_event()["summary"]["emitted"] == 2
         assert job.terminal

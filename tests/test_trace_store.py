@@ -144,6 +144,36 @@ def test_cached_run_hits_and_counters(trace_env, crc_image):
     assert counters.get("trace_store.hit") == 1
 
 
+@pytest.mark.parametrize("save", ["written", "failed"])
+def test_cached_run_miss_keeps_only_the_stored_pages(trace_env, crc_image,
+                                                     monkeypatch, save):
+    """Once a miss is stored, the returned result holds its final memory
+    as the stored pages, like a loaded trace: it builds the memory (the
+    one use of ``initial_memory``) on the first read, to the bytes an
+    uncached run has.  A result whose save failed keeps its own."""
+    uncached = ArmSimulator(crc_image).run()
+    if save == "failed":
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+    result = cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+    monkeypatch.undo()
+    built = []
+    initial_memory = type(crc_image).initial_memory
+
+    def counted(image):
+        built.append(image)
+        return initial_memory(image)
+
+    monkeypatch.setattr(type(crc_image), "initial_memory", counted)
+    memory = result.memory
+    assert built == ([crc_image] if save == "written" else [])
+    assert result.memory is memory
+    assert isinstance(memory, bytearray)
+    assert bytes(memory) == bytes(uncached.memory)
+
+
 def test_cached_run_observes_save_only_when_cold(trace_env, crc_image):
     from repro.obs import metrics as obs_metrics
 
