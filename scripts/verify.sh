@@ -28,7 +28,8 @@
 #    client connection killed mid-stream (exactly-once delivery), and
 #    shut down cleanly.
 # 8. Metrics gate: the serve `metrics` op must return valid OpenMetrics
-#    whose serve.cache.hit counter matches the job manifests exactly;
+#    whose serve.cache.hit counter matches the job manifests exactly and
+#    which holds the pool workers' timing.runs_per_simulation histogram;
 #    `alerts check` on the committed rules must pass against the live
 #    server and an injected-breach rule set must fail non-zero; and
 #    `serve dash --once` must render a frame with the per-worker
@@ -257,8 +258,12 @@ print("serve: %d cache hits, reconnect resumed exactly-once, %d points "
 reply = client.metrics()
 from repro.obs.metrics import validate_openmetrics
 validate_openmetrics(reply["text"])
+# timing_runs_per_simulation comes only from the pool workers' flushed
+# snapshots (the server simulates nothing at --jobs 2): the one registry
+# reaches the merged view
 for family in ("serve_request_seconds_bucket", "serve_point_seconds_bucket",
-               "serve_cache_hit_total", "serve_cache_miss_total"):
+               "serve_cache_hit_total", "serve_cache_miss_total",
+               "timing_runs_per_simulation_bucket"):
     assert family in reply["text"], "metrics exposition missing %s" % family
 counters = reply["snapshot"]["counters"]
 want_hits = sa["cache_hits"] + sb["cache_hits"]
@@ -295,8 +300,9 @@ python -m repro.serve dash --socket "$tmp/serve.sock" --once \
     | tee "$tmp/dash.txt"
 grep -q "repro.serve dash" "$tmp/dash.txt" \
     || { echo "FAIL: dash --once rendered no frame"; exit 1; }
-grep -q "latency" "$tmp/dash.txt" \
-    || { echo "FAIL: dash frame missing latency section"; exit 1; }
+grep -q "^histograms:" "$tmp/dash.txt" \
+    && grep -q "serve.point.seconds .*p50=[0-9.]*m\?s " "$tmp/dash.txt" \
+    || { echo "FAIL: dash frame missing histogram section"; exit 1; }
 grep -q "workers:" "$tmp/dash.txt" \
     || { echo "FAIL: dash frame missing per-worker pool utilization row"; exit 1; }
 

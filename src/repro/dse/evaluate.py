@@ -231,9 +231,7 @@ def _finish(benchmark, point, scale, compute):
         if not was_enabled:
             obs.disable()
     wall = time.perf_counter() - t0
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.observe("dse.point.seconds", wall)
+    obs.observe("dse.point.seconds", wall)
 
     counters = window["counters"]
     for cache_key, power_key in (

@@ -273,10 +273,7 @@ class WorkerPool:
                                         ok=ok, error=error, seconds=seconds)
                     obs.counter("dse.tasks.completed" if ok
                                 else "dse.tasks.failed")
-                    if obs.enabled:
-                        from repro.obs import metrics as obs_metrics
-
-                        obs_metrics.observe("dse.task.seconds", seconds)
+                    obs.observe("dse.task.seconds", seconds)
                     results.append(result)
                     if progress is not None:
                         progress(result)

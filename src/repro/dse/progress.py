@@ -15,10 +15,10 @@ persistent pool worker runs many tasks under one pid), so summing all
 files yields the points evaluated by this sweep invocation.  A crashed
 worker's partial count survives on disk and its retry (which re-checks
 the result store per point) only adds what the crash left unfinished.
-Embedded metric snapshots are cumulative per process, so the dash
-merges only the newest snapshot per pid.  All heartbeat I/O is
-best-effort — a full disk or unwritable store degrades the display,
-never the sweep.
+Embedded metric snapshots (``obs.snapshot()``) are cumulative per
+process, so the dash merges only the newest snapshot per pid.  All
+heartbeat I/O is best-effort — a full disk or unwritable store
+degrades the display, never the sweep.
 """
 
 import itertools
@@ -76,7 +76,7 @@ class HeartbeatWriter:
             # periodic per-process metrics snapshot, piggybacking on the
             # heartbeat channel — the dash renderer merges these
             try:
-                payload["metrics"] = metrics_mod.local_snapshot()
+                payload["metrics"] = obs.snapshot()
             except Exception:
                 pass
         tmp = self.path + ".tmp"
@@ -246,20 +246,12 @@ class ProgressRenderer:
         return snap
 
 
-def _fmt_secs(value):
-    if value is None:
-        return "-"
-    if value >= 1.0:
-        return "%.2fs" % value
-    return "%.1fms" % (value * 1e3)
-
-
 class DashRenderer(ProgressRenderer):
     """Multi-line sweep dashboard (``python -m repro.dse sweep --dash``).
 
     On a tty the frame is redrawn in place (cursor-up + clear); on a
     plain stream polling stays silent and one final panel is printed at
-    :meth:`close`.  Latency percentiles and cache counters come from the
+    :meth:`close`.  Histogram percentiles and cache counters come from the
     metric snapshots workers embed in their heartbeats, merged with
     :func:`repro.obs.metrics.merge` — so the panel is exact across any
     number of worker processes.
@@ -295,13 +287,9 @@ class DashRenderer(ProgressRenderer):
         if hits + misses:
             lines.append("trace cache: %d hits / %d misses (%.1f%% hit)"
                          % (hits, misses, 100.0 * hits / (hits + misses)))
-        for name in sorted(merged.get("histograms") or {}):
-            row = metrics_mod.summarize(merged["histograms"][name])
-            if not row["count"]:
-                continue
-            lines.append("%-24s n=%-5d p50=%-8s p95=%-8s p99=%s" % (
-                name, row["count"], _fmt_secs(row["p50"]),
-                _fmt_secs(row["p95"]), _fmt_secs(row["p99"])))
+        lines.extend(metrics_mod.summary_lines(
+            {name: metrics_mod.summarize(data)
+             for name, data in (merged.get("histograms") or {}).items()}))
         return lines
 
     def poll(self, force=False):

@@ -44,7 +44,6 @@ import time
 import traceback
 
 from repro import obs
-from repro.obs import metrics as obs_metrics
 from repro.dse import pool as pool_mod
 from repro.dse import progress as progress_mod
 from repro.dse.evaluate import evaluate_points
@@ -117,7 +116,7 @@ def run_tasks(worker, payloads, jobs=1, timeout=None, retries=1,
                             time.perf_counter() - t0)
         results.append(result)
         obs.counter("dse.tasks.%s" % ("completed" if ok else "failed"))
-        obs_metrics.observe("dse.task.seconds", result.seconds)
+        obs.observe("dse.task.seconds", result.seconds)
         if progress is not None:
             progress(result)
         if poll is not None:

@@ -186,7 +186,6 @@ def run_benchmark(name, scale="full", verbose=False, record_trajectory=False):
         "spans": window["spans"],
         "counters": window["counters"],
         "gauges": window["gauges"],
-        "distributions": window["distributions"],
     }
     summary["manifest"] = manifest
     obs.emit({"kind": "manifest", "benchmark": name, "manifest": manifest})
@@ -303,39 +302,3 @@ def collect(scale="full", names=None, verbose=False, use_cache=True, jobs=1,
     if record_trajectory:
         _record_trajectory(out.values(), record_trajectory)
     return out
-
-
-def aggregate_manifests(summaries):
-    """Fold many run manifests into one per-stage/counter aggregate.
-
-    ``summaries`` is an iterable of :class:`BenchmarkSummary` (or raw
-    summary dicts).  Returns per-stage totals (count, seconds), summed
-    counters, total wall-clock, and the per-benchmark stage rows —
-    everything ``python -m repro.obs.report`` prints.
-    """
-    stages = {}
-    counters = {}
-    per_benchmark = {}
-    wall = 0.0
-    for summary in summaries:
-        data = summary.data if hasattr(summary, "data") else summary
-        manifest = data.get("manifest") or {}
-        name = manifest.get("benchmark", data.get("name", "?"))
-        per_benchmark[name] = {
-            "scale": manifest.get("scale"),
-            "wall_seconds": manifest.get("wall_seconds", 0.0),
-            "stages": manifest.get("stages", {}),
-        }
-        wall += manifest.get("wall_seconds", 0.0)
-        for stage, row in (manifest.get("stages") or {}).items():
-            agg = stages.setdefault(stage, {"count": 0, "seconds": 0.0})
-            agg["count"] += row.get("count", 0)
-            agg["seconds"] += row.get("seconds", 0.0)
-        for key, value in (manifest.get("counters") or {}).items():
-            counters[key] = counters.get(key, 0) + value
-    return {
-        "benchmarks": per_benchmark,
-        "stages": stages,
-        "counters": counters,
-        "wall_seconds": wall,
-    }

@@ -1,11 +1,13 @@
 """Lightweight, dependency-free observability for the PowerFITS pipeline.
 
-Three primitives — spans (nested wall-clock timing), counters/gauges/
-distributions, and pluggable sinks — instrument every layer of the
-compile → profile → synthesize → translate → simulate/power flow.  See
-:mod:`repro.obs.core` for the API and the ``REPRO_OBS`` environment
-switch, and run ``python -m repro.obs.report`` for per-benchmark and
-per-stage timing/counter tables over cached run manifests.
+Spans (nested wall-clock timing), one metrics registry (counters,
+gauges and log-bucketed histograms) and pluggable sinks instrument
+every layer of the compile → profile → synthesize → translate →
+simulate/power flow.  See :mod:`repro.obs.core` for the API and the
+``REPRO_OBS`` environment switch, :mod:`repro.obs.metrics` for merging
+snapshots across processes and OpenMetrics exposition, and run
+``python -m repro.obs.report`` for per-benchmark and per-stage
+timing/counter tables over cached run manifests.
 
 Typical use::
 
@@ -15,7 +17,10 @@ Typical use::
     with obs.span("stage.compile"):
         ...
     obs.counter("regalloc.spills", 3)
-    print(obs.snapshot()["spans"])
+    obs.observe("regalloc.spills_per_function", 3)
+    with obs.timer("compile.seconds"):
+        ...
+    print(obs.snapshot()["histograms"])
 """
 
 from repro.obs.core import (
@@ -34,6 +39,7 @@ from repro.obs.core import (
     enable,
     export_spec,
     gauge,
+    histograms,
     mark,
     observe,
     opcode_sampling,
@@ -43,6 +49,7 @@ from repro.obs.core import (
     span,
     stage_timings,
     timed,
+    timer,
 )
 from repro.obs import core
 from repro.obs import metrics
@@ -66,6 +73,7 @@ __all__ = [
     "enabled",
     "export_spec",
     "gauge",
+    "histograms",
     "mark",
     "observe",
     "opcode_sampling",
@@ -75,6 +83,7 @@ __all__ = [
     "span",
     "stage_timings",
     "timed",
+    "timer",
 ]
 
 

@@ -165,12 +165,16 @@ def load_rules(path):
 
 
 def _scalar(snapshot, name):
-    counters = snapshot.get("counters") or {}
-    if name in counters:
-        return counters[name]
-    gauges = snapshot.get("gauges") or {}
-    if name in gauges:
-        return gauges[name]
+    """A counter's or gauge's value, None when absent; a gauge may hold
+    any JSON value (``flow.selected_budget`` is a list), which no rule
+    can compare."""
+    for kind in ("counters", "gauges"):
+        values = snapshot.get(kind) or {}
+        if name in values:
+            value = values[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise RuleError("%s is not a number: %r" % (name, value))
+            return value
     return None
 
 

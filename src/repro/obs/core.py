@@ -1,14 +1,19 @@
-"""Observability primitives: spans, counters/gauges/distributions, sinks.
+"""Observability primitives: spans, the metrics registry, sinks.
 
 The whole pipeline (compile → profile → synthesize → translate →
-simulate/power) is instrumented with these three primitives:
+simulate/power) is instrumented with these primitives:
 
 * :func:`span` — nested wall-clock timing, usable as a context manager
   or (via :func:`timed`) a decorator.  Spans aggregate by name (count,
   total seconds, max seconds) and optionally stream one event per exit
   to the configured sink.
-* :func:`counter` / :func:`gauge` / :func:`observe` — monotonic counts,
-  last-value gauges, and min/max/total distributions.
+* :func:`counter` / :func:`gauge` / :func:`observe` / :func:`timer` —
+  monotonic counts, last-value gauges, and log-bucketed
+  :class:`Histogram` samples (``timer`` observes a region's seconds).
+  This module owns the one metrics registry: :func:`snapshot` is its
+  one snapshot format, which manifests, flushed per-process snapshot
+  files, sweep heartbeats, the serve ``metrics`` op and alert rules all
+  read (:mod:`repro.obs.metrics` merges and exposes it).
 * sinks — :class:`MemorySink` for tests, :class:`JsonlSink` for runs,
   or ``None`` for aggregate-only collection (the runner's manifests).
 
@@ -16,6 +21,15 @@ Everything is gated on the module-level :data:`enabled` flag so the hot
 simulator loops pay a single attribute load + branch when observability
 is off; instrumentation sits at stage/function/run granularity, never
 per-instruction.
+
+Histogram bucketing: values ``v > 0`` land in bucket ``i`` with
+``BASE**(i-1) < v <= BASE**i`` where ``BASE = 2**0.25`` (~19% wide
+buckets), stored sparsely as ``{i: count}``.  A quantile estimate is
+the upper bound of the bucket holding the target rank (clamped to the
+observed max), so for any sample ``s`` resolving a quantile the
+estimate ``e`` satisfies ``s <= e < s * BASE``.  Values ``<= 0`` share
+one ``zero`` bucket.  Merging two histograms adds bucket counts, so a
+merge across processes is exact.
 
 Configuration comes from the environment at import time:
 
@@ -36,7 +50,10 @@ across threads) and ``tid`` (a compact per-process thread lane).
 sink configuration; a worker process applying that spec via
 :func:`apply_spec` parents its root spans under the exporting span —
 which is how a multi-process DSE sweep exports as one coherent,
-parent-linked trace (see :mod:`repro.obs.trace_export`).
+parent-linked trace (see :mod:`repro.obs.trace_export`).  Applying a
+spec also starts the worker's metrics window: the registry is cleared
+and the process becomes a worker, whose snapshots carry only what it
+did since and no gauges.
 """
 
 import atexit
@@ -44,6 +61,7 @@ import contextvars
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import threading
@@ -52,7 +70,7 @@ import time
 #: Version of the snapshot/manifest layout.  Bump when the shape of
 #: ``snapshot()``/``since()`` output changes; cached run manifests carry
 #: it and are invalidated on mismatch.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The canonical five pipeline stages, in flow order.  Span names
 #: ``stage.<name>`` aggregate everything attributed to each stage.
@@ -67,8 +85,13 @@ _opcode_sampling = False
 _depth = 0
 _counters = {}
 _gauges = {}
-_dists = {}     # name -> [count, total, min, max]
+_hists = {}     # name -> Histogram
 _span_agg = {}  # name -> [count, total_seconds, max_seconds]
+#: Set once this process applied a parent's spec (:func:`apply_spec`):
+#: a worker's snapshots omit gauges, whose last-writer value only the
+#: coordinator owns.
+_is_child = False
+_proc_token = None  # (pid, token) — recomputed after fork
 
 #: Process-local time origin for streamed span events.  Span events
 #: carry ``ts`` (start offset in seconds since this epoch), which is
@@ -84,11 +107,6 @@ _TRACE_CTX = contextvars.ContextVar("repro.obs.trace", default=None)
 _span_seq = itertools.count(1)
 #: thread ident → small per-process lane number (event ``tid``).
 _thread_lanes = {}
-
-#: Callbacks run by :func:`reset` — satellite registries (e.g.
-#: :mod:`repro.obs.metrics`) append theirs at import time so one reset
-#: clears every aggregate without core importing them (cycle-free).
-_reset_hooks = []
 
 
 def _new_span_id():
@@ -270,13 +288,11 @@ def disable():
 
 
 def reset():
-    """Clear every aggregate (counters, gauges, distributions, spans)."""
+    """Clear every aggregate (counters, gauges, histograms, spans)."""
     _counters.clear()
     _gauges.clear()
-    _dists.clear()
+    _hists.clear()
     _span_agg.clear()
-    for hook in list(_reset_hooks):
-        hook()
 
 
 def sink():
@@ -343,9 +359,8 @@ def export_spec():
         spec["profile"] = prof_spec
     from repro.obs import metrics as _metrics
 
-    metrics_spec = _metrics.export_spec()
-    if metrics_spec is not None:
-        spec["metrics"] = metrics_spec
+    if _metrics.snapshot_dir() is not None:
+        spec["metrics"] = {"dir": _metrics.snapshot_dir()}
     return spec
 
 
@@ -358,11 +373,21 @@ def apply_spec(spec):
     process's root spans parent under the exporting span (overriding
     any context inherited across ``fork``, so fork and spawn children
     behave identically).
+
+    Applying a spec starts this process's metrics window as a worker:
+    the registry is cleared, so aggregates inherited across ``fork``
+    are never counted twice when the coordinator merges its workers'
+    snapshots, and snapshots from here on carry no gauges.  A
+    ``metrics`` entry names the directory :func:`repro.obs.metrics.flush`
+    writes to.
     """
+    global _is_child
     if spec is None:
         if enabled:
             disable()
         return
+    reset()
+    _is_child = True
     kind = spec.get("kind")
     sampling = bool(spec.get("opcodes"))
     if kind == "jsonl":
@@ -383,9 +408,7 @@ def apply_spec(spec):
         _profile.apply_spec(spec["profile"])
     from repro.obs import metrics as _metrics
 
-    # Always applied (None included): a worker adopting any spec starts
-    # a fresh metrics window so fork-inherited totals never double-count.
-    _metrics.apply_spec(spec.get("metrics"))
+    _metrics.set_snapshot_dir((spec.get("metrics") or {}).get("dir"))
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +514,99 @@ def timed(name):
 
 
 # ----------------------------------------------------------------------
-# counters / gauges / distributions
+# the metrics registry: counters, gauges, histograms
+
+
+#: Histogram bucket growth factor.  2**0.25 keeps quantile overestimates
+#: under ~19% while a seconds-scale histogram (1us..100s) stays ~70
+#: buckets.
+BASE = 2.0 ** 0.25
+_LOG_BASE = math.log(BASE)
+
+
+class Histogram:
+    """Sparse log-bucketed histogram with exact merge."""
+
+    __slots__ = ("count", "sum", "min", "max", "zero", "buckets")
+
+    def __init__(self):
+        self.count = 0
+        self.sum = 0.0
+        self.min = None
+        self.max = None
+        self.zero = 0
+        self.buckets = {}  # bucket index -> count
+
+    def observe(self, value):
+        value = float(value)
+        self.count += 1
+        self.sum += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        if value > 0.0:
+            idx = int(math.ceil(math.log(value) / _LOG_BASE - 1e-9))
+            self.buckets[idx] = self.buckets.get(idx, 0) + 1
+        else:
+            self.zero += 1
+
+    def quantile(self, q):
+        """Upper-bound estimate of the ``q``-th percentile (0..100)."""
+        if self.count == 0:
+            return 0.0
+        target = max(1, int(math.ceil(q / 100.0 * self.count)))
+        cum = self.zero
+        if cum >= target:
+            return min(self.min, 0.0)
+        for idx in sorted(self.buckets):
+            cum += self.buckets[idx]
+            if cum >= target:
+                return min(BASE ** idx, self.max)
+        return self.max
+
+    @property
+    def mean(self):
+        return self.sum / self.count if self.count else 0.0
+
+    def merge(self, other):
+        """Fold another histogram (or its dict form) into this one."""
+        if isinstance(other, dict):
+            other = Histogram.from_dict(other)
+        self.count += other.count
+        self.sum += other.sum
+        if other.min is not None and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None or other.max > self.max):
+            self.max = other.max
+        self.zero += other.zero
+        for idx, n in other.buckets.items():
+            self.buckets[idx] = self.buckets.get(idx, 0) + n
+
+    def to_dict(self):
+        return {
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+            "zero": self.zero,
+            "base": BASE,
+            "buckets": {str(i): n for i, n in sorted(self.buckets.items())},
+        }
+
+    @classmethod
+    def from_dict(cls, data):
+        base = data.get("base", BASE)
+        if abs(base - BASE) > 1e-9:
+            raise ValueError("histogram bucket base mismatch: %r" % base)
+        h = cls()
+        h.count = int(data.get("count", 0))
+        h.sum = float(data.get("sum", 0.0))
+        h.min = data.get("min")
+        h.max = data.get("max")
+        h.zero = int(data.get("zero", 0))
+        h.buckets = {int(i): int(n) for i, n in (data.get("buckets") or {}).items()}
+        return h
 
 
 def counter(name, value=1):
@@ -509,19 +624,51 @@ def gauge(name, value):
 
 
 def observe(name, value):
-    """Fold ``value`` into the distribution ``name`` (count/total/min/max)."""
+    """Fold ``value`` into the histogram ``name``."""
     if not enabled:
         return
-    d = _dists.get(name)
-    if d is None:
-        _dists[name] = [1, value, value, value]
-    else:
-        d[0] += 1
-        d[1] += value
-        if value < d[2]:
-            d[2] = value
-        if value > d[3]:
-            d[3] = value
+    h = _hists.get(name)
+    if h is None:
+        h = _hists[name] = Histogram()
+    h.observe(value)
+
+
+class _Timer:
+    __slots__ = ("name", "_t0")
+
+    def __init__(self, name):
+        self.name = name
+        self._t0 = None
+
+    def __enter__(self):
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        observe(self.name, time.perf_counter() - self._t0)
+        return False
+
+
+def timer(name):
+    """Context manager observing its wall time into histogram ``name``;
+    the disabled span singleton when obs is off."""
+    if not enabled:
+        return _NOOP_SPAN
+    return _Timer(name)
+
+
+def histograms():
+    """The live histogram registry (name -> Histogram)."""
+    return _hists
+
+
+def proc_token():
+    """Unique id for this process incarnation (stable until fork/exec)."""
+    global _proc_token
+    pid = os.getpid()
+    if _proc_token is None or _proc_token[0] != pid:
+        _proc_token = (pid, "%d-%s" % (pid, os.urandom(3).hex()))
+    return _proc_token[1]
 
 
 def emit(event):
@@ -538,33 +685,39 @@ def _span_dict(agg):
     return {"count": agg[0], "seconds": agg[1], "max_seconds": agg[2]}
 
 
-def _dist_dict(d):
-    return {"count": d[0], "total": d[1], "min": d[2], "max": d[3]}
-
-
 def snapshot():
-    """Cumulative aggregates as plain JSON-serializable dicts."""
+    """This process's aggregates as plain JSON-serializable dicts.
+
+    The one snapshot format: ``proc`` (a per-incarnation token, so a
+    reused pid is never mistaken for the same process) and ``pid``,
+    then ``counters``, ``gauges``, ``histograms`` and ``spans``.  A
+    worker (:func:`apply_spec`) reports what it did since it adopted
+    the spec, and no gauges.
+    """
     return {
         "schema": SCHEMA_VERSION,
+        "proc": proc_token(),
+        "pid": os.getpid(),
         "counters": dict(_counters),
-        "gauges": dict(_gauges),
-        "distributions": {k: _dist_dict(v) for k, v in _dists.items()},
+        "gauges": {} if _is_child else dict(_gauges),
+        "histograms": {n: h.to_dict() for n, h in sorted(_hists.items())},
         "spans": {k: _span_dict(v) for k, v in _span_agg.items()},
     }
 
 
 def mark():
     """Opaque marker of the current totals, for :func:`since`."""
-    return (
-        dict(_counters),
-        {k: list(v) for k, v in _span_agg.items()},
-        {k: list(v) for k, v in _dists.items()},
-    )
+    return dict(_counters), {k: list(v) for k, v in _span_agg.items()}
 
 
 def since(marker):
-    """Delta snapshot (counters, spans, distributions) since ``marker``."""
-    counters0, spans0, dists0 = marker
+    """Window since ``marker``: counter and span deltas, current gauges.
+
+    Histograms are left out (read them from :func:`snapshot`): a window
+    is opened per design point, and copying every histogram into each
+    one measurably slowed the per-point path.
+    """
+    counters0, spans0 = marker
     counters = {}
     for name, value in _counters.items():
         d = value - counters0.get(name, 0)
@@ -576,19 +729,10 @@ def since(marker):
         if agg[0] != prev[0]:
             spans[name] = {"count": agg[0] - prev[0],
                            "seconds": agg[1] - prev[1]}
-    dists = {}
-    for name, d in _dists.items():
-        prev = dists0.get(name)
-        if prev is None:
-            dists[name] = _dist_dict(d)
-        elif d[0] != prev[0]:
-            dists[name] = {"count": d[0] - prev[0], "total": d[1] - prev[1],
-                           "min": d[2], "max": d[3]}
     return {
         "schema": SCHEMA_VERSION,
         "counters": counters,
         "gauges": dict(_gauges),
-        "distributions": dists,
         "spans": spans,
     }
 

@@ -1,41 +1,32 @@
-"""Unified metrics registry: mergeable histograms + OpenMetrics exposition.
+"""Cross-process metrics: merge, flush, and OpenMetrics exposition.
 
-This layers on :mod:`repro.obs.core` (which owns counters and gauges)
-and adds the third primitive a live service needs: **log-bucketed
-histograms** whose quantiles (p50/p95/p99) are computable from the
-buckets alone and whose *merge* across processes is exact — bucket
-counts simply add.  Everything is gated on ``core.enabled`` so the
-disabled path costs one attribute load + branch, exactly like spans.
+The registry itself — counters, gauges and log-bucketed histograms — is
+:mod:`repro.obs.core`, and its one snapshot format is
+``obs.snapshot()``.  This module carries those snapshots across
+processes and renders them:
 
-Bucketing: values ``v > 0`` land in bucket ``i`` with
-``BASE**(i-1) < v <= BASE**i`` where ``BASE = 2**0.25`` (~19% wide
-buckets), stored sparsely as ``{i: count}``.  A quantile estimate is
-the upper bound of the bucket holding the target rank (clamped to the
-observed max), so for any sample ``s`` resolving a quantile the
-estimate ``e`` satisfies ``s <= e < s * BASE`` — a guaranteed ≤ 19%
-relative overestimate.  Values ``<= 0`` share one ``zero`` bucket.
-
-Cross-process collection piggybacks on the existing plumbing:
-
-* :func:`export_spec` / :func:`apply_spec` ride inside
-  ``core.export_spec()`` exactly like the profiler's spec, so DSE
-  worker processes inherit the snapshot directory automatically.  A
-  child applying a spec *resets* its histogram registry and records a
-  counter baseline — forked children inherit the parent's totals, and
-  the baseline makes child snapshots pure deltas so merging is exact.
-* :func:`flush` writes an atomic per-process snapshot file (keyed on
-  pid, carrying a per-process ``proc`` token so pid reuse cannot be
-  mistaken for continuity) and/or emits a ``{"kind": "metrics"}`` JSONL
-  event on the active sink.  ``repro.dse`` workers flush on task exit;
-  heartbeats embed periodic snapshots for live dashboards.
+* :func:`set_snapshot_dir` names a directory for per-process snapshot
+  files.  It rides in ``obs.export_spec()`` under ``"metrics"``, so DSE
+  and serve pool workers inherit it; a worker applying the spec starts
+  a fresh registry window (``obs.apply_spec``), so its snapshots hold
+  only what it did and merging never double-counts fork-inherited
+  totals.
+* :func:`flush` writes ``obs.snapshot()`` atomically to ``m<pid>.json``
+  in that directory and/or emits it as a ``{"kind": "metrics"}`` event
+  on the active sink.  Pool workers flush after every task.
 * :func:`merge` folds many snapshots into one coordinator-side view:
-  counters add, histograms merge bucket-wise, gauges are last-writer.
+  counters add, histograms merge bucket-wise (exactly), gauges are
+  last-writer.  :func:`merged_snapshot` is that view over the snapshot
+  directory plus this process; :func:`fold_jsonl` over a JSONL stream.
 
 Exposition: :func:`render_openmetrics` renders a merged snapshot as
 OpenMetrics text (``# TYPE``/``# HELP``, ``_total`` counters,
 ``_bucket{le=...}``/``_count``/``_sum`` histograms, ``# EOF``), and
 :func:`validate_openmetrics` parses it back with format checks — used
 by tests, ``scripts/verify.sh`` and the ``validate`` subcommand.
+:func:`summary_lines` is the one text table of histogram rows that
+``repro.serve status``/``dash``, ``repro.dse sweep --dash`` and
+``repro.obs.report --metrics`` print.
 
 CLI::
 
@@ -46,23 +37,15 @@ CLI::
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
-import time
 
 from repro.obs import core
-
-SCHEMA_VERSION = 1
-
-#: Bucket growth factor.  2**0.25 keeps quantile overestimates under
-#: ~19% while a seconds-scale histogram (1us..100s) stays ~70 buckets.
-BASE = 2.0 ** 0.25
-_LOG_BASE = math.log(BASE)
+from repro.obs.core import BASE, Histogram
 
 #: Help strings for well-known metric families (exposition ``# HELP``).
-_DEFAULT_HELP = {
+_HELP = {
     "serve.request.seconds": "serve connection handling latency per op",
     "serve.point.seconds": "seconds from job start to each point result",
     "serve.job.seconds": "job run time from start to finish",
@@ -76,92 +59,10 @@ _DEFAULT_HELP = {
     "trace_store.save_seconds": "persistent trace store encode+write latency",
     "profile.energy.fetch_joules": "dynamic I-cache fetch energy by run",
 }
-_help = {}
 
 
-class Histogram:
-    """Sparse log-bucketed histogram with exact merge."""
-
-    __slots__ = ("count", "sum", "min", "max", "zero", "buckets")
-
-    def __init__(self):
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
-        self.zero = 0
-        self.buckets = {}  # bucket index -> count
-
-    def observe(self, value):
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if value > 0.0:
-            idx = int(math.ceil(math.log(value) / _LOG_BASE - 1e-9))
-            self.buckets[idx] = self.buckets.get(idx, 0) + 1
-        else:
-            self.zero += 1
-
-    def quantile(self, q):
-        """Upper-bound estimate of the ``q``-th percentile (0..100)."""
-        if self.count == 0:
-            return 0.0
-        target = max(1, int(math.ceil(q / 100.0 * self.count)))
-        cum = self.zero
-        if cum >= target:
-            return min(self.min, 0.0)
-        for idx in sorted(self.buckets):
-            cum += self.buckets[idx]
-            if cum >= target:
-                return min(BASE ** idx, self.max)
-        return self.max
-
-    @property
-    def mean(self):
-        return self.sum / self.count if self.count else 0.0
-
-    def merge(self, other):
-        """Fold another histogram (or its dict form) into this one."""
-        if isinstance(other, dict):
-            other = Histogram.from_dict(other)
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        self.zero += other.zero
-        for idx, n in other.buckets.items():
-            self.buckets[idx] = self.buckets.get(idx, 0) + n
-
-    def to_dict(self):
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "zero": self.zero,
-            "base": BASE,
-            "buckets": {str(i): n for i, n in sorted(self.buckets.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        base = data.get("base", BASE)
-        if abs(base - BASE) > 1e-9:
-            raise ValueError("histogram bucket base mismatch: %r" % base)
-        h = cls()
-        h.count = int(data.get("count", 0))
-        h.sum = float(data.get("sum", 0.0))
-        h.min = data.get("min")
-        h.max = data.get("max")
-        h.zero = int(data.get("zero", 0))
-        h.buckets = {int(i): int(n) for i, n in (data.get("buckets") or {}).items()}
-        return h
+def help_for(name):
+    return _HELP.get(name) or ("metric %s" % name)
 
 
 def summarize(hist):
@@ -180,117 +81,29 @@ def summarize(hist):
     }
 
 
-# ----------------------------------------------------------------------
-# registry (module-level, gated on core.enabled)
-
-_hists = {}
-_snapshot_dir = None
-_counter_base = {}
-_is_child = False
-_proc_token = None  # (pid, token) — recomputed after fork
-
-
-def observe(name, value):
-    """Fold ``value`` into histogram ``name``; no-op when obs disabled."""
-    if not core.enabled:
-        return
-    h = _hists.get(name)
-    if h is None:
-        h = _hists[name] = Histogram()
-    h.observe(value)
+def format_value(name, value):
+    """One histogram cell in its family's unit: a ``...seconds`` family
+    in s or ms, any other family (counts, joules) as a plain number."""
+    if value is None:
+        return "-"
+    if name.endswith("seconds"):
+        if value >= 1.0:
+            return "%.2fs" % value
+        return "%.3fms" % (value * 1e3)
+    return "%.6g" % value
 
 
-class _Timer:
-    __slots__ = ("name", "_t0")
-
-    def __init__(self, name):
-        self.name = name
-        self._t0 = None
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        observe(self.name, time.perf_counter() - self._t0)
-        return False
-
-
-class _NoopTimer:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NOOP_TIMER = _NoopTimer()
-
-
-def timer(name):
-    """Context manager observing its wall time; no-op singleton when off."""
-    if not core.enabled:
-        return _NOOP_TIMER
-    return _Timer(name)
-
-
-def describe(name, text):
-    """Attach a ``# HELP`` string to a metric family."""
-    _help[name] = text
-
-
-def help_for(name):
-    return _help.get(name) or _DEFAULT_HELP.get(name) or ("metric %s" % name)
-
-
-def histograms():
-    """The live histogram registry (name -> Histogram)."""
-    return _hists
-
-
-def proc_token():
-    """Unique id for this process incarnation (stable until fork/exec)."""
-    global _proc_token
-    pid = os.getpid()
-    if _proc_token is None or _proc_token[0] != pid:
-        _proc_token = (pid, "%d-%s" % (pid, os.urandom(3).hex()))
-    return _proc_token[1]
-
-
-def _numeric_gauges():
-    out = {}
-    for name, value in core._gauges.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            out[name] = value
-    return out
-
-
-def local_snapshot():
-    """This process's snapshot: counter deltas + gauges + histograms.
-
-    In a worker that adopted a parent spec, counters are deltas against
-    the post-fork baseline (so merging never double-counts inherited
-    totals) and gauges are omitted (last-writer semantics only make
-    sense in the coordinator).
-    """
-    counters = {}
-    base = _counter_base
-    for name, value in core._counters.items():
-        delta = value - base.get(name, 0)
-        if delta:
-            counters[name] = delta
-    return {
-        "schema": SCHEMA_VERSION,
-        "proc": proc_token(),
-        "pid": os.getpid(),
-        "counters": counters,
-        "gauges": {} if _is_child else _numeric_gauges(),
-        "histograms": {n: h.to_dict() for n, h in sorted(_hists.items())},
-    }
+def summary_lines(rows, stats=("p50", "p95", "p99", "max")):
+    """Aligned ``name n=... stat=value ...`` lines, one per family with
+    samples in ``{name: summarize(...) row}``, sorted by name."""
+    rows = {name: row for name, row in rows.items() if row.get("count")}
+    if not rows:
+        return []
+    width = max(len(name) for name in rows) + 1
+    return [("%-*s n=%-6d " % (width, name, rows[name]["count"]) + " ".join(
+        "%s=%-9s" % (stat, format_value(name, rows[name].get(stat)))
+        for stat in stats)).rstrip()
+        for name in sorted(rows)]
 
 
 def merge(snapshots):
@@ -311,7 +124,7 @@ def merge(snapshots):
             else:
                 h.merge(data)
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": core.SCHEMA_VERSION,
         "procs": procs,
         "counters": counters,
         "gauges": gauges,
@@ -320,7 +133,9 @@ def merge(snapshots):
 
 
 # ----------------------------------------------------------------------
-# cross-process plumbing: snapshot dir, spec ride-along, flush
+# cross-process plumbing: snapshot dir, flush
+
+_snapshot_dir = None
 
 
 def set_snapshot_dir(path):
@@ -336,44 +151,23 @@ def snapshot_dir():
     return _snapshot_dir
 
 
-def export_spec():
-    """Metrics part of ``core.export_spec()`` (None when nothing to say)."""
-    if _snapshot_dir is None:
-        return None
-    return {"dir": _snapshot_dir}
-
-
-def apply_spec(spec):
-    """Adopt a parent's metrics config; always starts a fresh window.
-
-    Called from ``core.apply_spec`` in every worker (with None when the
-    parent exported no metrics spec).  Resetting here is what makes
-    fork-inherited state safe: histograms clear, and the counter
-    baseline pins inherited counter totals so snapshots are deltas.
-    """
-    global _snapshot_dir, _counter_base, _is_child
-    _hists.clear()
-    _counter_base = dict(core._counters)
-    _is_child = True
-    _snapshot_dir = (spec or {}).get("dir")
-
-
 def flush():
-    """Persist this process's snapshot (dir file and/or JSONL event).
+    """Persist ``obs.snapshot()`` (dir file and/or JSONL event).
 
     Returns the snapshot written, or None when there was nowhere to
     write it (no snapshot dir and no event sink) or obs is disabled.
     """
     if not core.enabled:
         return None
-    snap = local_snapshot()
+    snap = core.snapshot()
     wrote = False
     if _snapshot_dir is not None:
         path = os.path.join(_snapshot_dir, "m%d.json" % os.getpid())
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                json.dump(snap, fh, sort_keys=True)
+                # one write: json.dump writes chunk by chunk, twice as slow
+                fh.write(json.dumps(snap, sort_keys=True))
             os.replace(tmp, path)
             wrote = True
         except OSError:
@@ -414,10 +208,10 @@ def merged_snapshot():
     """
     snaps = []
     if _snapshot_dir is not None:
-        own = proc_token()
+        own = core.proc_token()
         snaps.extend(s for s in read_snapshot_dir(_snapshot_dir)
                      if s.get("proc") != own)
-    snaps.append(local_snapshot())
+    snaps.append(core.snapshot())
     return merge(snaps)
 
 
@@ -433,14 +227,6 @@ def fold_jsonl(path):
         key = snap.get("proc") or "pid%s" % event.get("pid")
         last[key] = snap
     return merge(last[k] for k in sorted(last))
-
-
-def _reset_state():
-    _hists.clear()
-    _counter_base.clear()
-
-
-core._reset_hooks.append(_reset_state)
 
 
 # ----------------------------------------------------------------------

@@ -232,11 +232,9 @@ def _emit_energy_metrics(isa, rows):
     if not obs_core.enabled:
         return
     try:
-        from repro.obs import metrics as obs_metrics
-
         words = sum(_row_fetch_words(row, isa) for row in rows)
-        obs_metrics.observe("profile.energy.fetch_joules",
-                            words * fetch_word_energy())
+        obs_core.observe("profile.energy.fetch_joules",
+                         words * fetch_word_energy())
         obs_core.counter("profile.energy.fetch_words", int(round(words)))
     except Exception:
         pass

@@ -102,47 +102,58 @@ def _load_manifests(cache_dir, scale, names):
     return manifests
 
 
-def render_manifests(manifests, top_counters=24):
-    """Render the per-benchmark / per-stage / counter tables as text."""
-    lines = []
-    header = "%-14s %6s %11s " % ("benchmark", "scale", "wall")
-    header += " ".join("%11s" % s for s in STAGES)
-    lines.append(header)
-    lines.append("-" * len(header))
+def fold_manifests(manifests):
+    """Per-stage totals, summed counters and total wall clock over the
+    run manifests ``{row label: manifest}``.
 
-    stage_totals = {s: [0, 0.0] for s in STAGES}
+    ``stages`` maps every pipeline stage to ``[span count, seconds]``.
+    """
+    stages = {s: [0, 0.0] for s in STAGES}
     counters = {}
-    for name in sorted(manifests):
-        m = manifests[name]
-        stages = m.get("stages", {})
-        row = "%-14s %6s %11s " % (
-            name, m.get("scale", "?"), _fmt_seconds(m.get("wall_seconds", 0.0)))
-        cells = []
-        for stage in STAGES:
-            entry = stages.get(stage)
-            if entry is None:
-                cells.append("%11s" % "-")
-            else:
-                cells.append("%11s" % _fmt_seconds(entry["seconds"]).strip())
-                stage_totals[stage][0] += entry.get("count", 0)
-                stage_totals[stage][1] += entry["seconds"]
-        lines.append(row + " ".join(cells))
+    wall = 0.0
+    for m in manifests.values():
+        wall += m.get("wall_seconds", 0.0)
+        for stage, entry in (m.get("stages") or {}).items():
+            if stage in stages:
+                stages[stage][0] += entry.get("count", 0)
+                stages[stage][1] += entry["seconds"]
         for key, value in (m.get("counters") or {}).items():
             counters[key] = counters.get(key, 0) + value
+    return {"stages": stages, "counters": counters, "wall_seconds": wall}
 
+
+def render_manifests(manifests, top_counters=24, label="benchmark"):
+    """The stage table over ``{row label: manifest}`` (one row each,
+    sorted by label), then per-stage totals and the counter section."""
+    width = max([14, len(label) + 1] + [len(k) + 1 for k in manifests])
+    header = "%-*s %6s %11s " % (width, label, "scale", "wall")
+    header += " ".join("%11s" % s for s in STAGES)
+    lines = [header, "-" * len(header)]
+    for name in sorted(manifests):
+        m = manifests[name]
+        stages = m.get("stages") or {}
+        row = "%-*s %6s %11s " % (
+            width, name, m.get("scale", "?"),
+            _fmt_seconds(m.get("wall_seconds", 0.0)))
+        lines.append(row + " ".join(
+            "%11s" % (_fmt_seconds(stages[stage]["seconds"]).strip()
+                      if stage in stages else "-")
+            for stage in STAGES))
+
+    folded = fold_manifests(manifests)
     lines.append("")
     lines.append("per-stage totals (slowest first):")
-    ranked = sorted(stage_totals.items(), key=lambda kv: kv[1][1], reverse=True)
+    ranked = sorted(folded["stages"].items(), key=lambda kv: kv[1][1],
+                    reverse=True)
     total_s = sum(v[1] for _s, v in ranked) or 1.0
     for stage, (count, seconds) in ranked:
         lines.append(
             "  %-11s %12s  %5.1f %%  (%d spans)"
             % (stage, _fmt_seconds(seconds).strip(), 100.0 * seconds / total_s, count)
         )
-
-    if counters:
+    if folded["counters"]:
         lines.append("")
-        lines.extend(_render_counters(counters, top_counters))
+        lines.extend(_render_counters(folded["counters"], top_counters))
     return "\n".join(lines)
 
 
@@ -177,43 +188,8 @@ def render_dse(store_root, top_counters=24):
             record.get("error")))
     if lines:
         lines.append("")
-    width = max(28, max(len(k) for k in rows) + 2)
-    header = "%-*s %6s %11s " % (width, "benchmark/point", "scale", "wall")
-    header += " ".join("%11s" % s for s in STAGES)
-    lines.append(header)
-    lines.append("-" * len(header))
-    stage_totals = {s: [0, 0.0] for s in STAGES}
-    counters = {}
-    for key in sorted(rows):
-        m = rows[key]
-        row = "%-*s %6s %11s " % (
-            width, key, m.get("scale", "?"),
-            _fmt_seconds(m.get("wall_seconds", 0.0)))
-        cells = []
-        for stage in STAGES:
-            entry = (m.get("stages") or {}).get(stage)
-            if entry is None:
-                cells.append("%11s" % "-")
-            else:
-                cells.append("%11s" % _fmt_seconds(entry["seconds"]).strip())
-                stage_totals[stage][0] += entry.get("count", 0)
-                stage_totals[stage][1] += entry["seconds"]
-        lines.append(row + " ".join(cells))
-        for ckey, value in (m.get("counters") or {}).items():
-            counters[ckey] = counters.get(ckey, 0) + value
-
-    lines.append("")
-    lines.append("per-stage totals (slowest first):")
-    ranked = sorted(stage_totals.items(), key=lambda kv: kv[1][1], reverse=True)
-    total_s = sum(v[1] for _s, v in ranked) or 1.0
-    for stage, (count, seconds) in ranked:
-        lines.append(
-            "  %-11s %12s  %5.1f %%  (%d spans)"
-            % (stage, _fmt_seconds(seconds).strip(), 100.0 * seconds / total_s, count)
-        )
-    if counters:
-        lines.append("")
-        lines.extend(_render_counters(counters, top_counters))
+    lines.append(render_manifests(rows, top_counters,
+                                  label="benchmark/point"))
     return "\n".join(lines)
 
 
@@ -310,45 +286,26 @@ def render_top_spans(path, limit=10):
     return "\n".join(lines)
 
 
-def _fmt_metric_value(name, value):
-    """Histogram cell: seconds-style for latency families, generic
-    significant digits for everything else (e.g. joules)."""
-    if name.endswith("seconds"):
-        return _fmt_seconds(value).strip()
-    return "%.6g" % value
-
-
 def render_metrics_section(snapshot):
-    """Histogram-family table from a merged metrics snapshot; None when
+    """Histogram-family rows from a merged metrics snapshot; None when
     the snapshot carries no histograms.
 
-    One row per metric family with count/sum/p50/p95/p99/max — the
-    quantiles come from the merged log-bucketed histograms
-    (:mod:`repro.obs.metrics`), so they are exact bucket-upper-bound
-    estimates across any number of process snapshots.
+    One row per metric family with count/sum/p50/p95/p99/max in the
+    family's unit — the quantiles come from the merged log-bucketed
+    histograms, so they are exact bucket-upper-bound estimates across
+    any number of process snapshots.
     """
     from repro.obs import metrics as metrics_mod
 
     hists = snapshot.get("histograms") or {}
     if not hists:
         return None
-    width = max(28, max(len(name) for name in hists) + 2)
     procs = len(snapshot.get("procs") or ())
     lines = ["metric histograms (%d process snapshot%s merged):"
              % (procs, "" if procs == 1 else "s")]
-    header = "%-*s %7s %12s %12s %12s %12s %12s" % (
-        width, "metric", "n", "sum", "p50", "p95", "p99", "max")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name in sorted(hists):
-        row = metrics_mod.summarize(hists[name])
-        lines.append("%-*s %7d %12s %12s %12s %12s %12s" % (
-            width, name, row["count"],
-            _fmt_metric_value(name, row["sum"]),
-            _fmt_metric_value(name, row["p50"]),
-            _fmt_metric_value(name, row["p95"]),
-            _fmt_metric_value(name, row["p99"]),
-            _fmt_metric_value(name, row["max"])))
+    lines.extend(metrics_mod.summary_lines(
+        {name: metrics_mod.summarize(data) for name, data in hists.items()},
+        stats=("sum", "p50", "p95", "p99", "max")))
     return "\n".join(lines)
 
 

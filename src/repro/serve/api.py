@@ -23,7 +23,7 @@ import os
 import time
 
 from repro.dse.space import DesignSpace, preset as space_preset
-from repro.obs import metrics as obs_metrics
+from repro.obs import core as obs
 from repro.serve.protocol import ProtocolError, encode
 from repro.workloads import CODE_SIZE_BENCHMARKS
 
@@ -120,16 +120,14 @@ class Job:
     async def start(self):
         self.status = RUNNING
         self.started = time.time()
-        obs_metrics.observe("serve.job.wait_seconds",
-                            self.started - self.created)
+        obs.observe("serve.job.wait_seconds", self.started - self.created)
         await self._notify()
 
     async def finish(self, status):
         self.status = status
         self.finished = time.time()
         if self.started is not None:
-            obs_metrics.observe("serve.job.seconds",
-                                self.finished - self.started)
+            obs.observe("serve.job.seconds", self.finished - self.started)
         await self._notify()
 
     # -- events ---------------------------------------------------------

@@ -40,7 +40,6 @@ import threading
 from repro.dse.store import ResultStore
 from repro.fingerprint import RESULT, fingerprint
 from repro.obs import core as obs_core
-from repro.obs import metrics as obs_metrics
 
 #: Bump when the cache entry layout (or key recipe) changes.
 CACHE_SCHEMA = "repro.serve.cache/v3"
@@ -76,9 +75,7 @@ class GlobalResultCache:
         Lines other writers appended since the store's last
         :meth:`~repro.dse.store.ResultStore.refresh` are not seen.
         """
-        if not obs_core.enabled:
-            return self._get(benchmark, point_id, scale)
-        with obs_metrics.timer("serve.cache.lookup_seconds"):
+        with obs_core.timer("serve.cache.lookup_seconds"):
             return self._get(benchmark, point_id, scale)
 
     def _get(self, benchmark, point_id, scale):

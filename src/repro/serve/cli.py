@@ -33,6 +33,7 @@ import time
 
 from repro.dse import pareto, space as space_mod
 from repro.dse.cli import _build_space, _parse_benchmarks
+from repro.obs import metrics as metrics_mod
 from repro.serve.client import ServeClient, ServeError, wait_until_up
 from repro.serve.server import ServeServer, default_socket_path
 
@@ -190,34 +191,11 @@ def cmd_status(args):
         shown = ", ".join(k[:12] for k in keys[:6])
         more = " (+%d more)" % (len(keys) - 6) if len(keys) > 6 else ""
         print("  inflight keys: %s%s" % (shown, more))
-    for line in _metric_lines(server.get("metrics") or {}):
+    for line in metrics_mod.summary_lines(server.get("metrics") or {}):
         print("  " + line)
     if reply.get("job"):
         print(json.dumps(reply["job"], indent=2, sort_keys=True))
     return 0
-
-
-def _fmt_secs(value):
-    if value is None:
-        return "-"
-    if value >= 1.0:
-        return "%.2fs" % value
-    return "%.1fms" % (value * 1e3)
-
-
-def _metric_lines(rows):
-    """Histogram summary rows -> aligned text lines."""
-    lines = []
-    for name in sorted(rows):
-        row = rows[name]
-        if not row.get("count"):
-            continue
-        lines.append(
-            "%-28s n=%-6d p50=%-8s p95=%-8s p99=%-8s max=%s" % (
-                name, row["count"], _fmt_secs(row.get("p50")),
-                _fmt_secs(row.get("p95")), _fmt_secs(row.get("p99")),
-                _fmt_secs(row.get("max"))))
-    return lines
 
 
 def cmd_metrics(args):
@@ -230,8 +208,6 @@ def cmd_metrics(args):
 
 
 def _dash_frame(server, snapshot, prev, now):
-    from repro.obs import metrics as metrics_mod
-
     cache = server["cache"]
     stats = server["stats"]
     lines = []
@@ -270,9 +246,9 @@ def _dash_frame(server, snapshot, prev, now):
     hists = (snapshot.get("histograms") or {})
     rows = {name: metrics_mod.summarize(data)
             for name, data in hists.items()}
-    metric_lines = _metric_lines(rows)
+    metric_lines = metrics_mod.summary_lines(rows)
     if metric_lines:
-        lines.append("latency:")
+        lines.append("histograms:")
         lines.extend("  " + line for line in metric_lines)
     return lines, (now, served)
 

@@ -263,8 +263,8 @@ class ServeServer:
                                       point=point.point_id, cached=True):
                             await job.emit_point(benchmark, point, metrics,
                                                  cached=True)
-                        obs_metrics.observe("serve.point.seconds",
-                                            time.perf_counter() - job_t0)
+                        obs.observe("serve.point.seconds",
+                                    time.perf_counter() - job_t0)
                         continue
                     self.stats["cache_misses"] += 1
                     obs.counter("serve.cache.miss")
@@ -288,8 +288,8 @@ class ServeServer:
                     await job.emit_point(
                         benchmark, point, metrics, error=error,
                         coalesced=(not owner and error is None))
-                obs_metrics.observe("serve.point.seconds",
-                                    time.perf_counter() - job_t0)
+                obs.observe("serve.point.seconds",
+                            time.perf_counter() - job_t0)
         await job.finish(api.FAILED if job.failed_points else api.DONE)
         self.stats["jobs_completed" if job.status == api.DONE
                    else "jobs_failed"] += 1
@@ -421,7 +421,7 @@ class ServeServer:
             "pool": dse_pool.pool_stats(),
             "metrics": {name: obs_metrics.summarize(hist)
                         for name, hist
-                        in sorted(obs_metrics.histograms().items())},
+                        in sorted(obs.histograms().items())},
             "cache": {
                 "root": self.cache.root,
                 "hits": hits,
@@ -509,7 +509,7 @@ class ServeServer:
                     "error": "unknown op %r (known: submit/watch/status/"
                     "results/cancel/metrics/shutdown)" % op})
                 return
-            with obs_metrics.timer("serve.request.seconds"):
+            with obs.timer("serve.request.seconds"):
                 await handler(msg, writer)
         except ProtocolError as exc:
             try:

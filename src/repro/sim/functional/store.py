@@ -208,9 +208,10 @@ def _decode_blob(manifest, npz_path):
     The final memory stays as stored, page-sparse and XORed against
     the initial image (``flags[0]``); :func:`result_from_members`
     rebuilds it.  A manifest that disagrees with its payload raises
-    ValueError.
+    ValueError.  The file is opened here, so a torn ``.npz`` that numpy
+    refuses is closed on the way out, not left to garbage collection.
     """
-    with np.load(npz_path) as data:
+    with open(npz_path, "rb") as fh, np.load(fh) as data:
         raw = lzma.decompress(data["blob"].tobytes())
     lengths = [int(n) for n in manifest["lengths"]]
     if sum(lengths) != len(raw):
@@ -474,7 +475,7 @@ def cached_run(kind, image, runner):
     t_load = time.perf_counter()
     result = store.load(image)
     if result is not None:
-        _observe_seconds("trace_store.load_seconds", t_load)
+        obs.observe("trace_store.load_seconds", time.perf_counter() - t_load)
         obs.counter("trace_store.hit")
         obs.counter("trace_store.hit.%s" % kind)
         # trace-level counters stay present whether warm or cold, so
@@ -494,12 +495,5 @@ def cached_run(kind, image, runner):
                        benchmark=ctx.get("benchmark"), scale=ctx.get("scale"))
     except OSError as exc:
         print("trace store: save failed (%s)" % exc, file=sys.stderr)
-    _observe_seconds("trace_store.save_seconds", t_save)
+    obs.observe("trace_store.save_seconds", time.perf_counter() - t_save)
     return result
-
-
-def _observe_seconds(name, start):
-    if obs.enabled:
-        from repro.obs import metrics as obs_metrics
-
-        obs_metrics.observe(name, time.perf_counter() - start)

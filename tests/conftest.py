@@ -26,16 +26,12 @@ def _isolated_trace_cache(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def _restore_metrics_role():
-    """A test that applies a worker's metrics spec in this process
-    (``apply_spec``) marks it a child with a counter baseline; left so,
-    every later in-process snapshot, a server's ``metrics`` op included,
-    would drop all gauges."""
-    from repro.obs import metrics
+    """A test that applies a worker's spec in this process
+    (``obs.apply_spec``) marks it a worker; left so, every later
+    in-process snapshot, a server's ``metrics`` op included, would drop
+    all gauges."""
+    from repro.obs import core, metrics
 
-    saved = (metrics._is_child, metrics._snapshot_dir,
-             dict(metrics._counter_base), dict(metrics._hists))
+    saved = core._is_child, metrics.snapshot_dir()
     yield
-    (metrics._is_child, metrics._snapshot_dir,
-     metrics._counter_base, hists) = saved
-    metrics._hists.clear()
-    metrics._hists.update(hists)
+    core._is_child, metrics._snapshot_dir = saved

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.obs import alerts, metrics
+from repro import obs
+from repro.obs import alerts
 from repro.obs.alerts import (RuleError, evaluate, exit_code, load_rules,
                               normalize_rule, parse_rules)
-from repro.obs.metrics import Histogram
+from repro.obs.core import Histogram
 
 
 def snapshot(counters=None, gauges=None, hist_samples=None):
@@ -17,7 +18,7 @@ def snapshot(counters=None, gauges=None, hist_samples=None):
         for v in samples:
             h.observe(v)
         hists[name] = h.to_dict()
-    return {"schema": metrics.SCHEMA_VERSION, "procs": ["t"],
+    return {"schema": obs.SCHEMA_VERSION, "procs": ["t"],
             "counters": counters or {}, "gauges": gauges or {},
             "histograms": hists}
 
@@ -152,6 +153,18 @@ def test_gauges_resolve_like_counters():
     snap = snapshot(gauges={"queue.depth": 3})
     (out,) = evaluate(parse_rules(["queue.depth <= 8"]), snap)
     assert out["status"] == "ok" and out["value"] == 3
+
+
+def test_non_numeric_gauge_is_a_rule_error():
+    """A coordinator's snapshot keeps every gauge, lists included."""
+    snap = snapshot(counters={"serve.points.failed": 1},
+                    gauges={"flow.selected_budget": [4, 5]})
+    rules = parse_rules(["flow.selected_budget > 1", {
+        "name": "r", "op": "<", "value": 1,
+        "ratio": {"num": "serve.points.failed",
+                  "den": "flow.selected_budget"}}])
+    assert [(o["status"], o["detail"]) for o in evaluate(rules, snap)] == [
+        ("error", "flow.selected_budget is not a number: [4, 5]")] * 2
 
 
 # ----------------------------------------------------------------------

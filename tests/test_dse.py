@@ -592,7 +592,7 @@ def test_dash_renderer_merges_heartbeat_metrics(tmp_path):
 
     from repro import obs
     from repro.dse import progress as progress_mod
-    from repro.obs.metrics import Histogram
+    from repro.obs.core import Histogram
 
     hb_dir = tmp_path / "progress"
     hb_dir.mkdir()

@@ -9,16 +9,18 @@ exact sample quantile.  The exposition tests round-trip
 the validator actually rejects malformed documents.
 """
 
+import io
 import json
 import math
+import os
 import random
+import re
 
 import pytest
 
 from repro import obs
 from repro.obs import metrics
-from repro.obs.core import JsonlSink
-from repro.obs.metrics import BASE, Histogram
+from repro.obs.core import BASE, Histogram, JsonlSink
 
 
 @pytest.fixture(autouse=True)
@@ -142,52 +144,121 @@ def test_summarize_fields():
 
 
 # ----------------------------------------------------------------------
+# histogram rows: one formatter, the unit from the family name
+
+
+def _unit_histograms():
+    secs, runs = Histogram(), Histogram()
+    for v in (0.002, 0.004, 1.5):
+        secs.observe(v)
+    for v in (1700, 1800):
+        runs.observe(v)
+    return {"dse.point.seconds": secs.to_dict(),
+            "timing.runs_per_simulation": runs.to_dict()}
+
+
+def _cells(text, family):
+    """The ``stat=value`` cells of ``family``'s row in a rendered view."""
+    (line,) = [l for l in text.splitlines() if l.split()[:1] == [family]]
+    return dict(cell.split("=", 1) for cell in line.split()[1:])
+
+
+def _assert_units(text):
+    seconds = _cells(text, "dse.point.seconds")
+    plain = _cells(text, "timing.runs_per_simulation")
+    assert seconds["n"] == "3" and plain["n"] == "2"
+    assert seconds["p50"].endswith("ms") and seconds["max"] == "1.50s"
+    for stat, value in seconds.items():
+        assert stat == "n" or re.fullmatch(r"\d+\.\d+(ms|s)", value), value
+    for stat, value in plain.items():
+        assert re.fullmatch(r"\d+(\.\d+)?", value), value
+    assert plain["max"] == "1800"
+
+
+def test_histogram_rows_pick_the_unit_from_the_name(tmp_path):
+    from repro.dse.progress import DashRenderer
+    from repro.obs.report import render_metrics_section
+
+    hists = _unit_histograms()
+    report = render_metrics_section({"procs": ["a"], "histograms": hists})
+    _assert_units(report)
+    assert "sum=" in report
+
+    dash = DashRenderer(str(tmp_path), total=1, stream=io.StringIO())
+    frame = dash.render_frame(dash.snapshot([]), {"histograms": hists})
+    _assert_units("\n".join(frame))
+
+
+# ----------------------------------------------------------------------
 # registry gating + timers
 
 
 def test_observe_noop_when_disabled():
-    metrics.observe("x.seconds", 1.0)
-    assert not metrics.histograms()
+    obs.observe("x.seconds", 1.0)
+    assert not obs.histograms()
     obs.enable(sink=None)
-    metrics.observe("x.seconds", 1.0)
-    assert metrics.histograms()["x.seconds"].count == 1
+    obs.observe("x.seconds", 1.0)
+    assert obs.histograms()["x.seconds"].count == 1
 
 
 def test_timer_records_only_when_enabled():
-    with metrics.timer("t.seconds"):
+    with obs.timer("t.seconds"):
         pass
-    assert not metrics.histograms()
-    assert metrics.timer("t.seconds") is metrics._NOOP_TIMER
+    assert not obs.histograms()
+    assert obs.timer("t.seconds") is obs.span("t")  # the no-op singleton
     obs.enable(sink=None)
-    with metrics.timer("t.seconds"):
+    with obs.timer("t.seconds"):
         pass
-    h = metrics.histograms()["t.seconds"]
+    h = obs.histograms()["t.seconds"]
     assert h.count == 1 and h.min >= 0.0
 
 
 def test_reset_clears_histograms():
     obs.enable(sink=None)
-    metrics.observe("x.seconds", 1.0)
+    obs.observe("x.seconds", 1.0)
     obs.reset()
-    assert not metrics.histograms()
+    assert not obs.histograms()
 
 
 # ----------------------------------------------------------------------
 # snapshots, spec ride-along, flush/merge
 
 
-def test_local_snapshot_counter_deltas_after_apply_spec():
+def test_snapshot_after_apply_spec_holds_only_the_workers_own():
     obs.enable(sink=None)
     obs.counter("inherited", 10)
+    obs.gauge("queue.depth", 3)
+    obs.observe("a.seconds", 0.5)
+    with obs.span("s"):
+        pass
     spec = obs.export_spec()
-    # simulate the forked child: inherited counters must not re-count
-    metrics.apply_spec((spec or {}).get("metrics"))
+    # simulate the forked child: inherited aggregates must not re-count
+    obs.apply_spec(spec)
     obs.counter("inherited", 3)
     obs.counter("fresh", 2)
-    snap = metrics.local_snapshot()
-    assert snap["counters"]["inherited"] == 3
-    assert snap["counters"]["fresh"] == 2
-    assert snap["gauges"] == {}           # children omit gauges
+    obs.gauge("queue.depth", 4)
+    snap = obs.snapshot()
+    assert snap["counters"] == {"inherited": 3, "fresh": 2}
+    assert snap["gauges"] == {}           # workers omit gauges
+    assert snap["histograms"] == {} and snap["spans"] == {}
+    # windows still see the worker's own gauges, as manifests did
+    assert obs.since(obs.mark())["gauges"] == {"queue.depth": 4}
+
+
+def test_flush_writes_exactly_the_snapshot(tmp_path):
+    obs.enable(sink=None)
+    metrics.set_snapshot_dir(str(tmp_path))
+    obs.counter("hits", 4)
+    obs.gauge("queue.depth", 2)
+    obs.observe("a.seconds", 0.5)
+    obs.observe("timing.runs_per_simulation", 1722)
+    with obs.span("s"):
+        pass
+    written = metrics.flush()
+    on_disk = json.loads((tmp_path / ("m%d.json" % os.getpid())).read_text())
+    assert on_disk == written == obs.snapshot()
+    assert set(on_disk) == {"schema", "proc", "pid", "counters", "gauges",
+                            "histograms", "spans"}
 
 
 def test_spec_rides_in_core_export_spec(tmp_path):
@@ -203,12 +274,12 @@ def test_spec_rides_in_core_export_spec(tmp_path):
 def test_flush_merge_roundtrip(tmp_path):
     obs.enable(sink=None)
     metrics.set_snapshot_dir(str(tmp_path))
-    metrics.observe("a.seconds", 0.5)
+    obs.observe("a.seconds", 0.5)
     obs.counter("hits", 4)
     assert metrics.flush() is not None
     # a "second process": fresh window, different pid file is simulated
     # by rewriting the snapshot under another name
-    snap2 = metrics.local_snapshot()
+    snap2 = obs.snapshot()
     snap2["proc"] = "fake-2"
     snap2["pid"] = 999999
     with open(tmp_path / "m999999.json", "w") as fh:
@@ -223,9 +294,9 @@ def test_flush_merge_roundtrip(tmp_path):
 def test_fold_jsonl_takes_last_snapshot_per_proc(tmp_path):
     stream = tmp_path / "run.jsonl"
     obs.enable(sink=JsonlSink(str(stream)))
-    metrics.observe("a.seconds", 0.5)
+    obs.observe("a.seconds", 0.5)
     metrics.flush()
-    metrics.observe("a.seconds", 0.25)
+    obs.observe("a.seconds", 0.25)
     metrics.flush()                       # supersedes the first snapshot
     obs.disable()
     folded = metrics.fold_jsonl(str(stream))
@@ -239,7 +310,7 @@ def test_fold_jsonl_takes_last_snapshot_per_proc(tmp_path):
 def _sample_snapshot():
     obs.enable(sink=None)
     for v in (0.001, 0.004, 0.009, 0.12, 0.0):
-        metrics.observe("serve.request.seconds", v)
+        obs.observe("serve.request.seconds", v)
     obs.counter("serve.cache.hit", 7)
     obs.counter("serve.cache.miss", 3)
     obs.gauge("queue.depth", 2)
@@ -294,7 +365,7 @@ def test_metric_name_mangling():
 def test_export_cli_dir_and_validate(tmp_path, capsys):
     obs.enable(sink=None)
     metrics.set_snapshot_dir(str(tmp_path / "snaps"))
-    metrics.observe("dse.point.seconds", 0.2)
+    obs.observe("dse.point.seconds", 0.2)
     obs.counter("trace_store.hit", 2)
     metrics.flush()
     obs.disable()
@@ -313,7 +384,7 @@ def test_export_cli_dir_and_validate(tmp_path, capsys):
 def test_export_cli_jsonl_json_mode(tmp_path, capsys):
     stream = tmp_path / "run.jsonl"
     obs.enable(sink=JsonlSink(str(stream)))
-    metrics.observe("a.seconds", 0.5)
+    obs.observe("a.seconds", 0.5)
     metrics.flush()
     obs.disable()
     assert metrics.main(["export", "--jsonl", str(stream), "--json"]) == 0

@@ -86,7 +86,7 @@ def test_span_attrs_reach_sink():
 
 
 # ----------------------------------------------------------------------
-# counters / gauges / distributions
+# counters / gauges / histograms
 
 
 def test_counter_aggregation():
@@ -101,8 +101,9 @@ def test_counter_aggregation():
     snap = obs.snapshot()
     assert snap["counters"] == {"hits": 5, "misses": 2}
     assert snap["gauges"] == {"budget": [4, 5]}
-    dist = snap["distributions"]["latency"]
-    assert dist == {"count": 3, "total": 6.0, "min": 1.0, "max": 3.0}
+    hist = snap["histograms"]["latency"]
+    assert (hist["count"], hist["sum"], hist["min"], hist["max"]) == (
+        3, 6.0, 1.0, 3.0)
 
 
 def test_mark_since_window_deltas():
@@ -128,13 +129,16 @@ def test_noop_fast_path_adds_no_entries():
     obs.observe("nope", 1.0)
     with obs.span("nope"):
         pass
+    with obs.timer("nope"):
+        pass
     snap = obs.snapshot()
     assert snap["counters"] == {}
     assert snap["gauges"] == {}
-    assert snap["distributions"] == {}
+    assert snap["histograms"] == {}
     assert snap["spans"] == {}
-    # the disabled span is a shared singleton — no allocation per call
-    assert obs.span("a") is obs.span("b")
+    # the disabled span is a shared singleton — no allocation per call,
+    # and the disabled timer is that same singleton
+    assert obs.span("a") is obs.span("b") is obs.timer("c")
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +302,47 @@ def test_cache_dir_independent_of_cwd(tmp_path, monkeypatch):
 
 def test_aggregate_manifests(cache_env):
     from repro.harness import collect
-    from repro.harness.runner import aggregate_manifests
+    from repro.obs.report import fold_manifests
 
     data = collect(scale="small", names=["crc32", "sha"])
-    agg = aggregate_manifests(data.values())
-    assert set(agg["benchmarks"]) == {"crc32", "sha"}
+    manifests = {name: s.manifest for name, s in data.items()}
+    agg = fold_manifests(manifests)
     assert set(agg["stages"]) == set(obs.STAGES)
-    assert agg["wall_seconds"] > 0
-    assert agg["counters"]["sim.arm.instructions"] > 0
+    for stage, (count, seconds) in agg["stages"].items():
+        assert count == sum(m["stages"][stage]["count"]
+                            for m in manifests.values()), stage
+        assert count > 0 and seconds > 0, stage
+    assert agg["wall_seconds"] == sum(m["wall_seconds"]
+                                      for m in manifests.values())
+    assert agg["counters"]["sim.arm.instructions"] == sum(
+        m["counters"]["sim.arm.instructions"] for m in manifests.values())
+    text = render_manifests(manifests)
+    assert "crc32" in text and "sha" in text
+
+
+#: The per-run samples a cold run observes: register allocation,
+#: synthesis, translation, the FITS flow and timing.
+SAMPLED = ("regalloc.spills_per_function", "synthesize.score",
+           "translate.max_expansion", "flow.dynamic_mapping",
+           "timing.runs_per_simulation")
+
+
+def test_sampled_values_are_histograms_and_nothing_has_distributions(
+        cache_env):
+    from repro.harness import collect
+
+    data = collect(scale="small", names=["crc32"])
+    snap = obs.snapshot()
+    for name in SAMPLED:
+        assert snap["histograms"][name]["count"] > 0, name
+    manifest = data["crc32"].manifest
+    assert set(manifest) >= {"stages", "spans", "counters", "gauges",
+                             "wall_seconds"}
+    window = obs.since(obs.mark())
+    for view in (snap, window, manifest):
+        assert "distributions" not in view
+    # a window, and so a manifest, copies no histogram (see obs.since)
+    assert "histograms" not in window and "histograms" not in manifest
 
 
 def test_report_cli_renders_all_stages(cache_env, capsys):
@@ -736,8 +773,8 @@ def test_report_jsonl_metrics_section(tmp_path, capsys):
 
     stream = str(tmp_path / "run.jsonl")
     obs.enable(obs.JsonlSink(stream))
-    metrics_mod.observe("dse.point.seconds", 0.02)
-    metrics_mod.observe("dse.point.seconds", 0.04)
+    obs.observe("dse.point.seconds", 0.02)
+    obs.observe("dse.point.seconds", 0.04)
     with obs.span("stage.x"):
         pass
     metrics_mod.flush()
@@ -752,7 +789,7 @@ def test_report_jsonl_metrics_section(tmp_path, capsys):
     # a stream carrying only metric snapshots still renders the section
     only = str(tmp_path / "only.jsonl")
     obs.enable(obs.JsonlSink(only))
-    metrics_mod.observe("serve.request.seconds", 0.001)
+    obs.observe("serve.request.seconds", 0.001)
     metrics_mod.flush()
     obs.disable()
     assert report_main(["--jsonl", only, "--metrics"]) == 0

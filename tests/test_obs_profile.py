@@ -182,14 +182,12 @@ def test_top_energy_column_deterministic(tmp_path, crc_image, capsys):
 
 
 def test_finish_emits_profile_energy_metrics(crc_image):
-    from repro.obs import metrics as obs_metrics
-
     prof.enable()
     obs.enable(sink=None)
     with prof.run_context(benchmark="crc32", scale="small"):
         _run_block(crc_image)
     (record,) = prof.records()
-    h = obs_metrics.histograms().get("profile.energy.fetch_joules")
+    h = obs.histograms().get("profile.energy.fetch_joules")
     assert h is not None and h.count == 1
     units = sum(r["units"] + r["interp_units"] for r in record["blocks"])
     expected = prof.fetch_words(units, "arm") * prof.fetch_word_energy()
@@ -200,13 +198,11 @@ def test_finish_emits_profile_energy_metrics(crc_image):
 
 
 def test_finish_skips_energy_metrics_when_obs_off(crc_image):
-    from repro.obs import metrics as obs_metrics
-
     prof.enable()
     with prof.run_context(benchmark="crc32", scale="small"):
         _run_block(crc_image)
     assert prof.records()
-    assert "profile.energy.fetch_joules" not in obs_metrics.histograms()
+    assert "profile.energy.fetch_joules" not in obs.histograms()
 
 
 def test_flame_export_format(tmp_path, crc_image, capsys):

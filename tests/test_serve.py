@@ -10,6 +10,7 @@ backpressure are all exercised for real, without simulating anything.
 import asyncio
 import json
 import os
+import re
 import threading
 import time
 
@@ -867,6 +868,31 @@ def test_metrics_op_exposition_matches_job_manifests(tmp_path):
             >= 2 * len(space)
 
 
+def test_metrics_op_merges_the_pool_workers_histograms(tmp_path):
+    """At ``worker_jobs=2`` the server process simulates nothing: the
+    timing histogram the ``metrics`` op reports comes from the pool
+    workers' flushed snapshots, merged with the server's own."""
+    from repro import obs
+
+    space = DesignSpace("two", [DesignPoint("arm", 8192),
+                                DesignPoint("thumb", 8192)])
+    obs.reset()
+    with ServerThread(tmp_path, "mw", compute_fn=None,
+                      worker_jobs=2) as server:
+        client = client_for(server, timeout=300.0)
+        end = client.wait(client.submit(space.to_dict(), ["crc32"],
+                                        scale="small")["id"])
+        assert end["summary"]["status"] == "done"
+        snap = client.metrics()["snapshot"]
+        local = obs.histograms()
+        assert "timing.runs_per_simulation" not in local
+    workers = set(snap["procs"]) - {obs.core.proc_token()}
+    assert workers
+    runs = snap["histograms"]["timing.runs_per_simulation"]
+    assert runs["count"] >= len(space)
+    assert snap["histograms"]["dse.point.seconds"]["count"] >= len(space)
+
+
 def test_status_reports_metrics_and_inflight_keys(tmp_path):
     space = tiny_space()
     with ServerThread(tmp_path, "statm") as server:
@@ -883,6 +909,7 @@ def test_status_reports_metrics_and_inflight_keys(tmp_path):
 
 
 def test_serve_cli_metrics_status_dash(tmp_path, capsys):
+    from repro import obs
     from repro.obs import metrics as metrics_mod
     from repro.serve import cli
 
@@ -891,6 +918,11 @@ def test_serve_cli_metrics_status_dash(tmp_path, capsys):
         client = client_for(server)
         job = client.submit(space.to_dict(), ["crc32"])
         client.wait(job["id"])
+        # a count family in the server's registry (the server runs in
+        # this process) prints as a plain number, seconds in s or ms
+        obs.observe("timing.runs_per_simulation", 1722.0)
+        units = (r"serve\.request\.seconds +n=\d+ +p50=\d+\.\d+(ms|s) ",
+                 r"timing\.runs_per_simulation +n=1 +p50=1722 ")
 
         assert cli.main(["metrics", "--socket", server.address]) == 0
         metrics_mod.validate_openmetrics(capsys.readouterr().out)
@@ -903,11 +935,13 @@ def test_serve_cli_metrics_status_dash(tmp_path, capsys):
         assert cli.main(["status", "--socket", server.address]) == 0
         out = capsys.readouterr().out
         assert "cache:" in out and "serve.request.seconds" in out
+        assert all(re.search(unit, out) for unit in units), out
 
         assert cli.main(["dash", "--once", "--socket", server.address]) == 0
         frame = capsys.readouterr().out
         assert "repro.serve dash" in frame
-        assert "throughput:" in frame and "latency:" in frame
+        assert "throughput:" in frame and "histograms:" in frame
+        assert all(re.search(unit, frame) for unit in units), frame
 
 
 def test_alerts_check_against_live_server(tmp_path, capsys):

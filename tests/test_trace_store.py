@@ -1,7 +1,9 @@
 """Persistent functional-trace store round trips and versioning."""
 
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -175,10 +177,8 @@ def test_cached_run_miss_keeps_only_the_stored_pages(trace_env, crc_image,
 
 
 def test_cached_run_observes_save_only_when_cold(trace_env, crc_image):
-    from repro.obs import metrics as obs_metrics
-
     def observed(name):
-        hist = obs_metrics.histograms().get(name)
+        hist = obs.histograms().get(name)
         return hist.count if hist is not None else 0
 
     was_enabled = obs.enabled
@@ -232,6 +232,21 @@ def test_torn_entry_resimulates(trace_env, crc_image, kept):
     with open(npz_path, "r+b") as fh:
         fh.truncate(int(os.path.getsize(npz_path) * kept))
     _assert_resimulated(trace_env, crc_image, first)
+
+
+def test_torn_entry_load_leaves_no_file_open(trace_env, crc_image):
+    """The load that finds a ``.npz`` torn closes it: no handle is left
+    for garbage collection to close with a ResourceWarning."""
+    cached_run("arm", crc_image, ArmSimulator(crc_image).run)
+    npz_path = os.path.join(trace_env, image_fingerprint(crc_image) + ".npz")
+    with open(npz_path, "r+b") as fh:
+        fh.truncate(os.path.getsize(npz_path) // 2)
+    clear_plane_cache()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert TraceStore(trace_env).load(crc_image) is None
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("defect", ["swapped-lengths", "overlong-lengths",
