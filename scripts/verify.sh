@@ -9,7 +9,8 @@
 #    run manifest for all five pipeline stage names, so a regression
 #    that silently drops a stage's spans fails fast.
 # 3. Renders the observability report CLI over the smoke cache (and
-#    checks the sim.engine.* counter family is surfaced).
+#    checks the sim.engine.* counter family is surfaced, and that the
+#    cold collect counted register-allocation memo hits).
 # 4. A DSE sweep, its per-point report, and the trajectory/golden
 #    gates.  Resume, frontier and warm-store bit-identity are tier-1
 #    (tests/test_dse.py, tests/test_scheduler_failures.py,
@@ -31,9 +32,10 @@
 #    whose serve.cache.hit counter matches the job manifests exactly and
 #    which holds the pool workers' timing.runs_per_simulation histogram;
 #    `alerts check` on the committed rules must pass against the live
-#    server and an injected-breach rule set must fail non-zero; and
-#    `serve dash --once` must render a frame with the per-worker
-#    pool row.  (Simulation bit-identity with obs on vs off is tier-1:
+#    server and an injected-breach rule set must fail non-zero;
+#    `status` must list the same histogram families as the `metrics`
+#    op; and `serve dash --once` must render a frame with the
+#    per-worker pool row.  (Simulation bit-identity with obs on vs off is tier-1:
 #    tests/test_engine.py::test_obs_on_off_bit_identical.)
 #
 # Performance is measured by perfbench/ (see perfbench/NOTES.md), not
@@ -80,6 +82,12 @@ echo "== observability report =="
 python -m repro.obs.report --cache-dir "$tmp/cache" | tee "$tmp/report.txt"
 grep -q "sim.engine" "$tmp/report.txt" \
     || { echo "FAIL: sim.engine.* counter family missing from obs report"; exit 1; }
+# the FITS flow's budgets and the Thumb compile reuse the ARM unit's
+# register allocations: the cold collect must count memo hits
+python -m repro.obs.report --cache-dir "$tmp/cache" --counters 1000 \
+    > "$tmp/report-all.txt"
+grep -Eq "regalloc\.memo_hits +[1-9]" "$tmp/report-all.txt" \
+    || { echo "FAIL: no regalloc.memo_hits in the cold collect's obs report"; exit 1; }
 
 echo "== DSE smoke sweep (2 benchmarks x 4 points, --jobs 2) =="
 dse_store="$tmp/dse"
@@ -277,6 +285,12 @@ assert point["count"] >= 8 and point["p99"] > 0, point
 print("metrics op: exposition valid, cache.hit == %d matches manifests, "
       "point latency n=%d p99=%.3fs"
       % (want_hits, point["count"], point["p99"]))
+# status's histogram rows are the merged view the metrics op serves
+status_families = set(client.status()["server"]["metrics"])
+assert status_families == set(hists), \
+    sorted(status_families.symmetric_difference(hists))
+print("status: the same %d histogram families as the metrics op"
+      % len(status_families))
 EOF
 
 echo "== alert gate (committed rules pass, injected breach fails) =="

@@ -17,7 +17,12 @@ the not-taken edge.  All instructions of one origin execute equally
 often under any register budget (calls return into the block that made
 them), which lets the FITS flow read every budget's execution counts off
 one simulated compile.
+
+Selection is memoized per allocation (:func:`compile_function_arm`), so
+budgets whose allocations coincide select each function once.
 """
+
+import weakref
 
 from repro.ir.ops import Op, Cond as ICond
 from repro.ir.instructions import (
@@ -50,6 +55,7 @@ from repro.isa.arm import (
     encode_rotated_imm,
 )
 from repro.compiler.regalloc import allocate_registers, SCRATCH0, SCRATCH1, SP
+from repro.obs import core as obs
 
 LR = 14
 PC = 15
@@ -537,6 +543,11 @@ class _Selector:
         self.branch_to(self.epilogue_label)
 
 
+#: Allocation → its selected :class:`FunctionCode`.  Weakly keyed: an
+#: entry dies with its allocation, and so with its IR function.
+_SELECTED = weakref.WeakKeyDictionary()
+
+
 def compile_function_arm(func, callee_saved=None):
     """Allocate registers and select ARM code for one IR function.
 
@@ -544,6 +555,9 @@ def compile_function_arm(func, callee_saved=None):
     FITS-aware compilation mode uses (r4, r5) so that every register
     visible in instruction fields fits a 3-bit FITS register index (sp,
     lr and pc are reached through dedicated formats, not fields).
+
+    The code is memoized per allocation and shared: a linker relocates
+    a copy of its ``instrs``.
     """
     if func.num_args > 4:
         raise ValueError(
@@ -554,7 +568,11 @@ def compile_function_arm(func, callee_saved=None):
         alloc = allocate_registers(func)
     else:
         alloc = allocate_registers(func, callee_saved=callee_saved)
-    return _Selector(func, alloc).run()
+    code = _SELECTED.get(alloc)
+    if code is None:
+        code = _SELECTED[alloc] = _Selector(func, alloc).run()
+        obs.counter("compile.arm.selections")
+    return code
 
 
 def make_start_stub(entry):

@@ -162,19 +162,21 @@ def _link_arm(module, entry, callee_saved):
             % (cursor, DATA_LIMIT)
         )
 
-    # relocation
+    # relocation, into a copy: compiled function code is shared
+    # (see compile_function_arm)
     instrs = []
     func_of_index = []
     origin_of_index = []
     for code in codes:
         base = func_addr[code.name]
+        body = list(code.instrs)
         for index, kind, payload in code.relocs:
             pc = base + 4 * index
             if kind == "bl":
                 if payload not in func_addr:
                     raise LinkError("undefined function @%s" % payload)
                 offset = (func_addr[payload] - (pc + 8)) // 4
-                code.instrs[index] = Branch(offset, link=True)
+                body[index] = Branch(offset, link=True)
             elif kind in ("ga_hi", "ga_lo"):
                 rd, symbol = payload
                 if symbol not in global_addr:
@@ -182,19 +184,23 @@ def _link_arm(module, entry, callee_saved):
                 target = global_addr[symbol]
                 if kind == "ga_hi":
                     chunk = target & 0xFF00
-                    code.instrs[index] = DataProc(
+                    body[index] = DataProc(
                         DPOp.MOV, rd, 0, Operand2Imm(*encode_rotated_imm(chunk))
                     )
                 else:
                     chunk = target & 0xFF
-                    code.instrs[index] = DataProc(
+                    body[index] = DataProc(
                         DPOp.ORR, rd, rd, Operand2Imm(*encode_rotated_imm(chunk))
                     )
             else:
                 raise LinkError("unknown reloc kind %r" % kind)
-        instrs.extend(code.instrs)
-        func_of_index.extend([code.name] * len(code.instrs))
-        origin_of_index.extend((code.name, origin) for origin in code.origins)
+        instrs.extend(body)
+        func_of_index.extend([code.name] * len(body))
+        # one (function, origin) tuple per origin, shared by its
+        # instructions: an image holds a few hundred, not one per index
+        pairs = {}
+        origin_of_index.extend(pairs.setdefault(origin, (code.name, origin))
+                               for origin in code.origins)
 
     words = [ins.encode() for ins in instrs]
     if obs.enabled:

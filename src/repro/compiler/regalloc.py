@@ -11,9 +11,16 @@ which it is live, with loop-carried values extended over whole blocks by
 the liveness sets.  Intervals that span a call site must live in a
 callee-saved register (or a slot), because calls clobber the
 caller-saved set.
+
+Allocations are memoized per IR function (:func:`allocate_registers`),
+and so are the intervals every scan of a function starts from: the ARM
+unit, the FITS flow's baseline and budgets and the Thumb back end all
+allocate the same functions, and every kernel links the same runtime
+library.
 """
 
 import bisect
+import weakref
 
 from repro.compiler.liveness import analyze
 from repro.ir.instructions import Bin, Mov, VReg
@@ -53,10 +60,14 @@ class Interval:
 
 
 class Allocation:
-    """Mapping from virtual registers to physical registers or slots."""
+    """Mapping from virtual registers to physical registers or slots.
+
+    It keeps its function's name, not the function: the memo that holds
+    it is weakly keyed by that function.
+    """
 
     def __init__(self, func, intervals, num_slots):
-        self.func = func
+        self.name = func.name
         self.intervals = {iv.vid: iv for iv in intervals}
         self.num_slots = num_slots
         self.used_callee_saved = sorted(
@@ -179,6 +190,17 @@ def build_intervals(func):
     return intervals, calls, hints, by_vid
 
 
+#: IR function → {(caller pool, callee pool): Allocation}.  Weakly
+#: keyed, so a function's allocations die with it.
+_MEMO = weakref.WeakKeyDictionary()
+
+#: IR function → ``(rows, hints)``: its intervals as ``(vid, start, end,
+#: crosses_call, weight)`` rows, in scan order, and its coalescing
+#: hints.  They depend only on the function, so every fresh scan of it
+#: starts from them.  Weakly keyed like :data:`_MEMO`.
+_INTERVALS = weakref.WeakKeyDictionary()
+
+
 @obs.timed("regalloc.allocate")
 def allocate_registers(func, caller_saved=CALLER_SAVED, callee_saved=CALLEE_SAVED):
     """Run linear scan for ``func``; returns an :class:`Allocation`.
@@ -187,12 +209,76 @@ def allocate_registers(func, caller_saved=CALLER_SAVED, callee_saved=CALLEE_SAVE
     pools: the ARM back end uses r0-r3 / r4-r11, the Thumb back end the
     low-register subset r0-r3 / r4-r5 (r6/r7 are its scratches), which is
     where Thumb's higher register pressure comes from.
+
+    The result is memoized per function and pools, and shared: treat it
+    as read-only.  A spill-free allocation also serves other pools
+    (:func:`_reusable`).  A memo hit publishes the same ``regalloc.*``
+    counters and samples as a fresh scan, plus ``regalloc.memo_hits``.
     """
-    CALLER_SAVED_, CALLEE_SAVED_ = tuple(caller_saved), tuple(callee_saved)
+    pools = (tuple(caller_saved), tuple(callee_saved))
+    memo = _MEMO.get(func)
+    if memo is None:
+        memo = _MEMO[func] = {}
+    alloc = memo.get(pools) or _reusable(memo, pools)
+    if alloc is None:
+        alloc = _linear_scan(func, *pools)
+    elif obs.enabled:
+        obs.counter("regalloc.memo_hits")
+    memo[pools] = alloc
+    if obs.enabled:
+        obs.counter("regalloc.functions")
+        obs.counter("regalloc.intervals", len(alloc.intervals))
+        obs.counter("regalloc.spills", alloc.num_slots)
+        obs.observe("regalloc.spills_per_function", alloc.num_slots)
+    return alloc
+
+
+def _reusable(memo, pools):
+    """A memoized allocation that a fresh scan under ``pools`` would
+    reproduce exactly, or None.
+
+    Linear scan takes the first free register in pool order (caller
+    pool first) and spills only when every allowed register is busy.  A
+    scan that spilled nothing therefore never looked past the last
+    callee-saved register it used, and never reached its spill choice:
+    a scan under pools that agree with its own up to that register makes
+    every choice the same.  Every pool in the tree is a prefix of r4-r11
+    with the same caller pool, so a spill-free allocation serves every
+    pool that holds the callee-saved registers it used.
+    """
+    caller, callee = pools
+    for (have_caller, have_callee), alloc in memo.items():
+        if alloc.num_slots or have_caller != caller:
+            continue
+        used = {iv.reg for iv in alloc.intervals.values()} - set(caller)
+        depth = max((have_callee.index(r) + 1 for r in used), default=0)
+        if callee[:depth] == have_callee[:depth]:
+            return alloc
+    return None
+
+
+def _interval_rows(func):
+    """Build and memoize ``func``'s interval rows and hints."""
     with obs.span("regalloc.build_intervals", func=func.name):
-        intervals, _calls, hints, by_vid = build_intervals(func)
+        intervals, _calls, hints, _by_vid = build_intervals(func)
+    rows = [(iv.vid, iv.start, iv.end, iv.crosses_call, iv.weight)
+            for iv in intervals]
+    _INTERVALS[func] = (rows, hints)
+    return rows, hints
+
+
+def _linear_scan(func, caller_saved, callee_saved):
+    """One fresh linear scan of ``func`` over the given pools (tuples)."""
+    rows, hints = _INTERVALS.get(func) or _interval_rows(func)
+    intervals = []
+    for vid, start, end, crosses_call, weight in rows:
+        iv = Interval(vid, start, end)
+        iv.crosses_call = crosses_call
+        iv.weight = weight
+        intervals.append(iv)
+    by_vid = {iv.vid: iv for iv in intervals}
     active = []  # sorted by end
-    free = {r: True for r in CALLER_SAVED_ + CALLEE_SAVED_}
+    free = {r: True for r in caller_saved + callee_saved}
     next_slot = [0]
 
     def take(pools):
@@ -220,7 +306,7 @@ def allocate_registers(func, caller_saved=CALLER_SAVED, callee_saved=CALLEE_SAVE
                 keep.append(a)
         active[:] = keep
 
-        pools = (CALLEE_SAVED_,) if iv.crosses_call else (CALLER_SAVED_, CALLEE_SAVED_)
+        pools = (callee_saved,) if iv.crosses_call else (caller_saved, callee_saved)
         allowed_set = set(pools[0]) | (set(pools[1]) if len(pools) > 1 else set())
         reg = None
         hint_vid = hints.get(iv.vid)
@@ -252,9 +338,4 @@ def allocate_registers(func, caller_saved=CALLER_SAVED, callee_saved=CALLEE_SAVE
         else:
             iv.slot = spill_slot()
 
-    if obs.enabled:
-        obs.counter("regalloc.functions")
-        obs.counter("regalloc.intervals", len(intervals))
-        obs.counter("regalloc.spills", next_slot[0])
-        obs.observe("regalloc.spills_per_function", next_slot[0])
     return Allocation(func, intervals, next_slot[0])

@@ -14,6 +14,8 @@ out-of-range conditional branches are rewritten as an inverted-condition
 hop over an unconditional branch, iterating until the layout converges.
 """
 
+import weakref
+
 from repro.ir.ops import Op, Cond as ICond, Width
 from repro.ir.instructions import (
     Li,
@@ -476,11 +478,22 @@ class _ThumbSelector:
         self.emit(PendingBranch(None, self.epilogue_label))
 
 
+#: Allocation → its selected :class:`ThumbFunctionCode`, weakly keyed
+#: as in :mod:`repro.compiler.arm_backend`.
+_SELECTED = weakref.WeakKeyDictionary()
+
+
 def compile_function_thumb(func):
+    """Allocate and select Thumb code for one IR function; the code is
+    memoized per allocation and shared (the linker only reads it)."""
     if func.num_args > 4:
         raise ValueError("@%s: more than 4 args unsupported" % func.name)
     alloc = allocate_registers(func, caller_saved=T_CALLER, callee_saved=T_CALLEE)
-    return _ThumbSelector(func, alloc).run()
+    code = _SELECTED.get(alloc)
+    if code is None:
+        code = _SELECTED[alloc] = _ThumbSelector(func, alloc).run()
+        obs.counter("compile.thumb.selections")
+    return code
 
 
 # ----------------------------------------------------------------------

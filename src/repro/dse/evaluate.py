@@ -72,6 +72,12 @@ FUNC_CACHE_GROUPS = 2
 _FUNC_CACHE = {}
 _FUNC_GROUPS = OrderedDict()  # (benchmark, scale) → True, LRU order
 
+#: (benchmark, scale) → the IR module its units build from, for one
+#: benchmark only: the ARM, Thumb and FITS builds of a benchmark share
+#: it (and so the compiler's per-function memos), and it is dropped
+#: when another benchmark builds or its group is evicted.
+_MODULE = {}
+
 
 def _functional(name, scale, isa):
     """The built and functionally simulated unit (benchmark, scale, isa).
@@ -101,6 +107,7 @@ def _functional(name, scale, isa):
         victim, _ = _FUNC_GROUPS.popitem(last=False)
         for old in [k for k in _FUNC_CACHE if (k[0], k[1]) == victim]:
             del _FUNC_CACHE[old]
+        _MODULE.pop(victim, None)
 
     from repro.obs import profile as obs_profile  # lazy: keeps worker start-up lean
 
@@ -112,7 +119,7 @@ def _functional(name, scale, isa):
     with obs_profile.run_context(benchmark=name, scale=scale):
         unit = store.load_unit(record) if store is not None else None
         if unit is None:
-            unit = _build(wl.build_module(scale), isa)
+            unit = _build(_module(wl, scale), isa)
             if store is not None:
                 # before any timing memo attaches to the image
                 try:
@@ -129,6 +136,16 @@ def _functional(name, scale, isa):
         )
     _FUNC_CACHE[key] = (image, result, extras)
     return _FUNC_CACHE[key]
+
+
+def _module(wl, scale):
+    """The IR module of ``wl`` at ``scale``, built once for its units."""
+    key = (wl.name, scale)
+    module = _MODULE.get(key)
+    if module is None:
+        _MODULE.clear()  # before building: one benchmark's module at a time
+        module = _MODULE[key] = wl.build_module(scale)
+    return module
 
 
 def _build(module, isa):

@@ -20,6 +20,9 @@ Shape of the machinery:
   first — central assignment from a shared ready-list is the
   work-stealing property (a straggler never strands queued work behind
   it), without sharing a queue lock that a killed worker could corrupt;
+  the wait also holds a self-pipe that ``run`` and ``close`` write to,
+  so new work reaches an idle worker at once, not at the next
+  :data:`POLL_SECONDS` tick;
 * concurrent ``run`` calls (serve batches, parallel sweeps) each
   register a *group*; the dispatcher feeds idle workers round-robin
   across groups, capped per group at its requested ``jobs`` — the
@@ -50,6 +53,11 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 
 from repro.obs import core as obs
+
+
+#: How long the dispatcher waits for a worker's message before it
+#: checks task timeouts again.
+POLL_SECONDS = 0.02
 
 
 def _context():
@@ -192,6 +200,7 @@ class WorkerPool:
         self._task_seq = 0
         self._tasks_done = 0
         self._dispatcher = None
+        self._wake_r = self._wake_w = None  # the dispatcher's self-pipe
         self.closed = False
 
     # -- lifecycle ---------------------------------------------------
@@ -211,6 +220,9 @@ class WorkerPool:
         while len(self._workers) < self._target:
             self._spawn_worker()
         if self._dispatcher is None:
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_r, False)
+            os.set_blocking(self._wake_w, False)
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="repro-pool-dispatch",
                 daemon=True)
@@ -222,6 +234,7 @@ class WorkerPool:
             if self.closed:
                 return
             self.closed = True
+            self._wake()
             workers = list(self._workers)
             self._workers = []
         for w in workers:
@@ -260,6 +273,7 @@ class WorkerPool:
                 raise RuntimeError("worker pool is closed")
             self._ensure(group.jobs)
             self._groups.append(group)
+            self._wake()
         results = []
         try:
             while True:
@@ -311,27 +325,45 @@ class WorkerPool:
 
     # -- dispatcher --------------------------------------------------
 
-    def _dispatch_loop(self):
-        while True:
-            with self._lock:
-                if self.closed:
-                    return
-                conns = [w.conn for w in self._workers]
+    def _wake(self):
+        """Return the dispatcher from its wait now (the lock is held)."""
+        if self._wake_w is not None:
             try:
-                ready = (mp_connection.wait(conns, timeout=0.02)
-                         if conns else [])
-            except OSError:
-                ready = []
-            if not conns:
-                time.sleep(0.02)
+                os.write(self._wake_w, b"w")
+            except BlockingIOError:
+                pass  # the pipe is full: a wake is already pending
+
+    def _dispatch_loop(self):
+        try:
+            while True:
+                with self._lock:
+                    if self.closed:
+                        return
+                    conns = [w.conn for w in self._workers]
+                try:
+                    ready = mp_connection.wait(conns + [self._wake_r],
+                                               timeout=POLL_SECONDS)
+                except OSError:
+                    ready = []
+                if self._wake_r in ready:
+                    try:
+                        while os.read(self._wake_r, 4096):
+                            pass
+                    except BlockingIOError:
+                        pass
+                with self._lock:
+                    if self.closed:
+                        return
+                    now = time.perf_counter()
+                    for w in [w for w in self._workers if w.conn in ready]:
+                        self._drain_worker(w, now)
+                    self._check_timeouts(now)
+                    self._feed(now)
+        finally:
             with self._lock:
-                if self.closed:
-                    return
-                now = time.perf_counter()
-                for w in [w for w in self._workers if w.conn in ready]:
-                    self._drain_worker(w, now)
-                self._check_timeouts(now)
-                self._feed(now)
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_w = None
 
     def _deliver(self, group, payload, attempts, ok, error, seconds):
         with group.cond:

@@ -7,9 +7,10 @@ Architecture (one process, one event loop)::
                                                ▼
                  ┌──────────── _run_job ───────────────┐
                  │ per (benchmark, point):             │
-                 │   global cache hit? ──► emit cached │
+                 │   global cache hit? ──► keep it     │
                  │   in-flight?         ──► await same │
                  │   else claim key     ──► compute    │
+                 │ start the batch, emit the hits      │
                  └──────────────┬──────────────────────┘
                                 ▼ (one batch per job, concurrent)
                  thread: run_tasks(_sweep_worker, …)   ← the warm
@@ -246,7 +247,7 @@ class ServeServer:
             await job.start()
             job_t0 = time.perf_counter()
             loop = asyncio.get_running_loop()
-            waits, owned, claimed = [], [], {}
+            hits, waits, owned, claimed = [], [], [], {}
             store = self.cache.store(job.scale)
             for benchmark in job.benchmarks:
                 # once per job: what other servers sharing the cache
@@ -259,12 +260,7 @@ class ServeServer:
                     if metrics is not None:
                         self.stats["cache_hits"] += 1
                         obs.counter("serve.cache.hit")
-                        with obs.span("serve.point", job=job.id,
-                                      point=point.point_id, cached=True):
-                            await job.emit_point(benchmark, point, metrics,
-                                                 cached=True)
-                        obs.observe("serve.point.seconds",
-                                    time.perf_counter() - job_t0)
+                        hits.append((benchmark, point, metrics))
                         continue
                     self.stats["cache_misses"] += 1
                     obs.counter("serve.cache.miss")
@@ -279,6 +275,17 @@ class ServeServer:
             self._update_gauges()
             if owned:
                 self._spawn_compute(job.scale, owned, claimed)
+                # one yield: the batch's thread starts before the hits
+                # are encoded (emitting them never yields)
+                await asyncio.sleep(0)
+            # hits still go out before every computed or coalesced point
+            for benchmark, point, metrics in hits:
+                with obs.span("serve.point", job=job.id,
+                              point=point.point_id, cached=True):
+                    await job.emit_point(benchmark, point, metrics,
+                                         cached=True)
+                obs.observe("serve.point.seconds",
+                            time.perf_counter() - job_t0)
             for benchmark, point, fut, owner in waits:
                 # shield: cancelling this job must not cancel a future
                 # other jobs are waiting on
@@ -419,9 +426,11 @@ class ServeServer:
             "inflight_points": len(self.flight),
             "inflight_keys": self.flight.keys(),
             "pool": dse_pool.pool_stats(),
+            # the merged view the `metrics` op serves: the pool
+            # workers' flushed histograms too
             "metrics": {name: obs_metrics.summarize(hist)
-                        for name, hist
-                        in sorted(obs.histograms().items())},
+                        for name, hist in sorted(
+                            obs_metrics.merged_snapshot()["histograms"].items())},
             "cache": {
                 "root": self.cache.root,
                 "hits": hits,

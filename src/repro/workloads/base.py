@@ -1,6 +1,7 @@
 """Workload abstraction: build an IR module, know its golden answer."""
 
 from repro.ir import Module, verify_module
+from repro.obs import core as obs
 from repro.workloads.runtime import runtime_module
 
 
@@ -32,13 +33,19 @@ class Workload:
         self.description = description
 
     def build_module(self, scale="full"):
-        """Fresh verified IR module (kernel + runtime library)."""
+        """Fresh verified IR module (kernel + runtime library).
+
+        The kernel's functions and globals are new; the runtime
+        library's are the process's shared ones
+        (:func:`~repro.workloads.runtime.runtime_module`).
+        """
         if scale not in self.SCALES:
             raise WorkloadError("unknown scale %r (use one of %s)" % (scale, self.SCALES))
         module = Module(self.name)
         self._build(module, scale)
         module.merge(runtime_module(), allow_duplicates=True)
         verify_module(module, entry="main")
+        obs.counter("workloads.builds")
         return module
 
     def reference(self, scale="full"):

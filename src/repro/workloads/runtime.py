@@ -18,6 +18,7 @@ Python mirrors of these functions live in :mod:`repro.workloads.pyref`
 so workload reference models can reproduce checksums bit-exactly.
 """
 
+import functools
 import math
 import struct
 
@@ -35,8 +36,15 @@ def sin_table_bytes():
     return bytes(out)
 
 
+@functools.lru_cache(maxsize=None)
 def runtime_module():
-    """Build a fresh module containing the runtime library."""
+    """The module containing the runtime library, built once per process.
+
+    Every workload module merges these same functions and globals: IR
+    is never modified once built, and the compiler memoizes per IR
+    function, so each process allocates and selects the library once,
+    not once per kernel and link.
+    """
     m = Module("runtime")
     m.add_global(Global("__divmod_rem", size=4))
     m.add_global(Global("__rand_state", data=(0x2545F491).to_bytes(4, "little")))

@@ -45,6 +45,11 @@ def _sleep_task(payload):
     time.sleep(payload["s"])
 
 
+def _stamp_task(payload):
+    with open(payload["log"], "a") as fh:
+        fh.write("%r\n" % time.time())
+
+
 # ----------------------------------------------------------------------
 # worker persistence + fair share
 
@@ -101,6 +106,25 @@ def test_fair_share_interleaves_concurrent_groups():
         assert first["a"] < last["b"] and first["b"] < last["a"]
     finally:
         pool.close()
+
+
+def test_new_work_and_close_wake_an_idle_dispatcher(tmp_path, monkeypatch):
+    pool = WorkerPool(_context())
+    try:
+        log = str(tmp_path / "stamps")
+        assert pool.run(_stamp_task, [{"log": log}], jobs=1)[0].ok
+        # from now on the dispatcher's wait only ends early when woken
+        monkeypatch.setattr(pool_mod, "POLL_SECONDS", 10.0)
+        time.sleep(0.1)
+        submitted = time.time()
+        assert pool.run(_stamp_task, [{"log": log}], jobs=1)[0].ok
+        with open(log) as fh:
+            started = float(fh.read().split()[-1])
+        assert started - submitted < 2.0, started - submitted
+    finally:
+        pool.close()
+    pool._dispatcher.join(2.0)
+    assert not pool._dispatcher.is_alive()
 
 
 # ----------------------------------------------------------------------

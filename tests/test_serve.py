@@ -893,6 +893,22 @@ def test_metrics_op_merges_the_pool_workers_histograms(tmp_path):
     assert snap["histograms"]["dse.point.seconds"]["count"] >= len(space)
 
 
+def test_status_lists_the_histograms_the_metrics_op_does(tmp_path):
+    """``status`` takes its histogram rows from the merged snapshot the
+    ``metrics`` op serves, so the pool workers' families show in both."""
+    space = DesignSpace("one", [DesignPoint("arm", 8192)])
+    with ServerThread(tmp_path, "sm", compute_fn=None,
+                      worker_jobs=2) as server:
+        client = client_for(server, timeout=300.0)
+        end = client.wait(client.submit(space.to_dict(), ["crc32"],
+                                        scale="small")["id"])
+        assert end["summary"]["status"] == "done"
+        merged = set(client.metrics()["snapshot"]["histograms"])
+        status = set(client.status()["server"]["metrics"])
+    assert "timing.runs_per_simulation" in status
+    assert status == merged
+
+
 def test_status_reports_metrics_and_inflight_keys(tmp_path):
     space = tiny_space()
     with ServerThread(tmp_path, "statm") as server:
