@@ -17,7 +17,11 @@
 #    tests/test_flow_record.py).
 # 5. Cross-process trace gate: a --jobs 2 sweep under REPRO_OBS must
 #    export as ONE parent-linked Perfetto trace (every worker span's
-#    trace_id/parent_id resolves to the coordinator's root span).
+#    trace_id/parent_id resolves to the coordinator's root span); its
+#    --progress line must end on 4/4 points with none failed and leave
+#    nothing in the store but results.  A --jobs 2 --dash sweep's frame
+#    must list its own 4 dse.point.seconds samples, and `dse gc --json`
+#    must report torn, superseded and legacy counts only.
 # 6. Block-profiler smoke: REPRO_PROFILE on a cold crc32 collect must
 #    attribute every simulation, the FITS flow's included, to crc32 for
 #    each of the three ISAs, with >= 1 compiled superblock of nonzero
@@ -141,7 +145,16 @@ EOF
 echo "== cross-process trace gate (--jobs 2 sweep -> one linked trace) =="
 REPRO_OBS="jsonl:$tmp/sweep-spans.jsonl" python -m repro.dse sweep \
     --preset smoke --benchmarks crc32 --scale small --jobs 2 \
-    --store "$tmp/dse-trace" --progress
+    --store "$tmp/dse-trace" --progress 2> "$tmp/progress.txt" \
+    || { cat "$tmp/progress.txt"; echo "FAIL: --progress sweep failed"; exit 1; }
+# the live line's last redraw: every point done, none failed; progress
+# is counted from the result store, so workers add nothing beside it
+tr '\r' '\n' < "$tmp/progress.txt" | grep "^dse: " | tail -1 \
+    | tee "$tmp/progress-final.txt"
+grep -q "^dse: 4/4 points | " "$tmp/progress-final.txt" \
+    || { echo "FAIL: --progress did not end on 4/4 points, none failed"; exit 1; }
+[ ! -e "$tmp/dse-trace/progress" ] \
+    || { echo "FAIL: --progress sweep left a progress/ directory"; exit 1; }
 python - "$tmp/sweep-spans.jsonl" "$tmp/sweep-trace.json" <<'EOF'
 import json, sys
 from repro.obs.trace_export import check_parent_links, export_trace, \
@@ -167,6 +180,20 @@ python -m repro.obs.report --jsonl "$tmp/sweep-spans.jsonl" --top-spans 5 \
     | tee "$tmp/top-spans.txt"
 grep -q "p95" "$tmp/top-spans.txt" \
     || { echo "FAIL: --top-spans report missing percentile columns"; exit 1; }
+
+echo "== sweep dashboard and store gc =="
+python -m repro.dse sweep --preset smoke --benchmarks crc32 --scale small \
+    --jobs 2 --store "$tmp/dse-dash" --dash 2> "$tmp/dash-sweep.txt" \
+    || { cat "$tmp/dash-sweep.txt"; echo "FAIL: --dash sweep failed"; exit 1; }
+cat "$tmp/dash-sweep.txt"
+grep -Eq "^dse\.point\.seconds +n=4 " "$tmp/dash-sweep.txt" \
+    || { echo "FAIL: --dash frame does not list dse.point.seconds n=4"; exit 1; }
+python -m repro.dse gc --store "$tmp/dse-trace" --json | tee "$tmp/gc.json"
+python - "$tmp/gc.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert sorted(report) == ["legacy", "superseded", "torn"], report
+EOF
 
 echo "== block profiler smoke (crc32 collect, two cold runs, deterministic) =="
 for n in 1 2; do

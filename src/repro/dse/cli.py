@@ -8,7 +8,7 @@ Examples::
 
     # a second run over the same store evaluates zero points
     python -m repro.dse sweep --preset smoke --benchmarks crc32,sha \
-        --scale small --jobs 4 --store /tmp/dse --resume
+        --scale small --jobs 4 --store /tmp/dse
 
     # Pareto frontiers (energy down, IPC up, code size down)
     python -m repro.dse frontier --store /tmp/dse
@@ -76,8 +76,7 @@ def cmd_sweep(args):
     store_root = args.store or _default_store(space.name, args.scale)
     summary = run_sweep(
         space, benchmarks, scale=args.scale, jobs=args.jobs,
-        store=store_root, resume=args.resume,
-        timeout_per_point=args.timeout, retries=args.retries,
+        store=store_root, timeout_per_point=args.timeout, retries=args.retries,
         verbose=args.verbose, progress=args.progress, dash=args.dash,
     )
     if args.json:
@@ -185,14 +184,13 @@ def cmd_gc(args):
     if not os.path.isdir(store.root):
         print("no store at %s" % store.root, file=sys.stderr)
         return 1
-    report = store.gc(stale_after=args.stale_after)
+    report = store.gc()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("gc %s: pruned %d stale heartbeat(s), %d torn and %d "
-              "superseded line(s), %d old-layout file(s)" % (
-                  store.root, report["heartbeats"], report["torn"],
-                  report["superseded"], report["legacy"]))
+        print("gc %s: pruned %d torn and %d superseded line(s), %d "
+              "old-layout file(s)" % (store.root, report["torn"],
+                                      report["superseded"], report["legacy"]))
     return 0
 
 
@@ -223,10 +221,6 @@ def build_parser():
                    help="parallel worker processes (default: 1)")
     p.add_argument("--store", default=None,
                    help="result-store directory (default: <repo>/.dse/<space>-<scale>)")
-    p.add_argument("--resume", dest="resume", action="store_true", default=True,
-                   help="skip points already in the store (default)")
-    p.add_argument("--no-resume", dest="resume", action="store_false",
-                   help="re-evaluate every point")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-point timeout in seconds")
     p.add_argument("--retries", type=int, default=1,
@@ -234,7 +228,7 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="JSON summary output")
     p.add_argument("--progress", action="store_true",
                    help="render a live done/failed/throughput/ETA line "
-                   "from worker heartbeats")
+                   "counted from the result store")
     p.add_argument("--dash", action="store_true",
                    help="live multi-line dashboard: progress plus latency "
                    "percentiles and cache counters merged from worker "
@@ -258,14 +252,10 @@ def build_parser():
                    help="how many counters to print (default 16)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("gc", help="prune stale heartbeats, compact result "
-                       "segments (dropping torn and superseded lines) and "
-                       "delete old-layout result files; run it while no "
-                       "sweep writes the store")
+    p = sub.add_parser("gc", help="compact result segments (dropping torn "
+                       "and superseded lines) and delete old-layout files; "
+                       "run it while no sweep writes the store")
     p.add_argument("--store", required=True, help="result-store directory")
-    p.add_argument("--stale-after", type=float, default=None, metavar="SECS",
-                   help="heartbeats idle this long count as dead "
-                   "(default: the live-worker threshold)")
     p.add_argument("--json", action="store_true", help="JSON report output")
     p.set_defaults(func=cmd_gc)
     return parser

@@ -16,9 +16,9 @@ Two layers:
   what makes sweeps resumable and crash-safe.
 
 * :func:`sweep` — the DSE orchestration: diff the design space against
-  the store's completed keys (``resume``), make one task per
-  (benchmark, ISA) unit of pending points, so each unit's functional
-  build, timing precomputation and stack-distance passes happen once
+  the store's completed keys, make one task per (benchmark, ISA) unit
+  of pending points, so each unit's functional build, timing
+  precomputation and stack-distance passes happen once
   (:func:`_chunk_tasks`), and fan the tasks out over :func:`run_tasks`.
   A task's payload names its unit and points and nothing else: the
   worker loads the unit's image and trace from the trace store like any
@@ -37,8 +37,9 @@ call, which evaluates the paper's four configurations (the ``paper4``
 preset) through :func:`evaluate_points`, as a sweep worker would.
 """
 
-import os
+import shutil
 import sys
+import tempfile
 import threading
 import time
 import traceback
@@ -48,6 +49,7 @@ from repro.dse import pool as pool_mod
 from repro.dse import progress as progress_mod
 from repro.dse.evaluate import evaluate_points
 from repro.dse.store import ResultStore
+from repro.obs import metrics as metrics_mod
 
 #: Serializes in-process tasks across threads.  A task's obs window (the
 #: cache/power consistency check in ``dse.evaluate``) reads process-wide
@@ -153,10 +155,6 @@ def _evaluate_task(store, payload):
     # once; the rest are index lookups
     pending = [p for p in payload["points"]
                if not store.has(benchmark, p["id"])]
-    heartbeat = None
-    if payload.get("progress_dir"):
-        heartbeat = progress_mod.HeartbeatWriter(
-            payload["progress_dir"], benchmark, len(pending))
     hard_failures = 0
     with obs.span("stage.dse.task", benchmark=benchmark, points=len(pending)):
         for point, result, error in evaluate_points(benchmark, pending, scale):
@@ -167,12 +165,8 @@ def _evaluate_task(store, payload):
                 traceback.print_exception(
                     type(error), error, error.__traceback__, file=sys.stderr)
                 hard_failures += 1
-                if heartbeat is not None:
-                    heartbeat.point_done(ok=False)
                 continue
             store.save(result)
-            if heartbeat is not None:
-                heartbeat.point_done(ok=True)
     if hard_failures:
         raise SystemExit(1)
 
@@ -200,27 +194,29 @@ def _chunk_tasks(pending, store_root, scale):
     } for (benchmark, _isa), points in units.items()]
 
 
-def sweep(space, benchmarks, scale="small", jobs=1, store=None, resume=True,
+def sweep(space, benchmarks, scale="small", jobs=1, store=None,
           timeout_per_point=None, retries=1, verbose=False, progress=False,
           dash=False):
     """Run (or resume) a design-space sweep; returns a summary dict.
 
-    ``store`` is a :class:`ResultStore` or a directory path.  With
-    ``resume`` (the default) every (benchmark, point) already present in
-    the store is skipped — a re-run over a complete store evaluates
-    exactly zero points.  With ``progress`` workers stream per-point
-    heartbeats into ``<store>/progress/`` and the coordinator renders a
-    live done/failed/throughput/ETA line (see :mod:`repro.dse.progress`).
-    ``dash`` upgrades that line to a multi-line dashboard with latency
-    percentiles merged from the workers' embedded metric snapshots
-    (enabling aggregate-only obs for the sweep when it was off).
+    ``store`` is a :class:`ResultStore` or a directory path.  Every
+    (benchmark, point) with a current-code result in the store is
+    skipped — a re-run over a complete store evaluates exactly zero
+    points.  With ``progress`` the coordinator renders a live
+    done/failed/throughput/ETA line counted from the store (see
+    :mod:`repro.dse.progress`).  ``dash`` upgrades that line to a
+    multi-line dashboard with latency percentiles merged from the
+    workers' metric snapshots, which they flush into a snapshot
+    directory of this sweep's own, and from this process's registry
+    (when obs was off, the sweep enables aggregate-only obs and clears
+    the registry first, so the frame holds only this sweep's samples).
     """
     if not isinstance(store, ResultStore):
         store = ResultStore(store)
     benchmarks = list(benchmarks)
     store.write_space(space, benchmarks, scale)
 
-    done = store.completed_keys() if resume else set()
+    done = store.completed_keys()
     pairs = [(b, p) for b in benchmarks for p in space]
     pending = [(b, p) for (b, p) in pairs if (b, p.point_id) not in done]
     skipped = len(pairs) - len(pending)
@@ -228,7 +224,6 @@ def sweep(space, benchmarks, scale="small", jobs=1, store=None, resume=True,
 
     t0 = time.perf_counter()
     task_results = []
-    dash_owns_obs = False
     if pending:
         payloads = _chunk_tasks(pending, store.root, scale)
         timeout = None
@@ -236,19 +231,26 @@ def sweep(space, benchmarks, scale="small", jobs=1, store=None, resume=True,
             timeout = timeout_per_point * max(len(p["points"]) for p in payloads)
 
         renderer = None
-        if dash and not obs.enabled:
-            # workers only collect (and embed) metrics when the spec
-            # they inherit says obs is on; aggregate-only costs no sink
-            obs.enable(sink=None)
-            dash_owns_obs = True
+        dash_owns_obs = False
+        snapshot_dir = prev_snapshot_dir = None
+        if dash:
+            if not obs.enabled:
+                # workers only collect (and flush) metrics when the spec
+                # they inherit says obs is on; aggregate-only costs no
+                # sink, and an empty registry holds this sweep's alone
+                obs.enable(sink=None)
+                obs.reset()
+                dash_owns_obs = True
+            # a directory of this sweep's own: the pool's workers see a
+            # new spec, so each starts a fresh window for this sweep
+            prev_snapshot_dir = metrics_mod.snapshot_dir()
+            snapshot_dir = tempfile.mkdtemp(prefix="repro-dash-")
+            metrics_mod.set_snapshot_dir(snapshot_dir)
         if progress or dash:
-            progress_dir = os.path.join(store.root, "progress")
-            progress_mod.clear_heartbeats(progress_dir)
-            for payload in payloads:
-                payload["progress_dir"] = progress_dir
             renderer_cls = (progress_mod.DashRenderer if dash
                             else progress_mod.ProgressRenderer)
-            renderer = renderer_cls(progress_dir, total=len(pending))
+            renderer = renderer_cls(
+                store, [(b, p.point_id) for b, p in pending], jobs)
 
         def report(result):
             if verbose:
@@ -268,13 +270,16 @@ def sweep(space, benchmarks, scale="small", jobs=1, store=None, resume=True,
         finally:
             if renderer is not None:
                 renderer.close()
+            if snapshot_dir is not None:
+                metrics_mod.set_snapshot_dir(prev_snapshot_dir)
+                shutil.rmtree(snapshot_dir, ignore_errors=True)
             if dash_owns_obs:
                 obs.disable()
 
     now_done = store.completed_keys()
-    evaluated = len(now_done - done)
     failed = [(b, p.point_id) for (b, p) in pending
               if (b, p.point_id) not in now_done]
+    evaluated = len(pending) - len(failed)
     obs.counter("dse.points.evaluated", evaluated)
     obs.counter("dse.points.failed", len(failed))
 

@@ -8,7 +8,6 @@ per scale and result fingerprint)::
     <store>/
         space.json                          # the swept DesignSpace + sweep args
         results/<bench>/<writer>.jsonl      # one segment per writing task
-        progress/                           # live worker heartbeats
 
 A writer is one sweep task (or one cache ``put`` caller): it opens its
 own segment, named by its pid and a random token, on its first write,
@@ -26,9 +25,10 @@ a record is parsed only when it is read, and
 member, which is all the sweep service streams of a point (a line is
 mostly its manifest).  The index is built on a benchmark's first
 lookup and refreshed incrementally, by a consumed byte offset per
-segment: whole-store reads refresh first, point lookups see other
-writers' later lines after :meth:`ResultStore.refresh`, and a store
-sees its own writes at once.  A line without its newline — the torn
+segment: whole-store reads and :meth:`ResultStore.count` (a sweep's
+live progress) refresh first, point lookups see other writers' later
+lines after :meth:`ResultStore.refresh`, and a store sees its own
+writes at once.  A line without its newline — the torn
 tail of a killed writer — is skipped.  Results are keyed by
 ``(benchmark, point_id)``, the point id being the point's content
 hash, so resume skips everything already stored regardless of task
@@ -37,9 +37,9 @@ other code (another :mod:`repro.fingerprint` result fingerprint)
 counts as pending; per point, a current-code result beats any other
 line, so a retry in another segment supersedes a failure without
 rewriting it.  :meth:`ResultStore.gc` compacts each benchmark's
-segments into one and deletes the per-point files of the previous
-layout (``results/<bench>--<id>.json``, ``failures/``), which no
-reader opens.
+segments into one and deletes the files of previous layouts
+(``results/<bench>--<id>.json``, ``failures/``, the ``progress/``
+heartbeats), which no reader opens.
 """
 
 import json
@@ -338,6 +338,16 @@ class ResultStore:
             return None
         return metrics if isinstance(metrics, dict) else None
 
+    def count(self, benchmark, point_ids):
+        """``(done, failed)`` among ``point_ids``: how many have a
+        current-code result, and how many a failure no such result
+        supersedes.  Indexes the lines appended since the last read
+        first."""
+        with self._lock:
+            index = self._refresh(benchmark)
+            return (sum(map(index.current, point_ids)),
+                    sum(index.failure(p) is not None for p in point_ids))
+
     def failure(self, benchmark, point_id):
         """The point's failure record, or None when it has none or a
         current-code result supersedes it."""
@@ -393,34 +403,23 @@ class ResultStore:
 
     # -- garbage collection ---------------------------------------------
 
-    @property
-    def progress_dir(self):
-        return os.path.join(self.root, "progress")
-
-    def gc(self, stale_after=None):
+    def gc(self):
         """Prune what killed and superseded work leaves; returns a report.
 
         Precondition: no sweep is writing the store.
 
-        * stale worker heartbeats under ``progress/`` — last-gasp files
-          from dead pids that inflate the next run's worker count;
         * each benchmark's segments are compacted into one holding the
           winning line per point: torn lines and lines a later or
           current-code line superseded (a failure a retry fixed, a
           result re-evaluated by newer code) are dropped;
-        * per-point files of the previous layout
-          (``results/<bench>--<id>.json``, ``failures/``, ``.tmp-*``).
+        * files of previous layouts: per-point results
+          (``results/<bench>--<id>.json``, ``.tmp-*``), ``failures/``
+          and the ``progress/`` heartbeats.
 
-        Current results are never dropped.  Returns ``{"heartbeats": n,
-        "torn": n, "superseded": n, "legacy": n}``.
+        Current results are never dropped.  Returns ``{"torn": n,
+        "superseded": n, "legacy": n}``.
         """
-        from repro.dse import progress as progress_mod
-
-        if stale_after is None:
-            stale_after = progress_mod.STALE_AFTER
-        report = {"heartbeats": progress_mod.prune_heartbeats(
-            self.progress_dir, stale_after=stale_after),
-            "torn": 0, "superseded": 0, "legacy": 0}
+        report = {"torn": 0, "superseded": 0}
         self.close()
         with self._lock:
             self._index = {}
@@ -465,14 +464,14 @@ class ResultStore:
             os.unlink(os.path.join(directory, name))
 
     def _remove_legacy(self):
-        """Delete the per-point files of the previous layout; returns
-        how many."""
-        failures_dir = os.path.join(self.root, "failures")
+        """Delete the files of previous layouts; returns how many."""
+        dirs = [os.path.join(self.root, name)
+                for name in ("failures", "progress")]
         paths = [os.path.join(self.results_dir, name)
                  for name in _listdir(self.results_dir)
                  if name.endswith(".json")]
-        paths += [os.path.join(failures_dir, name)
-                  for name in _listdir(failures_dir)]
+        paths += [os.path.join(directory, name)
+                  for directory in dirs for name in _listdir(directory)]
         removed = 0
         for path in paths:
             try:
@@ -480,10 +479,11 @@ class ResultStore:
                 removed += 1
             except OSError:
                 pass
-        try:
-            os.rmdir(failures_dir)
-        except OSError:
-            pass
+        for directory in dirs:
+            try:
+                os.rmdir(directory)
+            except OSError:
+                pass
         return removed
 
     def __repr__(self):

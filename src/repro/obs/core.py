@@ -12,7 +12,7 @@ simulate/power) is instrumented with these primitives:
   :class:`Histogram` samples (``timer`` observes a region's seconds).
   This module owns the one metrics registry: :func:`snapshot` is its
   one snapshot format, which manifests, flushed per-process snapshot
-  files, sweep heartbeats, the serve ``metrics`` op and alert rules all
+  files, the serve ``metrics`` op, the sweep dash and alert rules all
   read (:mod:`repro.obs.metrics` merges and exposes it).
 * sinks — :class:`MemorySink` for tests, :class:`JsonlSink` for runs,
   or ``None`` for aggregate-only collection (the runner's manifests).

@@ -576,12 +576,15 @@ class ServeServer:
         prev_snapshot_dir = obs_metrics.snapshot_dir()
         metrics_dir = os.path.join(self.state_dir, "metrics")
         obs_metrics.set_snapshot_dir(metrics_dir)
-        for stale in obs_metrics.read_snapshot_dir(metrics_dir):
-            # a previous server's flushed files would double-count here
-            try:
-                os.unlink(os.path.join(metrics_dir, "m%d.json" % stale["pid"]))
-            except (OSError, KeyError):
-                pass
+        for name in os.listdir(metrics_dir):
+            # a previous server's flushed files would double-count here;
+            # by name, so a torn file and a killed flush's temp file go too
+            if name.endswith(".tmp") or (name.startswith("m")
+                                         and name.endswith(".json")):
+                try:
+                    os.unlink(os.path.join(metrics_dir, name))
+                except OSError:
+                    pass
         root_span = obs.span("serve.server", address=self.address)
         root_span.__enter__()
         self._trace_ctx = obs.core.trace_context()

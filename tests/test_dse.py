@@ -4,17 +4,22 @@ Covers the declarative space model (content-hash ids, grids, presets,
 validation), Pareto dominance and frontier extraction, the resumable
 result store (atomic writes, torn-blob tolerance), the scheduler
 (serial + parallel, resume-skips-completed, resume re-evaluates blobs
-from other code, failure isolation, per-task timeout) and the CLI.
+from other code, failure isolation, per-task timeout), live progress
+and the dash, store gc and the CLI.
 """
 
 import json
 import os
+import re
 import shutil
+import tempfile
 import time
 
 import pytest
 
 from repro.dse import pareto
+from repro.dse import pool as pool_mod
+from repro.dse import scheduler
 from repro.dse.evaluate import evaluate_point
 from repro.dse.scheduler import run_tasks, sweep
 from repro.dse.space import (
@@ -262,18 +267,22 @@ def test_old_layout_files_are_ignored_and_gc_deletes_them(tmp_path):
     # per-point files an older version wrote
     os.makedirs(store.results_dir)
     os.makedirs(os.path.join(store.root, "failures"))
+    # and the worker heartbeats of a sweep run with --progress
+    os.makedirs(os.path.join(store.root, "progress"))
     legacy = [os.path.join(store.results_dir, "%s--%s.json" % (BENCH, p.point_id)),
               os.path.join(store.results_dir, ".tmp-dead.json"),
-              os.path.join(store.root, "failures", "sha--%s.json" % p.point_id)]
+              os.path.join(store.root, "failures", "sha--%s.json" % p.point_id),
+              os.path.join(store.root, "progress", "w99999_0.json"),
+              os.path.join(store.root, "progress", "w99999_1.json.tmp")]
     for path in legacy:
         with open(path, "w") as fh:
             json.dump(dict(_result(p), schema=1), fh)
     assert store.completed_keys() == set()
     assert list(store.iter_results()) == [] and store.failures() == []
     report = store.gc()
-    assert report["legacy"] == 3
+    assert report == {"torn": 0, "superseded": 0, "legacy": 5}
     assert not any(os.path.exists(path) for path in legacy)
-    assert not os.path.exists(os.path.join(store.root, "failures"))
+    assert os.listdir(store.root) == ["results"]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -509,133 +518,211 @@ def test_collect_parallel_uses_pool_and_atomic_cache(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# live sweep progress (heartbeats + renderer)
+# live sweep progress (counted in the result store)
 
 
-def test_heartbeat_write_read_aggregate(tmp_path):
-    from repro.dse import progress as progress_mod
-
-    hb_dir = str(tmp_path / "progress")
-    writer = progress_mod.HeartbeatWriter(hb_dir, "crc32", total=3)
-    writer.point_done(ok=True)
-    writer.point_done(ok=True)
-    writer.point_done(ok=False)
-    beats = progress_mod.read_heartbeats(hb_dir)
-    assert len(beats) == 1
-    beat = beats[0]
-    assert beat["benchmark"] == "crc32"
-    assert beat["done"] == 2 and beat["failed"] == 1 and beat["total"] == 3
-    assert beat["pid"] == os.getpid()
-
-    snap = progress_mod.aggregate(beats)
-    assert snap == {"done": 2, "failed": 1, "workers": 1, "live_workers": 1}
-    # a stale heartbeat no longer counts as a live worker
-    stale = progress_mod.aggregate(
-        beats, now=beat["updated"] + progress_mod.STALE_AFTER + 1)
-    assert stale["live_workers"] == 0 and stale["done"] == 2
-
-    progress_mod.clear_heartbeats(hb_dir)
-    assert progress_mod.read_heartbeats(hb_dir) == []
-
-
-def test_progress_renderer_line_and_gauges(tmp_path):
+def test_progress_renderer_line_and_gauges(tmp_path, monkeypatch):
+    """The renderer counts the sweep's pending points in the store: a
+    result is done, a standing failure is failed, a failure a retry's
+    result superseded is done, and a point outside the sweep counts for
+    nothing.  Each poll reads only the bytes appended since the last."""
     import io
 
     from repro import obs
-    from repro.dse import progress as progress_mod
+    from repro.dse import store as store_mod
+    from repro.dse.progress import ProgressRenderer
 
-    hb_dir = str(tmp_path / "progress")
-    writer = progress_mod.HeartbeatWriter(hb_dir, "crc32", total=4)
-    writer.point_done(ok=True)
-    writer.point_done(ok=False)
+    root = str(tmp_path / "store")
+    first, retry = ResultStore(root), ResultStore(root)
+    points = [DesignPoint("arm", size) for size in (2048, 4096, 8192, 16384)]
+    first.save(_result(points[0]))
+    first.save_failure(BENCH, points[1].point_id, "boom")
+    first.save_failure(BENCH, points[2].point_id, "killed mid-task")
+    retry.save(_result(points[2]))
+    first.save(_result(DesignPoint("fits", 8192)))     # not this sweep's
+    consumed = []
+    real_consume = store_mod._Index.consume
+
+    def consume(index, segment, offset, data):
+        consumed.append(len(data))
+        return real_consume(index, segment, offset, data)
+
+    monkeypatch.setattr(store_mod._Index, "consume", consume)
 
     obs.enable(obs.MemorySink())
     try:
         out = io.StringIO()
-        renderer = progress_mod.ProgressRenderer(hb_dir, total=4, stream=out)
+        renderer = ProgressRenderer(
+            ResultStore(root), [(BENCH, p.point_id) for p in points],
+            jobs=1, stream=out)
         snap = renderer.poll(force=True)
-        assert snap["done"] == 1 and snap["failed"] == 1
+        assert (snap["done"], snap["failed"], snap["workers"]) == (2, 1, 1)
         assert snap["throughput"] > 0 and snap["eta"] is not None
         line = out.getvalue()
-        assert "dse: 1/4 points" in line
-        assert "(1 failed)" in line
-        assert "pts/s" in line and "ETA" in line
+        assert "dse: 2/4 points (1 failed)" in line
+        assert "pts/s" in line and "ETA" in line and "| 1 worker" in line
         gauges = obs.snapshot()["gauges"]
-        assert gauges["dse.progress.done"] == 1
+        assert gauges["dse.progress.done"] == 2
         assert gauges["dse.progress.failed"] == 1
-        # immediate re-poll is throttled; close forces a final snapshot
+        assert gauges["dse.progress.workers"] == 1
+        # immediate re-poll is throttled; close forces a final snapshot,
+        # which reads the one line appended since
+        consumed.clear()
+        sizes = [os.path.getsize(path) for path in _segments(retry)]
+        retry.save(_result(points[3]))
         assert renderer.poll() is None
-        assert renderer.close() is not None
+        assert renderer.close()["done"] == 3
+        grown = [os.path.getsize(path) - size
+                 for path, size in zip(_segments(retry), sizes)]
+        assert consumed == [n for n in grown if n]
+        assert "dse: 3/4 points (1 failed)" in out.getvalue()
         assert out.getvalue().endswith("\n")
     finally:
+        first.close()
+        retry.close()
         obs.disable()
         obs.reset()
 
 
-def test_sweep_with_progress_writes_heartbeats(tmp_path, capsys):
+def _fail_once(marker, bad_id):
+    """An ``evaluate_points`` stand-in whose ``bad_id`` point fails on
+    its first evaluation in any process (``marker`` records it) and
+    succeeds after; every other point succeeds at once."""
+
+    def evaluate_points(benchmark, points, scale):
+        for pdict in points:
+            point = DesignPoint.from_dict(pdict)
+            if point.point_id == bad_id and not os.path.exists(marker):
+                open(marker, "w").close()
+                yield point, None, RuntimeError("fails once")
+            else:
+                yield point, _result(point, benchmark), None
+
+    return evaluate_points
+
+
+def _sweep_failing_once(tmp_path, monkeypatch, capsys, jobs):
+    """A ``--progress`` paper4 sweep whose FITS16 point fails on its
+    task's first attempt and succeeds on the retry; returns the final
+    progress line."""
+    space = preset("paper4")
+    monkeypatch.setattr(scheduler, "evaluate_points", _fail_once(
+        str(tmp_path / "failed-once"), space.points[2].point_id))
+    pool_mod.shutdown_pool()        # forked workers inherit the patch
+    try:
+        summary = sweep(space, [BENCH], jobs=jobs, store=str(tmp_path / "s"),
+                        retries=1, progress=True)
+    finally:
+        pool_mod.shutdown_pool()    # no later test may meet it
+    assert summary["failed"] == [] and summary["task_retries"] == 1
+    return capsys.readouterr().err.split("\r")[-1].strip()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_counts_a_retried_failure_as_done(tmp_path, monkeypatch,
+                                                   capsys, jobs):
+    line = _sweep_failing_once(tmp_path, monkeypatch, capsys, jobs)
+    assert line.startswith("dse: 4/4 points | "), line
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_worker_count_is_at_most_jobs(tmp_path, monkeypatch,
+                                               capsys, jobs):
+    line = _sweep_failing_once(tmp_path, monkeypatch, capsys, jobs)
+    workers = re.search(r"\| (\d+) workers?$", line)
+    assert workers is not None and int(workers.group(1)) <= jobs, line
+
+
+def test_sweep_with_progress_leaves_only_results_in_the_store(tmp_path,
+                                                              capsys):
     root = str(tmp_path / "store")
     summary = sweep(preset("paper4"), [BENCH], scale="small", jobs=2,
                     store=root, progress=True)
     assert summary["evaluated"] == 4 and not summary["failed"]
-    from repro.dse import progress as progress_mod
-
-    beats = progress_mod.read_heartbeats(os.path.join(root, "progress"))
-    assert beats, "workers left no heartbeat files"
-    assert sum(b["done"] for b in beats) == 4
-    assert sum(b["failed"] for b in beats) == 0
-    err = capsys.readouterr().err
-    assert "dse: 4/4 points" in err
+    assert "dse: 4/4 points" in capsys.readouterr().err
+    assert sorted(os.listdir(root)) == ["results", "space.json"]
 
 
-def test_dash_renderer_merges_heartbeat_metrics(tmp_path):
+def test_dash_renderer_merges_the_snapshot_directory(tmp_path):
+    """The frame merges every worker snapshot flushed into the snapshot
+    directory with this process's own registry."""
     import io
 
     from repro import obs
-    from repro.dse import progress as progress_mod
+    from repro.dse.progress import DashRenderer
+    from repro.obs import metrics as metrics_mod
     from repro.obs.core import Histogram
 
-    hb_dir = tmp_path / "progress"
-    hb_dir.mkdir()
+    snapshot_dir = tmp_path / "metrics"
+    snapshot_dir.mkdir()
     h = Histogram()
     for v in (0.1, 0.2):
         h.observe(v)
     for pid, hits in ((111, 3), (222, 1)):
-        beat = {"pid": pid, "benchmark": BENCH, "total": 2, "done": 1,
-                "failed": 0, "wall": 1.0, "updated": time.time(),
-                "metrics": {"schema": 1, "proc": "p%d" % pid,
-                            "counters": {"trace_store.hit": hits,
-                                         "trace_store.miss": 1},
-                            "gauges": {},
-                            "histograms": {"dse.point.seconds": h.to_dict()}}}
-        (hb_dir / ("w%d.json" % pid)).write_text(json.dumps(beat))
+        snap = {"proc": "p%d" % pid, "pid": pid,
+                "counters": {"trace_store.hit": hits, "trace_store.miss": 1},
+                "histograms": {"dse.point.seconds": h.to_dict()}}
+        (snapshot_dir / ("m%d.json" % pid)).write_text(json.dumps(snap))
+    store = ResultStore(str(tmp_path / "store"))
+    points = [DesignPoint("arm", size) for size in (2048, 4096, 8192, 16384)]
+    store.save(_result(points[0]))
+    store.save(_result(points[1]))
+    store.close()
 
+    obs.reset()
     obs.enable(obs.MemorySink())
+    metrics_mod.set_snapshot_dir(str(snapshot_dir))
     try:
+        obs.observe("dse.point.seconds", 0.3)
         out = io.StringIO()
-        renderer = progress_mod.DashRenderer(str(hb_dir), total=4, stream=out)
-        snap = renderer.close()
-        assert snap["done"] == 2
+        renderer = DashRenderer(store, [(BENCH, p.point_id) for p in points],
+                                jobs=1, stream=out)
+        assert renderer.close()["done"] == 2
         frame = out.getvalue()
         assert "dse: 2/4 points" in frame
         assert "trace cache: 4 hits / 2 misses" in frame
-        assert "dse.point.seconds" in frame and "n=4" in frame
+        assert re.search(r"^dse\.point\.seconds +n=5 ", frame, re.M), frame
     finally:
+        metrics_mod.set_snapshot_dir(None)
         obs.disable()
         obs.reset()
 
 
-def test_sweep_dash_renders_metrics_frame(tmp_path, capsys):
+def test_sweep_dash_renders_metrics_frame(tmp_path, capsys, monkeypatch):
+    """Each ``--dash`` sweep's frame holds its own points' and tasks'
+    samples, in-process and on the pool, the second sweep in one process
+    included, whose pool workers persist; the sweep's snapshot
+    directory goes when it ends."""
     from repro import obs
+    from repro.obs import metrics as metrics_mod
 
-    root = str(tmp_path / "store")
     assert not obs.enabled
-    summary = sweep(preset("paper4"), [BENCH], scale="small", jobs=2,
-                    store=root, dash=True)
-    assert summary["evaluated"] == 4 and not summary["failed"]
-    assert not obs.enabled          # dash-owned obs restored
-    err = capsys.readouterr().err
-    assert "dse: 4/4 points" in err
-    assert "dse.point.seconds" in err
+    made = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def mkdtemp(**kwargs):
+        made.append(real_mkdtemp(**kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    before = metrics_mod.snapshot_dir()
+    roots, frames = [], []
+    for jobs in (1, 1, 2, 2):
+        roots.append(str(tmp_path / ("store%d" % len(roots))))
+        summary = sweep(preset("paper4"), [BENCH], scale="small",
+                        jobs=jobs, store=roots[-1], dash=True)
+        assert summary["evaluated"] == 4 and not summary["failed"]
+        assert not obs.enabled          # dash-owned obs restored
+        frames.append(capsys.readouterr().err)
+        assert "dse: 4/4 points" in frames[-1]
+    for frame in frames:
+        assert re.search(r"^dse\.point\.seconds +n=4 ", frame, re.M), frame
+    for frame in frames:
+        assert re.search(r"^dse\.task\.seconds +n=2 ", frame, re.M), frame
+    for root in roots:
+        assert sorted(os.listdir(root)) == ["results", "space.json"]
+    assert metrics_mod.snapshot_dir() == before
+    assert len(made) == 4 and not any(map(os.path.exists, made))
 
 
 # ----------------------------------------------------------------------
@@ -681,8 +768,6 @@ def test_parallel_sweep_exports_one_parent_linked_trace(tmp_path):
 
 
 def test_gc_prunes_killed_sweep_debris(tmp_path):
-    from repro.dse.progress import HeartbeatWriter
-
     root = str(tmp_path / "store")
     store = ResultStore(root)
     point = DesignPoint("arm", 8192)
@@ -700,22 +785,9 @@ def test_gc_prunes_killed_sweep_debris(tmp_path):
     with open(os.path.join(store.segment_dir(BENCH), "dead.jsonl"),
               "w") as fh:
         fh.write(json.dumps(blob)[:50])
-    # heartbeats: one stale, one torn, one tmp, one live
-    hb = HeartbeatWriter(store.progress_dir, BENCH, total=4)
-    stale = os.path.join(store.progress_dir, "w99999.json")
-    with open(stale, "w") as fh:
-        json.dump({"pid": 99999, "done": 1, "updated": time.time() - 3600},
-                  fh)
-    with open(os.path.join(store.progress_dir, "w88888.json"), "w") as fh:
-        fh.write("garbage")
-    with open(os.path.join(store.progress_dir, "w77777.json.tmp"), "w") as fh:
-        fh.write("")
 
     report = store.gc()
-    assert report == {"heartbeats": 3, "torn": 1, "superseded": 2,
-                      "legacy": 0}
-    assert os.path.exists(hb.path)                      # live worker kept
-    assert not os.path.exists(stale)
+    assert report == {"torn": 1, "superseded": 2, "legacy": 0}
     assert len(_segments(store)) == 1                   # compacted
     after = ResultStore(root)
     assert after.load(BENCH, point.point_id) == blob    # results untouched
@@ -723,29 +795,26 @@ def test_gc_prunes_killed_sweep_debris(tmp_path):
     assert len(remaining) == 1
     assert remaining[0]["error"] == "genuine failure"
     # idempotent: a second pass finds nothing
-    assert store.gc() == {"heartbeats": 0, "torn": 0, "superseded": 0,
-                          "legacy": 0}
+    assert store.gc() == {"torn": 0, "superseded": 0, "legacy": 0}
 
 
 def test_gc_on_missing_or_empty_store(tmp_path):
     store = ResultStore(str(tmp_path / "nothing"))
-    assert store.gc() == {"heartbeats": 0, "torn": 0, "superseded": 0,
-                          "legacy": 0}
+    assert store.gc() == {"torn": 0, "superseded": 0, "legacy": 0}
 
 
 def test_cli_gc(tmp_path, capsys):
     from repro.dse.cli import main
-    from repro.dse.progress import STALE_AFTER
 
     store = ResultStore(str(tmp_path / "store"))
-    os.makedirs(store.progress_dir, exist_ok=True)
-    with open(os.path.join(store.progress_dir, "w1.json"), "w") as fh:
-        json.dump({"pid": 1, "updated": time.time() - 10 * STALE_AFTER}, fh)
+    os.makedirs(os.path.join(store.root, "progress"))
+    with open(os.path.join(store.root, "progress", "w1_0.json"), "w") as fh:
+        json.dump({"pid": 1, "updated": time.time() - 3600}, fh)
     rc = main(["gc", "--store", store.root, "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report == {"heartbeats": 1, "torn": 0, "superseded": 0,
-                      "legacy": 0}
+    assert report == {"torn": 0, "superseded": 0, "legacy": 1}
+    assert os.listdir(store.root) == []
 
     rc = main(["gc", "--store", str(tmp_path / "missing")])
     assert rc == 1

@@ -177,6 +177,7 @@ def _assert_units(text):
 
 def test_histogram_rows_pick_the_unit_from_the_name(tmp_path):
     from repro.dse.progress import DashRenderer
+    from repro.dse.store import ResultStore
     from repro.obs.report import render_metrics_section
 
     hists = _unit_histograms()
@@ -184,8 +185,9 @@ def test_histogram_rows_pick_the_unit_from_the_name(tmp_path):
     _assert_units(report)
     assert "sum=" in report
 
-    dash = DashRenderer(str(tmp_path), total=1, stream=io.StringIO())
-    frame = dash.render_frame(dash.snapshot([]), {"histograms": hists})
+    dash = DashRenderer(ResultStore(str(tmp_path)), [], jobs=1,
+                        stream=io.StringIO())
+    frame = dash.render_frame(dash.snapshot(), {"histograms": hists})
     _assert_units("\n".join(frame))
 
 

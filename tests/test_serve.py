@@ -745,6 +745,20 @@ def test_stale_socket_file_is_reclaimed(tmp_path):
         assert client_for(server).status()["server"]["pid"] == os.getpid()
 
 
+def test_start_clears_the_snapshot_directory_by_name(tmp_path):
+    """A killed server's workers leave snapshot files behind: flushed,
+    torn, and the temp file of a flush cut short.  The next server
+    deletes each by its name."""
+    metrics_dir = tmp_path / "restart-state" / "metrics"
+    metrics_dir.mkdir(parents=True)
+    (metrics_dir / "m111.json").write_text(json.dumps(
+        {"pid": 111, "counters": {"serve.cache.hit": 5}}))
+    (metrics_dir / "m222.json").write_text('{"pid": 222, "coun')
+    (metrics_dir / "m333.json.333.tmp").write_text('{"pid": 333}')
+    with ServerThread(tmp_path, "restart"):
+        assert os.listdir(metrics_dir) == []
+
+
 def test_real_compute_path_matches_direct_evaluation(tmp_path):
     """One real point through the actual DSE worker pool (no fake)."""
     from repro.dse.evaluate import evaluate_point
